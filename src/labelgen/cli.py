@@ -18,7 +18,6 @@ import numpy as np
 from . import benchmark, distmetrics, fusion, geometry, pipeline
 from .formats import (
     DatasetManifest,
-    FormatError,
     read_manifest,
     read_mask,
     read_embeddings,
@@ -370,7 +369,7 @@ def _add_seed(parser):
 def _add_source_args(parser):
     parser.add_argument("--source", default="toy", help="sample source id")
     parser.add_argument("--res", type=int, default=64, help="sample resolution")
-    parser.add_argument("--classes", type=int, default=16, help="number of classes")
+    parser.add_argument("--classes", type=int, default=16, help="number of classes, 4..254")
     parser.add_argument("--name", default="dataset", help="dataset name")
     parser.add_argument("--config", default=None, help="key=value filter config file")
     parser.add_argument("--truncation", type=float, default=None,
@@ -475,10 +474,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.handler(args)
-    except FormatError as exc:
-        print(f"labelgen: data error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # FormatError is a ValueError
         print(f"labelgen: data error: {exc}", file=sys.stderr)
         return 2
 

@@ -160,24 +160,54 @@ def js_divergence(dists) -> float:
 
 @dataclass(frozen=True)
 class EnsemblePrediction:
-    """Per-pixel class probabilities from K heads, shape (K, H, W, C)."""
+    """Class probabilities from K heads over an (H, W) pixel grid.
+
+    ``probs`` has shape (K, m, C): the heads' distributions at the m pixels
+    whose row-major flat indices are listed, strictly increasing, in
+    ``index``. Every pixel not listed has all heads equal, so it adds exactly
+    0 to the heads' disagreement and need not be stored. A dense
+    (K, H, W, C) array given without an index lists every pixel.
+    """
 
     probs: np.ndarray
+    index: np.ndarray | None = None
+    shape: tuple[int, int] | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=np.float64)
-        if arr.ndim != 4:
-            raise ValueError(f"ensemble probs must be (K, H, W, C), got {arr.shape}")
+        arr = np.ascontiguousarray(self.probs, dtype=np.float64)
+        if self.index is None:
+            if arr.ndim != 4:
+                raise ValueError(f"dense ensemble probs must be (K, H, W, C), got {arr.shape}")
+            h, w = arr.shape[1:3]
+            if self.shape is not None and tuple(self.shape) != (h, w):
+                raise ValueError(f"grid shape {self.shape} does not match probs {arr.shape}")
+            index = np.arange(h * w)
+        else:
+            if arr.ndim != 3:
+                raise ValueError(f"listed-pixel probs must be (K, m, C), got {arr.shape}")
+            if self.shape is None or len(self.shape) != 2 or min(self.shape) < 1:
+                raise ValueError(f"listed pixels need a positive (H, W) grid, got {self.shape}")
+            h, w = (int(s) for s in self.shape)
+            index = np.asarray(self.index)
+            if index.ndim != 1 or index.dtype.kind not in "iu":
+                raise ValueError("index must be a 1-D integer array")
+            if index.size != arr.shape[1]:
+                raise ValueError(f"index lists {index.size} pixels, probs {arr.shape[1]}")
+            if index.size and (index[0] < 0 or index[-1] >= h * w
+                               or (np.diff(index) <= 0).any()):
+                raise ValueError(f"index must be strictly increasing within the {h}x{w} grid")
         if arr.shape[0] < 2:
             raise ValueError("ensemble needs K >= 2 heads")
-        if arr.min() < 0:
-            raise ValueError("probabilities must be nonnegative")
-        sums = arr.sum(axis=-1)
-        if np.abs(sums - 1.0).max() > 1e-6:
-            raise ValueError("per-pixel probabilities must sum to 1 within 1e-6")
-        arr = np.ascontiguousarray(arr)
+        if arr.size:
+            if arr.min() < 0:
+                raise ValueError("probabilities must be nonnegative")
+            if np.abs(arr.sum(axis=-1) - 1.0).max() > 1e-6:
+                raise ValueError("per-pixel probabilities must sum to 1 within 1e-6")
         arr.flags.writeable = False
-        object.__setattr__(self, "probs", arr)
+        index.flags.writeable = False
+        object.__setattr__(self, "probs", arr.reshape(arr.shape[0], index.size, arr.shape[-1]))
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "shape", (h, w))
 
     @property
     def num_heads(self) -> int:
@@ -185,14 +215,20 @@ class EnsemblePrediction:
 
 
 def sample_uncertainty(pred) -> float:
-    """Mean over pixels of the per-pixel JS divergence across ensemble heads."""
-    probs = pred.probs if isinstance(pred, EnsemblePrediction) else np.asarray(pred, float)
-    if probs.ndim != 4 or probs.shape[0] < 2:
-        raise ValueError("expected (K, H, W, C) probabilities with K >= 2")
+    """Mean over the grid of the per-pixel JS divergence across ensemble heads.
+
+    Accepts an EnsemblePrediction or a dense (K, H, W, C) array. Unlisted
+    pixels add exactly 0, so the sum runs over the listed pixels only and is
+    divided by H*W.
+    """
+    if not isinstance(pred, EnsemblePrediction):
+        pred = EnsemblePrediction(pred)
+    probs = pred.probs
     mixture_entropy = _entropy(probs.mean(axis=0))
     mean_entropy = _entropy(probs).mean(axis=0)
     per_pixel = np.maximum(mixture_entropy - mean_entropy, 0.0)
-    return float(per_pixel.mean())
+    h, w = pred.shape
+    return float(per_pixel.sum() / (h * w))
 
 
 def _require_scores(samples, attr: str) -> list[float]:

@@ -9,7 +9,10 @@ Inside the band each head slides from the true one-hot label toward its own
 fixed probability target (targets are spread evenly over (0, 1)), displaced
 by the disagreement level, so the per-pixel divergence across heads grows
 strictly with the level and the per-sample uncertainty score carries no
-sampling noise. Classifier confidence decreases with the injected
+sampling noise. Outside the band every head equals the one-hot ground truth,
+so the ensemble is emitted in its listed-pixel form: the band's flat pixel
+indices and the (16, m, 2) head probabilities there, never a dense
+(16, H, W, 2) tensor. Classifier confidence decreases with the injected
 disagreement plus a small seeded jitter, so rejection filtering has a
 meaningful signal.
 
@@ -79,10 +82,12 @@ def toy_taxonomy(num_classes: int, seed: int = 0) -> tuple[ClassTaxonomy, list[T
     """Deterministic taxonomy with the four shape families cycled across classes.
 
     Includes a "family" task grouping classes by shape family (labels 1..4)
-    and a binary "fgbg" task mapping every class to label 1.
+    and a binary "fgbg" task mapping every class to label 1. Class ids must
+    fit a mask label (1..254; 255 is the ignore label), so 4..254 classes.
     """
-    if num_classes < 4:
-        raise ValueError("need at least 4 classes, one per shape family")
+    if not 4 <= num_classes <= 254:
+        raise ValueError(f"num_classes must be in 4..254 (one per shape family at least, "
+                         f"ids below the 255 ignore label), got {num_classes}")
     rng = substream(seed, 10)
     classes: dict[int, str] = {}
     family_group: dict[int, int] = {}
@@ -191,8 +196,9 @@ def toy_generate(spec: ToyClassSpec, z: np.ndarray, seed: int, res: int = 64,
     ``disagreement`` in [0, 1] sets how far the ensemble heads slide from the
     true label toward their fixed fan of probability targets inside the
     boundary band; when None it is drawn uniformly from a seed-keyed
-    substream. ``with_ensemble=False`` skips the head construction (image,
-    mask and confidence are unaffected, they use separate substreams).
+    substream. The ensemble lists only the boundary band's pixels.
+    ``with_ensemble=False`` skips the head construction (image, mask and
+    confidence are unaffected, they use separate substreams).
     """
     if res not in VALID_RESOLUTIONS:
         raise ValueError(f"resolution {res} not in {VALID_RESOLUTIONS}")
@@ -235,15 +241,12 @@ def toy_generate(spec: ToyClassSpec, z: np.ndarray, seed: int, res: int = 64,
         band = ndimage.binary_dilation(fg, structure) & ~ndimage.binary_erosion(
             fg, structure, iterations=2
         )
-        fg_prob = fg.astype(np.float64)
+        index = np.flatnonzero(band)
+        fg_prob = fg.ravel()[index].astype(np.float64)
         targets = (2.0 * np.arange(NUM_HEADS) + 1.0) / (2.0 * NUM_HEADS)
-        head_fg = np.repeat(fg_prob[None], NUM_HEADS, axis=0)
-        head_fg[:, band] = (
-            (1.0 - disagreement) * fg_prob[band][None, :]
-            + disagreement * targets[:, None]
-        )
+        head_fg = (1.0 - disagreement) * fg_prob[None, :] + disagreement * targets[:, None]
         heads = np.stack([1.0 - head_fg, head_fg], axis=-1)
-        ensemble = EnsemblePrediction(heads)
+        ensemble = EnsemblePrediction(heads, index, fg.shape)
 
     jitter = float(substream(seed, _CONFIDENCE_STREAM).normal(0.0, 0.05))
     confidence = min(max(1.0 - 0.8 * disagreement + jitter, 0.0), 1.0)

@@ -155,3 +155,54 @@ def truncated_normal_variance(psi):
     mass, _ = integrate.quad(density, -psi, psi)
     second, _ = integrate.quad(lambda z: z * z * density(z), -psi, psi)
     return second / mass
+
+
+def _window_counts(fg, radius):
+    """Foreground pixels in each (2r+1)x(2r+1) window; outside the frame is background."""
+    h, w = fg.shape
+    padded = np.zeros((h + 2 * radius, w + 2 * radius), dtype=np.int64)
+    padded[radius:radius + h, radius:radius + w] = fg
+    counts = np.zeros((h, w), dtype=np.int64)
+    for dy in range(2 * radius + 1):
+        for dx in range(2 * radius + 1):
+            counts += padded[dy:dy + h, dx:dx + w]
+    return counts
+
+
+def toy_band(foreground):
+    """The toy generator's 3-pixel boundary band, from window counts.
+
+    A pixel is in the band when its 3x3 window touches the foreground and
+    its 5x5 window is not entirely foreground.
+    """
+    fg = np.asarray(foreground, dtype=bool)
+    return (_window_counts(fg, 1) > 0) & (_window_counts(fg, 2) < 25)
+
+
+def toy_dense_ensemble(foreground, disagreement, num_heads=16):
+    """Dense (K, H, W, 2) toy heads, one head at a time.
+
+    Every head is the one-hot ground truth, except inside the band where
+    head k slides toward its target (2k+1)/(2K) by ``disagreement``.
+    """
+    fg = np.asarray(foreground, dtype=bool)
+    band = toy_band(fg)
+    heads = np.empty((num_heads,) + fg.shape + (2,))
+    for k in range(num_heads):
+        target = (2 * k + 1) / (2 * num_heads)
+        p = fg.astype(np.float64)
+        p[band] = (1.0 - disagreement) * p[band] + disagreement * target
+        heads[k, :, :, 1] = p
+        heads[k, :, :, 0] = 1.0 - p
+    return heads
+
+
+def dense_js_uncertainty(heads):
+    """Mean over every pixel of the heads' JS divergence, with plain logs."""
+    heads = np.asarray(heads, dtype=np.float64)
+
+    def entropy(p):
+        return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1)
+
+    per_pixel = entropy(heads.mean(axis=0)) - entropy(heads).mean(axis=0)
+    return float(np.maximum(per_pixel, 0.0).mean())

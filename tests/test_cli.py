@@ -72,6 +72,17 @@ def test_missing_file_exits_two(tmp_path, capsys):
     assert main(["analyze", "--manifest", str(tmp_path / "nope.txt")]) == 2
 
 
+@pytest.mark.parametrize("classes", ["255", "256"])
+def test_classes_beyond_mask_labels_exit_two(tmp_path, capsys, classes):
+    # class 255 would be the ignore label and 256 overflows a mask byte
+    out = tmp_path / "out"
+    assert main(["synth", "--n", "1", "--classes", classes, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("labelgen: data error:") and "4..254" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_synth_then_analyze(toy_dataset, capsys):
     code = main(["analyze", "--manifest", str(toy_dataset / "manifest.txt")])
     assert code == 0

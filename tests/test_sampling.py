@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from labelgen.formats import LabeledSample
@@ -188,6 +190,88 @@ def test_ensemble_validation():
         EnsemblePrediction(np.ones((1, 2, 2, 2)) * 0.5)  # K < 2
     with pytest.raises(ValueError):
         EnsemblePrediction(np.full((2, 2, 2, 2), 0.6))  # sums != 1
+    with pytest.raises(ValueError, match="does not match"):
+        EnsemblePrediction(np.full((2, 2, 2, 2), 0.5), shape=(2, 3))
+
+
+def test_dense_ensemble_lists_every_pixel():
+    rng = np.random.default_rng(3)
+    dense = rng.dirichlet(np.ones(3), size=(4, 2, 5))
+    pred = EnsemblePrediction(dense)
+    assert pred.shape == (2, 5) and pred.num_heads == 4
+    np.testing.assert_array_equal(pred.index, np.arange(10))
+    np.testing.assert_array_equal(pred.probs, dense.reshape(4, 10, 3))
+    assert not pred.probs.flags.writeable and not pred.index.flags.writeable
+
+
+def _listed(k=2, m=3):
+    """(K, m, 2) agreeing one-hot probabilities at flat indices 0..m-1."""
+    probs = np.zeros((k, m, 2))
+    probs[..., 0] = 1.0
+    return probs, np.arange(m)
+
+
+def test_listed_ensemble_validation():
+    probs, index = _listed()
+    EnsemblePrediction(probs, index, (2, 2))  # valid
+    with pytest.raises(ValueError, match="K >= 2"):
+        EnsemblePrediction(*_listed(k=1), shape=(2, 2))
+    negative = probs.copy()
+    negative[0, 0] = (-0.1, 1.1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        EnsemblePrediction(negative, index, (2, 2))
+    with pytest.raises(ValueError, match="sum to 1"):
+        EnsemblePrediction(np.full((2, 3, 2), 0.6), index, (2, 2))
+    for bad in ([0, 1, 4], [-1, 0, 1]):  # outside the 2x2 grid
+        with pytest.raises(ValueError, match="grid"):
+            EnsemblePrediction(probs, np.array(bad), (2, 2))
+    for bad in ([0, 2, 1], [0, 1, 1]):  # unsorted, repeated
+        with pytest.raises(ValueError, match="strictly increasing"):
+            EnsemblePrediction(probs, np.array(bad), (2, 2))
+    for bad in ([0, 1], [0, 1, 2, 3]):  # one entry per column of probs
+        with pytest.raises(ValueError, match="lists"):
+            EnsemblePrediction(probs, np.array(bad), (2, 2))
+    with pytest.raises(ValueError, match="integer"):
+        EnsemblePrediction(probs, index.astype(float), (2, 2))
+    with pytest.raises(ValueError, match="grid"):
+        EnsemblePrediction(probs, index)  # no grid shape
+    with pytest.raises(ValueError, match=r"\(K, m, C\)"):
+        EnsemblePrediction(probs[None], index, (2, 2))
+
+
+def test_listed_ensemble_is_read_only():
+    probs, index = _listed()
+    pred = EnsemblePrediction(probs, index, (1, 3))
+    with pytest.raises(ValueError):
+        pred.probs[0, 0, 0] = 0.5
+    with pytest.raises(ValueError):
+        pred.index[0] = 1
+
+
+def test_listed_uncertainty_divides_by_grid():
+    # one disagreeing pixel (ln 2) on a 4x5 grid of otherwise agreeing heads
+    probs = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
+    pred = EnsemblePrediction(probs, np.array([7]), (4, 5))
+    assert sample_uncertainty(pred) == pytest.approx(math.log(2) / 20, rel=1e-15)
+    empty = EnsemblePrediction(np.zeros((3, 0, 2)), np.zeros(0, dtype=int), (4, 5))
+    assert sample_uncertainty(empty) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 5), c=st.integers(2, 4), h=st.integers(1, 6), w=st.integers(1, 6),
+       data=st.data())
+def test_listed_uncertainty_equals_agreeing_dense_padding(k, c, h, w, data):
+    listed = np.array(data.draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w)))
+    index = np.flatnonzero(listed)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    probs = rng.dirichlet(np.ones(c), size=(k, index.size))
+    # unlisted pixels: one distribution per pixel, shared by every head
+    dense = np.repeat(rng.dirichlet(np.ones(c), size=(1, h * w)), k, axis=0)
+    dense[:, index] = probs
+    banded = sample_uncertainty(EnsemblePrediction(probs, index, (h, w)))
+    padded = sample_uncertainty(dense.reshape(k, h, w, c))
+    # identical heads can leave a rounding residue of ~1e-16 per padded pixel
+    assert banded == pytest.approx(padded, rel=1e-12, abs=1e-14)
 
 
 # ------------------------------------------------------------------ filters

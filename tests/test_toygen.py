@@ -15,6 +15,8 @@ from labelgen.toygen import (
     toy_taxonomy,
 )
 
+from .oracles import dense_js_uncertainty, toy_band, toy_dense_ensemble
+
 
 def test_taxonomy_four_classes_one_per_family():
     taxonomy, specs = toy_taxonomy(4, seed=0)
@@ -41,11 +43,27 @@ def test_taxonomy_needs_four_classes():
         toy_taxonomy(3, seed=0)
 
 
+def test_taxonomy_class_ids_fit_mask_labels():
+    taxonomy, _ = toy_taxonomy(254, seed=0)
+    assert max(taxonomy.classes) == 254
+    for num_classes in (255, 256):
+        with pytest.raises(ValueError, match="4..254"):
+            toy_taxonomy(num_classes, seed=0)
+
+
 def _spec_and_z(index=0, seed=0):
     _, specs = toy_taxonomy(16, seed=0)
     spec = specs[index % 16]
     z = truncated_normal(8, 0.9, np.random.default_rng(seed))
     return spec, z
+
+
+def _dense_heads(ensemble, foreground):
+    """(K, H, W) foreground probabilities: listed pixels from the ensemble,
+    every other pixel the one-hot ground truth all heads agree on."""
+    fg_prob = np.repeat(foreground.astype(np.float64).ravel()[None], ensemble.num_heads, 0)
+    fg_prob[:, ensemble.index] = ensemble.probs[:, :, 1]
+    return fg_prob.reshape((ensemble.num_heads,) + ensemble.shape)
 
 
 def test_generate_deterministic():
@@ -55,7 +73,15 @@ def test_generate_deterministic():
     np.testing.assert_array_equal(a.image.data, b.image.data)
     np.testing.assert_array_equal(a.gt_mask.labels, b.gt_mask.labels)
     np.testing.assert_array_equal(a.ensemble.probs, b.ensemble.probs)
+    np.testing.assert_array_equal(a.ensemble.index, b.ensemble.index)
     assert a.confidence == b.confidence and a.disagreement == b.disagreement
+    # the listed pixels are exactly the band, and the full grid equals the oracle's
+    fg = a.gt_mask.foreground()
+    np.testing.assert_array_equal(a.ensemble.index, np.flatnonzero(toy_band(fg)))
+    oracle = toy_dense_ensemble(fg, a.disagreement, NUM_HEADS)
+    np.testing.assert_array_equal(_dense_heads(a.ensemble, fg), oracle[:, :, :, 1])
+    np.testing.assert_array_equal(a.ensemble.probs[:, :, 0],
+                                  oracle[:, :, :, 0].reshape(NUM_HEADS, -1)[:, a.ensemble.index])
 
 
 def test_generate_invalid_resolution():
@@ -69,8 +95,28 @@ def test_zero_disagreement_one_hot_heads():
     out = toy_generate(spec, z, seed=3, res=64, disagreement=0.0)
     assert out.ensemble.num_heads == NUM_HEADS
     fg = out.gt_mask.foreground()
-    np.testing.assert_array_equal(out.ensemble.probs[:, :, :, 1] > 0.5, np.repeat(fg[None], NUM_HEADS, 0))
+    heads = _dense_heads(out.ensemble, fg)
+    np.testing.assert_array_equal(heads > 0.5, np.repeat(fg[None], NUM_HEADS, 0))
+    np.testing.assert_array_equal(heads, toy_dense_ensemble(fg, 0.0, NUM_HEADS)[:, :, :, 1])
     assert sample_uncertainty(out.ensemble) == 0.0
+
+
+def test_band_uncertainty_matches_dense_oracle():
+    _, specs = toy_taxonomy(16, seed=0)
+    banded, dense = [], []
+    for i in range(400):
+        spec = specs[i % 16]
+        z = truncated_normal(8, 0.9, substream(700 + i, 1))
+        out = toy_generate(spec, z, seed=700 + i, res=64)
+        heads = toy_dense_ensemble(out.gt_mask.foreground(), out.disagreement, NUM_HEADS)
+        banded.append(sample_uncertainty(out.ensemble))
+        dense.append(dense_js_uncertainty(heads))
+        if i % 40 == 0:  # the library's dense input lists every pixel
+            assert sample_uncertainty(heads) == pytest.approx(banded[-1], rel=1e-12)
+    banded, dense = np.array(banded), np.array(dense)
+    np.testing.assert_allclose(banded, dense, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(np.argsort(banded, kind="stable"),
+                                  np.argsort(dense, kind="stable"))
 
 
 def test_uncertainty_strictly_increasing_in_disagreement():
