@@ -6,7 +6,13 @@ Why grouping generator features by resolution band beats resizing
 everything to the output resolution: element counts for the documented
 512-resolution example config.
 """
-from labelgen.fusion import BIGGAN512_LAYERS, VQGAN256_LAYERS, compare
+from pathlib import Path
+
+from labelgen.fusion import compare, read_layers
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+BIGGAN512_LAYERS = read_layers(CONFIGS / "biggan512.tsv")
+VQGAN256_LAYERS = read_layers(CONFIGS / "vqgan256.tsv")
 
 report = compare(BIGGAN512_LAYERS, d_reduce=128)
 

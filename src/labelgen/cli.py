@@ -1,19 +1,21 @@
 """Command-line entry point.
 
 Subcommands: synth, stream, analyze, geometry, meanshapes, scatter,
-distmetrics, plan, bench. Exit codes: 0 success, 1 usage error, 2 data
-error. The LABELGEN_SEED environment variable overrides the default seed 0;
-an explicit --seed flag wins over both.
+distmetrics, plan, bench. The LABELGEN_SEED environment variable overrides
+the default seed 0; an explicit --seed flag wins over both.
+
+Exit codes: 0 success; 1 when the command line does not parse (an unknown
+flag, a missing required flag, a non-integer --n); 2 when a parsed value or
+an input file is rejected (--n 0, --res 100, a negative --truncation, a
+non-integer LABELGEN_SEED, a malformed manifest). Errors print one line to
+stderr, never a traceback.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import benchmark, distmetrics, fusion, geometry, pipeline
 from .formats import (
@@ -27,133 +29,15 @@ from .formats import (
 from .sampling import FilterConfig
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Dataset statistics row: sizes, area ratios, shape metrics, optional
-    distribution distances (None renders as "-")."""
-
-    name: str
-    size: int
-    instances_per_image: float
-    mask_image_ratio: float
-    bbox_image_ratio: float
-    mask_bbox_ratio: float
-    mask_image_ratio_pooled: float
-    bbox_image_ratio_pooled: float
-    mask_bbox_ratio_pooled: float
-    polygon_length: float | None
-    polygon_points: float | None
-    shape_diversity: float | None
-    image_fid: float | None = None
-    image_kid: float | None = None
-    label_fid: float | None = None
-    label_kid: float | None = None
-
-    def machine_lines(self) -> list[str]:
-        pairs = [
-            ("dataset", self.name),
-            ("size", self.size),
-            ("instances_per_image", self.instances_per_image),
-            ("mask_image_ratio", self.mask_image_ratio),
-            ("bbox_image_ratio", self.bbox_image_ratio),
-            ("mask_bbox_ratio", self.mask_bbox_ratio),
-            ("mask_image_ratio_pooled", self.mask_image_ratio_pooled),
-            ("bbox_image_ratio_pooled", self.bbox_image_ratio_pooled),
-            ("mask_bbox_ratio_pooled", self.mask_bbox_ratio_pooled),
-            ("polygon_length", self.polygon_length),
-            ("polygon_points", self.polygon_points),
-            ("shape_diversity", self.shape_diversity),
-            ("image_fid", self.image_fid),
-            ("image_kid", self.image_kid),
-            ("label_fid", self.label_fid),
-            ("label_kid", self.label_kid),
-        ]
-        return [f"{key}\t{_fmt(value)}" for key, value in pairs]
-
-    def format_table(self) -> str:
-        headers = ["dataset", "size", "inst", "mask/img", "bbox/img", "mask/bbox",
-                   "img-fid", "img-kid", "lbl-fid", "lbl-kid", "perim", "points", "div"]
-        row = [self.name, str(self.size), _fmt(self.instances_per_image),
-               _fmt(self.mask_image_ratio), _fmt(self.bbox_image_ratio),
-               _fmt(self.mask_bbox_ratio), _fmt(self.image_fid), _fmt(self.image_kid),
-               _fmt(self.label_fid), _fmt(self.label_kid), _fmt(self.polygon_length),
-               _fmt(self.polygon_points), _fmt(self.shape_diversity)]
-        widths = [max(len(h), len(v)) for h, v in zip(headers, row)]
-        head = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
-        body = "  ".join(v.ljust(w) for v, w in zip(row, widths))
-        return head + "\n" + body
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return f"{value:.4f}"
-    return str(value)
-
-
-def _load_masks(manifest: DatasetManifest, base_dir: Path):
+def _load_masks(manifest: DatasetManifest, manifest_path):
+    """(class_id, Mask) for each manifest entry, read in manifest order."""
+    base_dir = Path(manifest_path).parent
     for entry in manifest.entries:
-        yield entry, read_mask(base_dir / entry.mask_path)
+        yield entry.class_id, read_mask(base_dir / entry.mask_path)
 
 
-def analyze_manifest(manifest: DatasetManifest, base_dir,
-                     min_pixels: int = 100, epsilon: float = 0.01) -> AnalysisReport:
-    """Aggregate per-mask statistics and polygon metrics over a dataset."""
-    if not manifest.entries:
-        raise ValueError("empty dataset")
-    base_dir = Path(base_dir)
-    instance_counts = []
-    mi, bi, mb = [], [], []
-    fg_total = bbox_total = pixel_total = 0
-    polys_by_class: dict[int, list] = {}
-    for entry, mask in _load_masks(manifest, base_dir):
-        stats = geometry.mask_stats(mask)
-        instance_counts.append(stats.instance_count)
-        if stats.instance_count > 0:
-            mi.append(stats.mask_over_image)
-            bi.append(stats.bbox_over_image)
-            mb.append(stats.mask_over_bbox)
-        pixels = mask.width * mask.height
-        pixel_total += pixels
-        fg_total += round(stats.mask_over_image * pixels)
-        bbox_total += round(stats.bbox_over_image * pixels)
-        poly = geometry.largest_component_polygon(mask, min_pixels=min_pixels)
-        if poly is not None:
-            simplified = geometry.simplify_dp(poly, epsilon)
-            if not simplified.degenerate:
-                polys_by_class.setdefault(entry.class_id, []).append(simplified)
-    flat = [p for polys in polys_by_class.values() for p in polys]
-    if flat:
-        report = geometry.geometry_report(polys_by_class)
-        pl, sc, sd = report.polygon_length, report.shape_complexity, report.shape_diversity
-    else:
-        pl = sc = sd = None
-    return AnalysisReport(
-        name=manifest.name,
-        size=len(manifest.entries),
-        instances_per_image=float(np.mean(instance_counts)),
-        mask_image_ratio=float(np.mean(mi)) if mi else 0.0,
-        bbox_image_ratio=float(np.mean(bi)) if bi else 0.0,
-        mask_bbox_ratio=float(np.mean(mb)) if mb else 0.0,
-        mask_image_ratio_pooled=fg_total / pixel_total,
-        bbox_image_ratio_pooled=bbox_total / pixel_total,
-        mask_bbox_ratio_pooled=fg_total / bbox_total if bbox_total else 0.0,
-        polygon_length=pl,
-        polygon_points=sc,
-        shape_diversity=sd,
-    )
-
-
-def emit_scatter(manifest: DatasetManifest, base_dir, out_path) -> int:
-    """Write one normalized 'cx<TAB>cy' line per nonempty mask; returns line count."""
-    lines = []
-    for _, mask in _load_masks(manifest, Path(base_dir)):
-        centers = geometry.center_scatter([mask])
-        for cx, cy in centers:
-            lines.append(f"{cx:.6f}\t{cy:.6f}")
-    Path(out_path).write_text("\n".join(lines) + ("\n" if lines else ""))
-    return len(lines)
+def _write_lines(path, lines) -> None:
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
 # --------------------------------------------------------------------------
@@ -172,8 +56,6 @@ def _filters_from(args) -> FilterConfig:
     return base.override(
         truncation_psi=getattr(args, "truncation", None),
         rejection_rate=getattr(args, "rejection", None),
-        nucleus_p=getattr(args, "nucleus_p", None),
-        top_k=getattr(args, "top_k", None),
         uncertainty_fraction=getattr(args, "uncertainty", None),
     )
 
@@ -213,8 +95,9 @@ def _cmd_stream(args) -> int:
 
 def _cmd_analyze(args) -> int:
     manifest = read_manifest(args.manifest)
-    report = analyze_manifest(
-        manifest, Path(args.manifest).parent, min_pixels=args.min_pixels, epsilon=args.epsilon
+    report = geometry.analyze_masks(
+        manifest.name, _load_masks(manifest, args.manifest),
+        min_pixels=args.min_pixels, epsilon=args.epsilon,
     )
     print(report.format_table())
     print()
@@ -225,15 +108,10 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_geometry(args) -> int:
     manifest = read_manifest(args.manifest)
-    base_dir = Path(args.manifest).parent
-    polys: dict[int, list] = {}
-    for entry, mask in _load_masks(manifest, base_dir):
-        poly = geometry.largest_component_polygon(mask, min_pixels=args.min_pixels)
-        if poly is None:
-            continue
-        simplified = geometry.simplify_dp(poly, args.epsilon)
-        if not simplified.degenerate:
-            polys.setdefault(entry.class_id, []).append(simplified.points)
+    polys = geometry.class_polygons(
+        _load_masks(manifest, args.manifest),
+        min_pixels=args.min_pixels, epsilon=args.epsilon,
+    )
     write_polygons(polys, args.out)
     total = sum(len(v) for v in polys.values())
     print(f"wrote {total} polygons to {args.out}")
@@ -242,23 +120,16 @@ def _cmd_geometry(args) -> int:
 
 def _cmd_meanshapes(args) -> int:
     manifest = read_manifest(args.manifest)
-    base_dir = Path(args.manifest).parent
-    by_class: dict[int, list] = {}
-    for entry, mask in _load_masks(manifest, base_dir):
-        if mask.foreground().any():
-            by_class.setdefault(entry.class_id, []).append(mask)
+    shape_sets, skipped = geometry.class_mean_shapes(
+        _load_masks(manifest, args.manifest),
+        k=args.k, seed=_resolve_seed(args),
+    )
     lines = []
-    skipped = []
-    for cid in sorted(by_class):
-        masks = by_class[cid]
-        if len(masks) < args.k:
-            skipped.append(cid)
-            continue
-        shapes = geometry.mean_shapes(masks, k=args.k, seed=_resolve_seed(args), class_id=cid)
-        for cluster in range(args.k):
-            values = " ".join(f"{v:.6f}" for v in shapes.shapes[cluster].ravel())
-            lines.append(f"{cid}\t{cluster}\t{int(shapes.cluster_sizes[cluster])}\t{values}")
-    Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""))
+    for shapes in shape_sets:
+        for cluster, (grid, size) in enumerate(zip(shapes.shapes, shapes.cluster_sizes)):
+            values = " ".join(f"{v:.6f}" for v in grid.ravel())
+            lines.append(f"{shapes.class_id}\t{cluster}\t{int(size)}\t{values}")
+    _write_lines(args.out, lines)
     if skipped:
         print(f"skipped classes with fewer than k={args.k} masks: {skipped}", file=sys.stderr)
     print(f"wrote {len(lines)} mean-shape rows to {args.out}")
@@ -267,8 +138,11 @@ def _cmd_meanshapes(args) -> int:
 
 def _cmd_scatter(args) -> int:
     manifest = read_manifest(args.manifest)
-    count = emit_scatter(manifest, Path(args.manifest).parent, args.out)
-    print(f"wrote {count} centers to {args.out}")
+    centers = geometry.center_scatter(
+        mask for _, mask in _load_masks(manifest, args.manifest)
+    )
+    _write_lines(args.out, [f"{cx:.6f}\t{cy:.6f}" for cx, cy in centers])
+    print(f"wrote {len(centers)} centers to {args.out}")
     return 0
 
 
@@ -376,10 +250,6 @@ def _add_source_args(parser):
                         help="latent truncation (default 0.9)")
     parser.add_argument("--rejection", type=float, default=None,
                         help="confidence rejection rate (default 0.9)")
-    parser.add_argument("--nucleus-p", type=float, default=None,
-                        help="nucleus sampling mass (default 0.92)")
-    parser.add_argument("--top-k", type=int, default=None,
-                        help="top-k token truncation (default 200)")
     _add_seed(parser)
 
 

@@ -231,16 +231,18 @@ class ManifestEntry:
         if self.provenance not in PROVENANCE_TAGS:
             raise UnknownProvenanceError(f"unknown provenance {self.provenance!r}")
         for name in ("image_path", "mask_path"):
-            if Path(getattr(self, name)).is_absolute():
-                raise FormatError(f"{name} must be relative to the manifest directory")
+            path = Path(getattr(self, name))
+            if path.is_absolute() or ".." in path.parts:
+                raise FormatError(f"{name} must stay inside the manifest directory")
 
 
 @dataclass(frozen=True)
 class DatasetManifest:
     """Ordered dataset listing with creation parameters.
 
-    ``metadata`` holds creation parameters (truncation, rejection rate,
-    nucleus p/k, filter fraction, ...) as strings so round-trips are exact.
+    ``metadata`` holds creation parameters (source, seed, truncation,
+    rejection rate, uncertainty fraction, ...) as strings so round-trips are
+    exact.
     """
 
     name: str

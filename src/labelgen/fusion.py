@@ -228,36 +228,6 @@ def read_layers(path) -> list[LayerSpec]:
     return layers
 
 
-# Example configurations. The 512-resolution convolutional schedule follows
-# the published 1536-wide 8x8 entry point with halving widths per upsampling
-# stage; the 256-resolution autoregressive config pairs 12 transformer
-# feature taps at 16x16 with 7 decoder taps. Widths beyond the documented
-# entries are illustrative, not authoritative.
-BIGGAN512_LAYERS = (
-    LayerSpec("res8", 8, 1536),
-    LayerSpec("res16", 16, 1536),
-    LayerSpec("res32", 32, 768),
-    LayerSpec("res64", 64, 384),
-    LayerSpec("res128", 128, 192),
-    LayerSpec("attn128", 128, 96),
-    LayerSpec("res256", 256, 96),
-    LayerSpec("res512", 512, 48),
-)
-
-VQGAN256_LAYERS = tuple(
-    [LayerSpec(f"tform{i:02d}", 16, 1536) for i in range(12)]
-    + [
-        LayerSpec("dec16a", 16, 512),
-        LayerSpec("dec16b", 16, 512),
-        LayerSpec("dec32", 32, 512),
-        LayerSpec("dec64", 64, 512),
-        LayerSpec("dec128", 128, 256),
-        LayerSpec("dec256a", 256, 128),
-        LayerSpec("dec256b", 256, 128),
-    ]
-)
-
-
 def write_layers(layers, path) -> None:
     lines = [f"{l.name}\t{l.resolution}\t{l.channels}" for l in layers]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -5,7 +5,9 @@ The polygon pipeline mirrors the usual contour workflow: take the largest
 compress straight (horizontal/vertical/diagonal) pixel runs down to their
 end points, normalize the points to the unit square per axis, then simplify
 with Douglas-Peucker. Perimeter, point count and pairwise Chamfer distance
-are computed on the simplified polygons.
+are computed on the simplified polygons. The dataset passes at the end
+(analyze_masks, class_polygons, class_mean_shapes) take (class_id, Mask)
+pairs, so callers decide how masks are read.
 """
 from __future__ import annotations
 
@@ -491,3 +493,153 @@ def mean_shapes(masks, k: int = 5, seed: int = 0, class_id: int | None = None) -
     sizes = np.bincount(assign, minlength=k)
     shapes = np.clip(centers.reshape(k, MEAN_SHAPE_RES, MEAN_SHAPE_RES), 0.0, 1.0)
     return MeanShapeSet(shapes=shapes, cluster_sizes=sizes, class_id=class_id)
+
+
+# --------------------------------------------------------------------------
+# dataset passes over (class_id, Mask) pairs
+# --------------------------------------------------------------------------
+
+def _add_polygon(polys_by_class: dict, class_id: int, mask, min_pixels: int,
+                 epsilon: float) -> None:
+    """Append the mask's simplified largest-component outline under its class,
+    unless the component is below min_pixels or the outline is degenerate."""
+    poly = largest_component_polygon(mask, min_pixels=min_pixels)
+    if poly is None:
+        return
+    simplified = simplify_dp(poly, epsilon)
+    if not simplified.degenerate:
+        polys_by_class.setdefault(class_id, []).append(simplified)
+
+
+def class_polygons(pairs, min_pixels: int = 100, epsilon: float = 0.01) -> dict:
+    """Simplified normalized outlines grouped by class id, in mask order."""
+    polys_by_class: dict[int, list[Polygon]] = {}
+    for class_id, mask in pairs:
+        _add_polygon(polys_by_class, class_id, mask, min_pixels, epsilon)
+    return polys_by_class
+
+
+def class_mean_shapes(pairs, k: int = 5, seed: int = 0) -> tuple[list, list]:
+    """Mean shapes of each class with at least k nonempty masks, by class id.
+
+    Returns the MeanShapeSets and the ids of the classes skipped for having
+    fewer than k nonempty masks.
+    """
+    by_class: dict[int, list] = {}
+    for class_id, mask in pairs:
+        if foreground_grid(mask).any():
+            by_class.setdefault(class_id, []).append(mask)
+    sets, skipped = [], []
+    for cid in sorted(by_class):
+        if len(by_class[cid]) < k:
+            skipped.append(cid)
+        else:
+            sets.append(mean_shapes(by_class[cid], k=k, seed=seed, class_id=cid))
+    return sets, skipped
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, float):
+        return f"{value:.4f}"
+    return str(value)
+
+
+@dataclass(frozen=True)
+class AnalysisReport:
+    """Dataset statistics row: sizes, area ratios, shape metrics, optional
+    distribution distances (None renders as "-")."""
+
+    name: str
+    size: int
+    instances_per_image: float
+    mask_image_ratio: float
+    bbox_image_ratio: float
+    mask_bbox_ratio: float
+    mask_image_ratio_pooled: float
+    bbox_image_ratio_pooled: float
+    mask_bbox_ratio_pooled: float
+    polygon_length: float | None
+    polygon_points: float | None
+    shape_diversity: float | None
+    image_fid: float | None = None
+    image_kid: float | None = None
+    label_fid: float | None = None
+    label_kid: float | None = None
+
+    def machine_lines(self) -> list[str]:
+        pairs = [
+            ("dataset", self.name),
+            ("size", self.size),
+            ("instances_per_image", self.instances_per_image),
+            ("mask_image_ratio", self.mask_image_ratio),
+            ("bbox_image_ratio", self.bbox_image_ratio),
+            ("mask_bbox_ratio", self.mask_bbox_ratio),
+            ("mask_image_ratio_pooled", self.mask_image_ratio_pooled),
+            ("bbox_image_ratio_pooled", self.bbox_image_ratio_pooled),
+            ("mask_bbox_ratio_pooled", self.mask_bbox_ratio_pooled),
+            ("polygon_length", self.polygon_length),
+            ("polygon_points", self.polygon_points),
+            ("shape_diversity", self.shape_diversity),
+            ("image_fid", self.image_fid),
+            ("image_kid", self.image_kid),
+            ("label_fid", self.label_fid),
+            ("label_kid", self.label_kid),
+        ]
+        return [f"{key}\t{_fmt(value)}" for key, value in pairs]
+
+    def format_table(self) -> str:
+        headers = ["dataset", "size", "inst", "mask/img", "bbox/img", "mask/bbox",
+                   "img-fid", "img-kid", "lbl-fid", "lbl-kid", "perim", "points", "div"]
+        row = [self.name, str(self.size), _fmt(self.instances_per_image),
+               _fmt(self.mask_image_ratio), _fmt(self.bbox_image_ratio),
+               _fmt(self.mask_bbox_ratio), _fmt(self.image_fid), _fmt(self.image_kid),
+               _fmt(self.label_fid), _fmt(self.label_kid), _fmt(self.polygon_length),
+               _fmt(self.polygon_points), _fmt(self.shape_diversity)]
+        widths = [max(len(h), len(v)) for h, v in zip(headers, row)]
+        head = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
+        body = "  ".join(v.ljust(w) for v, w in zip(row, widths))
+        return head + "\n" + body
+
+
+def analyze_masks(name: str, pairs, min_pixels: int = 100,
+                  epsilon: float = 0.01) -> AnalysisReport:
+    """Aggregate per-mask statistics and polygon metrics in one pass."""
+    instance_counts = []
+    mi, bi, mb = [], [], []
+    fg_total = bbox_total = pixel_total = 0
+    polys_by_class: dict[int, list[Polygon]] = {}
+    for class_id, mask in pairs:
+        stats = mask_stats(mask)
+        instance_counts.append(stats.instance_count)
+        if stats.instance_count > 0:
+            mi.append(stats.mask_over_image)
+            bi.append(stats.bbox_over_image)
+            mb.append(stats.mask_over_bbox)
+        pixels = mask.width * mask.height
+        pixel_total += pixels
+        fg_total += round(stats.mask_over_image * pixels)
+        bbox_total += round(stats.bbox_over_image * pixels)
+        _add_polygon(polys_by_class, class_id, mask, min_pixels, epsilon)
+    if not instance_counts:
+        raise ValueError("empty dataset")
+    if polys_by_class:
+        report = geometry_report(polys_by_class)
+        pl, sc, sd = report.polygon_length, report.shape_complexity, report.shape_diversity
+    else:
+        pl = sc = sd = None
+    return AnalysisReport(
+        name=name,
+        size=len(instance_counts),
+        instances_per_image=float(np.mean(instance_counts)),
+        mask_image_ratio=float(np.mean(mi)) if mi else 0.0,
+        bbox_image_ratio=float(np.mean(bi)) if bi else 0.0,
+        mask_bbox_ratio=float(np.mean(mb)) if mb else 0.0,
+        mask_image_ratio_pooled=fg_total / pixel_total,
+        bbox_image_ratio_pooled=bbox_total / pixel_total,
+        mask_bbox_ratio_pooled=fg_total / bbox_total if bbox_total else 0.0,
+        polygon_length=pl,
+        polygon_points=sc,
+        shape_diversity=sd,
+    )

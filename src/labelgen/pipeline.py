@@ -14,7 +14,9 @@ counter ranges without changing the result.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -173,37 +175,58 @@ def synth_offline(spec: PipelineSpec) -> DatasetManifest:
     survivors = kept[: spec.n]
 
     counter_of = {s.id: i for i, s in enumerate(candidates)}
+    full_survivors = (
+        replace(source.generate(counter_of[slim.id], need_ensemble=False)[0],
+                uncertainty=slim.uncertainty)
+        for slim in survivors
+    )
+    return _write_dataset(spec, full_survivors, getattr(source, "taxonomy", None),
+                          lambda: {"pool": len(candidates)})
+
+
+def _write_dataset(spec: PipelineSpec, samples, taxonomy: ClassTaxonomy | None,
+                   run_stats) -> DatasetManifest:
+    """Write each sample's image and mask, the taxonomy, then the manifest.
+
+    ``samples`` yields LabeledSamples with pixel payloads; ``run_stats()``
+    is called once they are written and returns extra metadata. An earlier
+    run's manifest is removed before the first file is written, and the new
+    one is renamed into place last, so a failed run leaves no manifest that
+    names files it did not write.
+    """
     out_dir = Path(spec.out_dir)
+    manifest_path = out_dir / "manifest.txt"
+    manifest_path.unlink(missing_ok=True)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
     (out_dir / "masks").mkdir(parents=True, exist_ok=True)
     entries = []
-    for slim in survivors:
-        full, _ = source.generate(counter_of[slim.id], need_ensemble=False)
-        image_path = f"images/{full.id}.ppm"
-        mask_path = f"masks/{full.id}.pgm"
-        write_image(full.image, out_dir / image_path)
-        write_mask(full.mask, out_dir / mask_path)
+    for sample in samples:
+        image_path = f"images/{sample.id}.ppm"
+        mask_path = f"masks/{sample.id}.pgm"
+        write_image(sample.image, out_dir / image_path)
+        write_mask(sample.mask, out_dir / mask_path)
         entries.append(
             ManifestEntry(
-                id=full.id,
-                class_id=full.class_id,
+                id=sample.id,
+                class_id=sample.class_id,
                 image_path=image_path,
                 mask_path=mask_path,
-                provenance=full.provenance,
-                latent_seed=full.latent_seed,
-                confidence=full.confidence,
-                uncertainty=slim.uncertainty,
+                provenance=sample.provenance,
+                latent_seed=sample.latent_seed,
+                confidence=sample.confidence,
+                uncertainty=sample.uncertainty,
             )
         )
     manifest = DatasetManifest(
         name=spec.name,
         entries=tuple(entries),
-        metadata=_run_metadata(spec, pool=len(candidates)),
+        metadata=_run_metadata(spec, **run_stats()),
     )
-    write_manifest(manifest, out_dir / "manifest.txt")
-    taxonomy = getattr(source, "taxonomy", None)
     if taxonomy is not None:
         write_taxonomy(taxonomy, out_dir / "taxonomy.txt")
+    staged = out_dir / "manifest.txt.tmp"
+    write_manifest(manifest, staged)
+    os.replace(staged, manifest_path)
     return manifest
 
 
@@ -217,8 +240,6 @@ def _run_metadata(spec: PipelineSpec, **extra) -> dict[str, str]:
         "num_classes": str(spec.num_classes),
         "truncation_psi": repr(f.truncation_psi),
         "rejection_rate": repr(f.rejection_rate),
-        "nucleus_p": repr(f.nucleus_p),
-        "top_k": str(f.top_k),
         "uncertainty_fraction": repr(f.uncertainty_fraction),
     }
     for key, value in extra.items():
@@ -275,36 +296,7 @@ def write_stream(spec: PipelineSpec, count: int) -> DatasetManifest:
     """Materialize the first ``count`` samples of an online stream to disk."""
     if spec.out_dir is None:
         raise ValueError("writing a stream needs an output directory")
-    out_dir = Path(spec.out_dir)
-    (out_dir / "images").mkdir(parents=True, exist_ok=True)
-    (out_dir / "masks").mkdir(parents=True, exist_ok=True)
     stream = synth_online(spec)
-    entries = []
-    for _ in range(count):
-        sample = next(stream)
-        image_path = f"images/{sample.id}.ppm"
-        mask_path = f"masks/{sample.id}.pgm"
-        write_image(sample.image, out_dir / image_path)
-        write_mask(sample.mask, out_dir / mask_path)
-        entries.append(
-            ManifestEntry(
-                id=sample.id,
-                class_id=sample.class_id,
-                image_path=image_path,
-                mask_path=mask_path,
-                provenance=sample.provenance,
-                latent_seed=sample.latent_seed,
-                confidence=sample.confidence,
-                uncertainty=None,
-            )
-        )
-    manifest = DatasetManifest(
-        name=spec.name,
-        entries=tuple(entries),
-        metadata=_run_metadata(spec, candidates=stream.candidates),
-    )
-    write_manifest(manifest, out_dir / "manifest.txt")
-    taxonomy: ClassTaxonomy | None = getattr(stream.source, "taxonomy", None)
-    if taxonomy is not None:
-        write_taxonomy(taxonomy, out_dir / "taxonomy.txt")
-    return manifest
+    return _write_dataset(spec, islice(stream, count),
+                          getattr(stream.source, "taxonomy", None),
+                          lambda: {"candidates": stream.candidates})

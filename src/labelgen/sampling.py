@@ -9,7 +9,7 @@ identical seeds give identical outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,14 +24,11 @@ class FilterConfig:
 
     truncation_psi: latent coordinates are resampled into [-psi, psi].
     rejection_rate: fraction of lowest-confidence samples to reject.
-    nucleus_p / top_k: token-sampling truncation for autoregressive sources.
     uncertainty_fraction: fraction of most-uncertain samples to drop.
     """
 
     truncation_psi: float = 0.9
     rejection_rate: float = 0.9
-    nucleus_p: float = 0.92
-    top_k: int = 200
     uncertainty_fraction: float = 0.10
 
     def __post_init__(self):
@@ -39,10 +36,6 @@ class FilterConfig:
             raise ValueError("truncation_psi must be > 0")
         if not 0.0 <= self.rejection_rate < 1.0:
             raise ValueError("rejection_rate must be in [0, 1)")
-        if not 0.0 < self.nucleus_p <= 1.0:
-            raise ValueError("nucleus_p must be in (0, 1]")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
         if not 0.0 <= self.uncertainty_fraction < 1.0:
             raise ValueError("uncertainty_fraction must be in [0, 1)")
 
@@ -50,28 +43,20 @@ class FilterConfig:
     def from_file(cls, path) -> "FilterConfig":
         """Load key=value lines; unknown keys are rejected."""
         kwargs = {}
-        fields = {f: t for f, t in (("truncation_psi", float), ("rejection_rate", float),
-                                    ("nucleus_p", float), ("top_k", int),
-                                    ("uncertainty_fraction", float))}
+        known = {f.name for f in fields(cls)}
         for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, sep, value = line.partition("=")
             key = key.strip()
-            if not sep or key not in fields:
+            if not sep or key not in known:
                 raise ValueError(f"{path}:{lineno}: expected <known key>=<value>")
-            kwargs[key] = fields[key](value.strip())
+            kwargs[key] = float(value.strip())
         return cls(**kwargs)
 
     def to_file(self, path) -> None:
-        lines = [
-            f"truncation_psi={self.truncation_psi!r}",
-            f"rejection_rate={self.rejection_rate!r}",
-            f"nucleus_p={self.nucleus_p!r}",
-            f"top_k={self.top_k}",
-            f"uncertainty_fraction={self.uncertainty_fraction!r}",
-        ]
+        lines = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)]
         Path(path).write_text("\n".join(lines) + "\n")
 
     def override(self, **kwargs) -> "FilterConfig":

@@ -8,6 +8,7 @@ import math
 import struct
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ from labelgen.formats import (
     write_mask,
 )
 from labelgen.formats import LabeledSample
-from labelgen.fusion import BIGGAN512_LAYERS, compare, plan_baseline
+from labelgen.fusion import compare, plan_baseline, read_layers
 from labelgen.geometry import chamfer, connected_components, mask_stats, simplify_dp
 from labelgen.pipeline import PipelineSpec, ToySource, synth_offline, synth_online
 from labelgen.sampling import (
@@ -188,7 +189,7 @@ def test_criterion_4_end_to_end_toy_pipeline(tmp_path):
     with criterion(4, "offline pipeline at paper defaults: uncertainty tracks injected "
                       "disagreement (Spearman > 0.95), byte-identical rerun, <5min"):
         spec = PipelineSpec(
-            filters=FilterConfig(),  # 0.9 / 0.9 / 0.92 / 200 / 0.10 defaults
+            filters=FilterConfig(),  # 0.9 / 0.9 / 0.10 defaults
             mode="offline", n=1000, out_dir=tmp_path / "run1", seed=0,
         )
         started = time.monotonic()
@@ -291,9 +292,10 @@ def test_criterion_6_distribution_metrics():
 
 def test_criterion_7_fusion_planner():
     with criterion(7, "documented 512-res config: exact baseline, grouped ratio > 5 (pinned)"):
-        total_channels = sum(l.channels for l in BIGGAN512_LAYERS)
-        assert plan_baseline(BIGGAN512_LAYERS, 512) == total_channels * 512 * 512
-        report = compare(BIGGAN512_LAYERS, d_reduce=128)
+        layers = read_layers(Path(__file__).resolve().parents[1] / "configs/biggan512.tsv")
+        total_channels = sum(l.channels for l in layers)
+        assert plan_baseline(layers, 512) == total_channels * 512 * 512
+        report = compare(layers, d_reduce=128)
         assert report.grouped_peak_elements < report.baseline_elements
         assert report.ratio > 5
         # regression constants computed by this cost model and pinned

@@ -1,21 +1,23 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from labelgen.cli import analyze_manifest, emit_scatter, main
+from labelgen.cli import main
 from labelgen.formats import (
     DatasetManifest,
     EmbeddingSet,
     ManifestEntry,
     Mask,
     read_manifest,
+    read_mask,
     read_polygons,
     write_embeddings,
     write_manifest,
     write_mask,
     write_taxonomy,
 )
-from labelgen.fusion import BIGGAN512_LAYERS, write_layers
-from labelgen.geometry import center_scatter
+from labelgen.geometry import analyze_masks, center_scatter
 from labelgen.toygen import toy_taxonomy
 
 
@@ -39,8 +41,9 @@ def test_help_exits_zero(capsys):
 def test_subcommand_help_documents_defaults(capsys):
     assert main(["synth", "--help"]) == 0
     text = capsys.readouterr().out
-    for token in ("0.9", "0.92", "200", "0.10"):
+    for token in ("0.9", "0.10"):
         assert token in text
+    assert "nucleus" not in text and "top-k" not in text
     assert main(["analyze", "--help"]) == 0
     text = capsys.readouterr().out
     assert "0.01" in text and "100" in text
@@ -58,6 +61,51 @@ def test_missing_required_flag_exits_one(capsys):
 
 def test_no_subcommand_exits_one(capsys):
     assert main([]) == 1
+
+
+@pytest.mark.parametrize("argv, seed_env, code", [
+    (["synth", "--n", "1", "--bogus"], None, 1),            # unknown flag
+    (["synth", "--n", "1", "--nucleus-p", "0.9"], None, 1),  # removed flag
+    (["synth", "--n", "1", "--top-k", "5"], None, 1),        # removed flag
+    (["synth"], None, 1),                                     # missing --n
+    (["synth", "--n", "two"], None, 1),                      # not an integer
+    (["synth", "--n", "0"], None, 2),
+    (["synth", "--n", "1", "--res", "100"], None, 2),
+    (["synth", "--n", "1", "--truncation", "-1"], None, 2),
+    (["synth", "--n", "1"], "abc", 2),                        # LABELGEN_SEED
+])
+def test_exit_codes(tmp_path, capsys, monkeypatch, argv, seed_env, code):
+    # 1: the command line does not parse; 2: a parsed value is rejected
+    if seed_env is not None:
+        monkeypatch.setenv("LABELGEN_SEED", seed_env)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("usage:" if code == 1 else "labelgen: data error:")
+    assert not out.exists()
+
+
+def test_config_file_with_removed_keys_exits_two(tmp_path, capsys):
+    config = tmp_path / "filters.cfg"
+    config.write_text("truncation_psi=0.9\nnucleus_p=0.92\n")
+    out = tmp_path / "out"
+    assert main(["synth", "--n", "1", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "filters.cfg:2" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["image", "mask"])
+def test_manifest_path_escaping_its_directory_exits_two(tmp_path, capsys, field):
+    write_mask(Mask(np.ones((8, 8), dtype=np.uint8)), tmp_path / "outside.pgm")
+    paths = {"image": "images/a.ppm", "mask": "masks/a.pgm", field: "../outside.pgm"}
+    (tmp_path / "data").mkdir()
+    manifest = tmp_path / "data" / "manifest.txt"
+    manifest.write_text(f"LGKITv1 x\na\t1\t{paths['image']}\t{paths['mask']}\ttoy\t-\t-\t-\n")
+    assert main(["analyze", "--manifest", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert "manifest.txt:2" in err and "Traceback" not in err
 
 
 def test_corrupt_manifest_exits_two(tmp_path, capsys):
@@ -106,8 +154,6 @@ def test_scatter_matches_library(toy_dataset, tmp_path, capsys):
     manifest = read_manifest(toy_dataset / "manifest.txt")
     lines = out_file.read_text().splitlines()
     assert len(lines) == len(manifest)
-    from labelgen.formats import read_mask
-
     for line, entry in zip(lines, manifest.entries):
         cx, cy = (float(v) for v in line.split("\t"))
         expected = center_scatter([read_mask(toy_dataset / entry.mask_path)])[0]
@@ -163,8 +209,7 @@ def test_distmetrics_report(tmp_path, capsys):
 
 
 def test_plan_report(tmp_path, capsys):
-    layers_file = tmp_path / "layers.tsv"
-    write_layers(BIGGAN512_LAYERS, layers_file)
+    layers_file = Path(__file__).resolve().parents[1] / "configs" / "biggan512.tsv"
     assert main(["plan", "--layers", str(layers_file), "--d-reduce", "128"]) == 0
     out = capsys.readouterr().out
     assert "baseline elements" in out
@@ -177,8 +222,6 @@ def test_bench_fgbg_self_prediction(toy_dataset, tmp_path, capsys):
     gt_manifest = read_manifest(toy_dataset / "manifest.txt")
     pred_dir = tmp_path / "pred"
     (pred_dir / "masks").mkdir(parents=True)
-    from labelgen.formats import read_mask
-
     pred_entries = []
     for entry in gt_manifest.entries:
         mask = read_mask(toy_dataset / entry.mask_path)
@@ -265,7 +308,8 @@ def test_subcommands_reproducible(tmp_path):
 
 def test_analyze_report_fields(toy_dataset):
     manifest = read_manifest(toy_dataset / "manifest.txt")
-    report = analyze_manifest(manifest, toy_dataset)
+    pairs = [(e.class_id, read_mask(toy_dataset / e.mask_path)) for e in manifest.entries]
+    report = analyze_masks(manifest.name, pairs)
     assert report.size == 12
     assert report.image_fid is None  # rendered as "-" in tables
     assert "-" in report.format_table()
@@ -273,7 +317,9 @@ def test_analyze_report_fields(toy_dataset):
     assert report.polygon_points >= 3
 
 
-def test_emit_scatter_count(toy_dataset, tmp_path):
-    manifest = read_manifest(toy_dataset / "manifest.txt")
-    count = emit_scatter(manifest, toy_dataset, tmp_path / "s.txt")
-    assert count == 12
+def test_scatter_count(toy_dataset, tmp_path, capsys):
+    out_file = tmp_path / "s.txt"
+    assert main(["scatter", "--manifest", str(toy_dataset / "manifest.txt"),
+                 "--out", str(out_file)]) == 0
+    assert f"wrote 12 centers to {out_file}" in capsys.readouterr().out
+    assert len(out_file.read_text().splitlines()) == 12

@@ -211,6 +211,22 @@ def test_manifest_rejects_absolute_paths():
         _entry(0, image_path="/abs/path.ppm")
 
 
+@pytest.mark.parametrize("field", ["image_path", "mask_path"])
+@pytest.mark.parametrize("rel", ["../x.pgm", "masks/../../x.pgm", "masks/../x.pgm"])
+def test_manifest_rejects_parent_components(field, rel):
+    with pytest.raises(FormatError, match=field):
+        _entry(0, **{field: rel})
+
+
+def test_read_manifest_names_line_of_escaping_path(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("LGKITv1 bad\n"
+                    "a\t3\timages/a.ppm\tmasks/a.pgm\ttoy\t0\t-\t-\n"
+                    "b\t3\timages/b.ppm\t../../etc/b.pgm\ttoy\t0\t-\t-\n")
+    with pytest.raises(FormatError, match="m.txt:3: mask_path"):
+        read_manifest(path)
+
+
 def test_mask_label_validation():
     mask = Mask(np.array([[0, 3], [255, 1]], dtype=np.uint8))
     validate_mask_labels(mask, num_classes=3)

@@ -1,9 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from labelgen.fusion import (
-    BIGGAN512_LAYERS,
-    VQGAN256_LAYERS,
     LayerSpec,
     compare,
     plan_baseline,
@@ -11,6 +11,10 @@ from labelgen.fusion import (
     read_layers,
     write_layers,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+BIGGAN512_LAYERS = read_layers(CONFIGS / "biggan512.tsv")
+VQGAN256_LAYERS = read_layers(CONFIGS / "vqgan256.tsv")
 
 # regression constants for the documented 512-resolution example config
 BIGGAN512_BASELINE = 4656 * 512 * 512          # sum(channels) * final_res^2
@@ -124,8 +128,7 @@ def test_grouped_peak_below_baseline_when_reducible():
 def test_layers_file_roundtrip(tmp_path):
     path = tmp_path / "layers.tsv"
     write_layers(BIGGAN512_LAYERS, path)
-    back = read_layers(path)
-    assert tuple(back) == BIGGAN512_LAYERS
+    assert read_layers(path) == BIGGAN512_LAYERS
 
 
 def test_layers_file_malformed(tmp_path):

@@ -7,6 +7,8 @@ from labelgen.geometry import (
     Polygon,
     center_scatter,
     chamfer,
+    class_mean_shapes,
+    class_polygons,
     compress_collinear,
     connected_components,
     crop_resize_shape,
@@ -400,6 +402,24 @@ def test_mean_shapes_deterministic_and_bounded():
 def test_mean_shapes_needs_k_masks():
     with pytest.raises(ValueError):
         mean_shapes([_blob("disk")] * 3, k=5, seed=0)
+
+
+def test_class_mean_shapes_counts_only_nonempty_masks():
+    empty = np.zeros((8, 8), dtype=np.uint8)
+    pairs = ([(7, _blob("disk"))] * 2 + [(3, _blob("bar"))] * 2
+             + [(5, _blob("disk")), (5, empty), (5, empty)])
+    sets, skipped = class_mean_shapes(pairs, k=2, seed=0)
+    assert [s.class_id for s in sets] == [3, 7]
+    assert skipped == [5]
+
+
+def test_class_polygons_groups_usable_outlines():
+    line = np.zeros((20, 20), dtype=np.uint8)
+    line[5, 2:18] = 1  # one pixel wide: a degenerate outline
+    pairs = [(2, _blob("disk")), (1, line), (2, _blob("bar")), (1, np.zeros((20, 20)))]
+    polys = class_polygons(pairs, min_pixels=10)
+    assert list(polys) == [2] and len(polys[2]) == 2
+    assert not any(p.degenerate for p in polys[2])
 
 
 # ------------------------------------------------------------------ centers

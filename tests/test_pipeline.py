@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from labelgen import pipeline
 from labelgen.formats import read_manifest, read_mask, read_image
 from labelgen.pipeline import (
     OnlineStream,
@@ -140,6 +141,37 @@ def test_write_stream(tmp_path):
     back = read_manifest(tmp_path / "manifest.txt")
     assert [e.id for e in back.entries] == [e.id for e in manifest.entries]
     assert back.metadata["mode"] == "online"
+
+
+def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
+    synth_offline(PipelineSpec(filters=NO_FILTERS, mode="offline", n=4, out_dir=tmp_path, seed=0))
+    assert (tmp_path / "manifest.txt").exists()
+    real_write_mask = pipeline.write_mask
+    calls = []
+
+    def failing_write_mask(mask, path):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        real_write_mask(mask, path)
+
+    monkeypatch.setattr(pipeline, "write_mask", failing_write_mask)
+    with pytest.raises(OSError, match="disk full"):
+        synth_offline(PipelineSpec(filters=NO_FILTERS, mode="offline", n=4, out_dir=tmp_path,
+                                   seed=1))
+    # the first run's manifest would name images the rerun has overwritten
+    assert not (tmp_path / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("mode", ["offline", "online"])
+def test_clean_run_leaves_only_dataset_files(tmp_path, mode):
+    spec = PipelineSpec(filters=NO_FILTERS, mode=mode, n=3, out_dir=tmp_path, seed=0)
+    if mode == "offline":
+        synth_offline(spec)
+    else:
+        write_stream(spec, 3)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "images", "manifest.txt", "masks", "taxonomy.txt"]
 
 
 def test_spec_validation():

@@ -27,29 +27,36 @@ from .oracles import truncated_normal_variance
 
 def test_filter_config_defaults():
     cfg = FilterConfig()
-    assert (cfg.truncation_psi, cfg.rejection_rate) == (0.9, 0.9)
-    assert (cfg.nucleus_p, cfg.top_k, cfg.uncertainty_fraction) == (0.92, 200, 0.10)
+    assert (cfg.truncation_psi, cfg.rejection_rate, cfg.uncertainty_fraction) == (0.9, 0.9, 0.10)
 
 
 def test_filter_config_validation():
     with pytest.raises(ValueError):
         FilterConfig(rejection_rate=1.0)
     with pytest.raises(ValueError):
-        FilterConfig(nucleus_p=0.0)
+        FilterConfig(uncertainty_fraction=1.0)
     with pytest.raises(ValueError):
         FilterConfig(truncation_psi=-1.0)
 
 
 def test_filter_config_file_roundtrip(tmp_path):
-    cfg = FilterConfig(truncation_psi=0.5, rejection_rate=0.8, top_k=50)
+    cfg = FilterConfig(truncation_psi=0.5, rejection_rate=0.8, uncertainty_fraction=0.25)
     path = tmp_path / "filters.cfg"
     cfg.to_file(path)
     assert FilterConfig.from_file(path) == cfg
 
 
+@pytest.mark.parametrize("key", ["nucleus_p", "top_k", "psi"])
+def test_filter_config_file_rejects_unknown_keys(tmp_path, key):
+    path = tmp_path / "filters.cfg"
+    path.write_text(f"rejection_rate=0.5\n{key}=1\n")
+    with pytest.raises(ValueError, match="filters.cfg:2"):
+        FilterConfig.from_file(path)
+
+
 def test_filter_config_override_ignores_none():
-    cfg = FilterConfig().override(rejection_rate=0.5, top_k=None)
-    assert cfg.rejection_rate == 0.5 and cfg.top_k == 200
+    cfg = FilterConfig().override(rejection_rate=0.5, uncertainty_fraction=None)
+    assert cfg.rejection_rate == 0.5 and cfg.uncertainty_fraction == 0.10
 
 
 # ------------------------------------------------------------------ truncation
