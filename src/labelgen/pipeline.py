@@ -1,11 +1,15 @@
 """Dataset synthesis: a sample source composed with filter stages.
 
-Offline mode generates a candidate pool sized so the batch filters leave the
-requested number of samples, applies confidence rejection then uncertainty
-filtering, and writes images, masks and a manifest. Online mode is a
-never-repeating stream that applies only cheap per-sample filters: the
-confidence threshold is calibrated once from a warmup batch, and the
-expensive ensemble-uncertainty stage is not used.
+Offline mode sizes a candidate pool so the batch filters leave the requested
+number of samples, applies confidence rejection then uncertainty filtering,
+and writes images, masks and a manifest. Confidence comes from a sample's
+seed alone, so rejected candidates are never rendered or ensemble-scored:
+only rejection survivors are generated with an ensemble and scored for
+uncertainty, and only the final survivors are rendered for writing. Online
+mode is a never-repeating stream that applies only cheap per-sample filters:
+the confidence threshold is calibrated once from a warmup batch, only
+accepted counters are rendered, and the expensive ensemble-uncertainty stage
+is not used.
 
 Sources are deterministic functions of a 64-bit seed counter, so any run is
 reproducible and candidate generation can be distributed over disjoint
@@ -26,6 +30,7 @@ from .formats import (
     DatasetManifest,
     LabeledSample,
     ManifestEntry,
+    read_manifest,
     write_image,
     write_manifest,
     write_mask,
@@ -34,11 +39,20 @@ from .formats import (
 from .sampling import (
     FilterConfig,
     confidence_rejection,
+    filtered_count,
     sample_uncertainty,
     truncated_normal,
     uncertainty_filter,
 )
-from .toygen import ToyClassSpec, injected_disagreement, substream, toy_generate, toy_taxonomy
+from .toygen import (
+    VALID_RESOLUTIONS,
+    ToyClassSpec,
+    injected_disagreement,
+    substream,
+    toy_confidence,
+    toy_generate,
+    toy_taxonomy,
+)
 
 WARMUP_SIZE = 1000
 # warmup counters live in their own range so the yielded stream always
@@ -84,6 +98,10 @@ class ToySource:
 
     def __init__(self, num_classes: int = 16, seed: int = 0, resolution: int = 64,
                  truncation_psi: float = 0.9, latent_dim: int = 8):
+        # checked here, not at the first render: a run may score its whole
+        # pool and clear an earlier run's files before it renders anything
+        if resolution not in VALID_RESOLUTIONS:
+            raise ValueError(f"resolution {resolution} not in {VALID_RESOLUTIONS}")
         self.taxonomy, self.specs = toy_taxonomy(num_classes, seed)
         self.seed = seed
         self.resolution = resolution
@@ -103,6 +121,20 @@ class ToySource:
     def injected_disagreement(self, counter: int) -> float:
         """Disagreement level the generator will inject for this counter."""
         return injected_disagreement(_sample_seed(self.seed, counter))
+
+    def scored(self, counter: int) -> LabeledSample:
+        """The counter's sample without pixels: id, class, provenance, latent
+        seed and confidence, equal to those of ``generate(counter)``. Draws no
+        latent, renders nothing and builds no ensemble."""
+        class_spec: ToyClassSpec = self.specs[counter % len(self.specs)]
+        seed = _sample_seed(self.seed, counter)
+        return LabeledSample(
+            id=f"toy-{counter:012d}",
+            class_id=class_spec.class_id,
+            provenance="toy",
+            latent_seed=seed,
+            confidence=toy_confidence(seed),
+        )
 
     def generate(self, counter: int, need_ensemble: bool = True):
         """Return (LabeledSample, EnsemblePrediction or None) for a counter."""
@@ -136,19 +168,15 @@ def candidate_pool_size(n: int, rejection_rate: float, uncertainty_fraction: flo
     return math.ceil(n / ((1.0 - rejection_rate) * (1.0 - uncertainty_fraction)))
 
 
-def _score_candidates(source, start: int, stop: int, need_uncertainty: bool):
-    """Generate counters [start, stop) and keep metadata-only scored samples."""
-    scored = []
-    for counter in range(start, stop):
-        sample, ensemble = source.generate(counter, need_ensemble=need_uncertainty)
-        if need_uncertainty:
-            sample = replace(sample, uncertainty=sample_uncertainty(ensemble))
-        scored.append(replace(sample, image=None, mask=None))
-    return scored
-
-
 def synth_offline(spec: PipelineSpec) -> DatasetManifest:
-    """Generate, filter and write an offline dataset of exactly spec.n samples."""
+    """Generate, filter and write an offline dataset of exactly spec.n samples.
+
+    The manifest metadata records the filter funnel: ``pool`` candidates,
+    ``after_rejection`` and ``after_uncertainty`` kept after each stage, the
+    lowest confidence rejection kept (``confidence_cut``) and the highest
+    uncertainty the uncertainty filter kept (``uncertainty_cut``); a stage
+    that is off has cut ``-``.
+    """
     if spec.mode != "offline":
         raise ValueError("synth_offline needs an offline-mode spec")
     if spec.out_dir is None:
@@ -156,32 +184,35 @@ def synth_offline(spec: PipelineSpec) -> DatasetManifest:
     source = make_source(spec)
     rate = spec.filters.rejection_rate
     fraction = spec.filters.uncertainty_fraction
-    need_uncertainty = fraction > 0
 
     pool = candidate_pool_size(spec.n, rate, fraction)
-    candidates: list[LabeledSample] = []
-    while True:
-        candidates.extend(
-            _score_candidates(source, len(candidates), pool, need_uncertainty)
-        )
-        kept = candidates
-        if rate > 0:
-            kept = confidence_rejection(kept, rate)
-        if fraction > 0:
-            kept = uncertainty_filter(kept, fraction)
-        if len(kept) >= spec.n:
-            break
+    while filtered_count(pool, rate, fraction) < spec.n:
         pool += math.ceil(0.1 * pool)
-    survivors = kept[: spec.n]
 
-    counter_of = {s.id: i for i, s in enumerate(candidates)}
+    candidates = [source.scored(counter) for counter in range(pool)]
+    counter_of = {s.id: counter for counter, s in enumerate(candidates)}
+    kept = candidates
+    confidence_cut = uncertainty_cut = "-"
+    if rate > 0:
+        kept = confidence_rejection(kept, rate)
+        confidence_cut = repr(min(s.confidence for s in kept))
+    after_rejection = len(kept)
+    if fraction > 0:
+        kept = [replace(s, uncertainty=sample_uncertainty(source.generate(counter_of[s.id])[1]))
+                for s in kept]
+        kept = uncertainty_filter(kept, fraction)
+        uncertainty_cut = repr(max(s.uncertainty for s in kept))
+    funnel = {"pool": pool, "after_rejection": after_rejection,
+              "confidence_cut": confidence_cut, "after_uncertainty": len(kept),
+              "uncertainty_cut": uncertainty_cut}
+
     full_survivors = (
         replace(source.generate(counter_of[slim.id], need_ensemble=False)[0],
                 uncertainty=slim.uncertainty)
-        for slim in survivors
+        for slim in kept[: spec.n]
     )
     return _write_dataset(spec, full_survivors, getattr(source, "taxonomy", None),
-                          lambda: {"pool": len(candidates)})
+                          lambda: funnel)
 
 
 def _write_dataset(spec: PipelineSpec, samples, taxonomy: ClassTaxonomy | None,
@@ -190,13 +221,22 @@ def _write_dataset(spec: PipelineSpec, samples, taxonomy: ClassTaxonomy | None,
 
     ``samples`` yields LabeledSamples with pixel payloads; ``run_stats()``
     is called once they are written and returns extra metadata. An earlier
-    run's manifest is removed before the first file is written, and the new
-    one is renamed into place last, so a failed run leaves no manifest that
-    names files it did not write.
+    run's manifest is removed before the first file is written, together
+    with the images and masks it names, and the new one is renamed into
+    place last, so a failed run leaves no manifest that names files it did
+    not write and no earlier run's files. A file that no readable manifest
+    names is never removed.
     """
     out_dir = Path(spec.out_dir)
     manifest_path = out_dir / "manifest.txt"
+    try:
+        previous = read_manifest(manifest_path).entries
+    except (FileNotFoundError, ValueError):  # none, or unreadable: trust none of its paths
+        previous = ()
     manifest_path.unlink(missing_ok=True)
+    for entry in previous:  # paths are confined to out_dir by ManifestEntry
+        (out_dir / entry.image_path).unlink(missing_ok=True)
+        (out_dir / entry.mask_path).unlink(missing_ok=True)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
     (out_dir / "masks").mkdir(parents=True, exist_ok=True)
     entries = []
@@ -252,9 +292,10 @@ class OnlineStream:
 
     Each pull advances a monotone seed counter. When rejection is enabled the
     acceptance threshold is the rate-quantile of confidences over a warmup
-    batch generated from a dedicated counter range; the ensemble-uncertainty
-    stage is never applied online. ``candidates`` and ``accepted`` expose the
-    running totals.
+    batch scored, not rendered, from a dedicated counter range; the
+    ensemble-uncertainty stage is never applied online. ``candidates`` and
+    ``accepted`` expose the running totals, ``threshold`` the calibrated cut
+    (None without rejection).
     """
 
     def __init__(self, spec: PipelineSpec):
@@ -268,23 +309,21 @@ class OnlineStream:
         self.threshold: float | None = None
         rate = spec.filters.rejection_rate
         if rate > 0:
-            warm = [
-                self.source.generate(_WARMUP_BASE + i, need_ensemble=False)[0].confidence
-                for i in range(WARMUP_SIZE)
-            ]
+            warm = [self.source.scored(_WARMUP_BASE + i).confidence for i in range(WARMUP_SIZE)]
             self.threshold = float(np.quantile(warm, rate))
 
     def __iter__(self):
         return self
 
     def __next__(self) -> LabeledSample:
+        """Test each counter's confidence first; render only an accepted one."""
         while True:
-            sample, _ = self.source.generate(self.counter, need_ensemble=False)
+            counter = self.counter
             self.counter += 1
             self.candidates += 1
-            if self.threshold is None or sample.confidence > self.threshold:
+            if self.threshold is None or self.source.scored(counter).confidence > self.threshold:
                 self.accepted += 1
-                return sample
+                return self.source.generate(counter, need_ensemble=False)[0]
 
 
 def synth_online(spec: PipelineSpec) -> OnlineStream:
@@ -299,4 +338,7 @@ def write_stream(spec: PipelineSpec, count: int) -> DatasetManifest:
     stream = synth_online(spec)
     return _write_dataset(spec, islice(stream, count),
                           getattr(stream.source, "taxonomy", None),
-                          lambda: {"candidates": stream.candidates})
+                          lambda: {"candidates": stream.candidates,
+                                   "accepted": stream.accepted,
+                                   "threshold": "-" if stream.threshold is None
+                                   else repr(stream.threshold)})

@@ -159,7 +159,8 @@ class EnsemblePrediction:
     shape: tuple[int, int] | None = None
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.probs, dtype=np.float64)
+        # owned copies: the arrays are frozen below, and the caller's stay writable
+        arr = np.array(self.probs, dtype=np.float64, order="C")
         if self.index is None:
             if arr.ndim != 4:
                 raise ValueError(f"dense ensemble probs must be (K, H, W, C), got {arr.shape}")
@@ -173,7 +174,7 @@ class EnsemblePrediction:
             if self.shape is None or len(self.shape) != 2 or min(self.shape) < 1:
                 raise ValueError(f"listed pixels need a positive (H, W) grid, got {self.shape}")
             h, w = (int(s) for s in self.shape)
-            index = np.asarray(self.index)
+            index = np.array(self.index)
             if index.ndim != 1 or index.dtype.kind not in "iu":
                 raise ValueError("index must be a 1-D integer array")
             if index.size != arr.shape[1]:
@@ -226,6 +227,25 @@ def _require_scores(samples, attr: str) -> list[float]:
     return scores
 
 
+def _rejection_keep(n: int, rate: float) -> int:
+    return math.ceil((1.0 - rate) * n)
+
+
+def _uncertainty_drop(n: int, fraction: float) -> int:
+    return math.ceil(fraction * n)
+
+
+def filtered_count(n: int, rate: float, fraction: float) -> int:
+    """Samples left when confidence_rejection at ``rate`` and then
+    uncertainty_filter at ``fraction`` run over n samples.
+
+    Both filters keep an exact count whatever the scores, so the count is
+    known before any sample is scored.
+    """
+    kept = _rejection_keep(n, rate)
+    return kept - _uncertainty_drop(kept, fraction)
+
+
 def uncertainty_filter(samples, fraction: float = 0.10):
     """Drop the ceil(fraction*n) most uncertain samples.
 
@@ -236,7 +256,7 @@ def uncertainty_filter(samples, fraction: float = 0.10):
         raise ValueError("fraction must be in [0, 1)")
     samples = list(samples)
     scores = _require_scores(samples, "uncertainty")
-    drop = math.ceil(fraction * len(samples))
+    drop = _uncertainty_drop(len(samples), fraction)
     if drop == 0:
         return samples
     order = sorted(range(len(samples)), key=lambda i: samples[i].id, reverse=True)
@@ -255,7 +275,7 @@ def confidence_rejection(samples, rate: float = 0.9):
         raise ValueError("rate must be in [0, 1)")
     samples = list(samples)
     scores = _require_scores(samples, "confidence")
-    keep = math.ceil((1.0 - rate) * len(samples))
+    keep = _rejection_keep(len(samples), rate)
     order = sorted(range(len(samples)), key=lambda i: samples[i].id)
     order.sort(key=lambda i: -scores[i])  # stable: equal scores stay id-ascending
     kept = set(order[:keep])

@@ -14,7 +14,8 @@ so the ensemble is emitted in its listed-pixel form: the band's flat pixel
 indices and the (16, m, 2) head probabilities there, never a dense
 (16, H, W, 2) tensor. Classifier confidence decreases with the injected
 disagreement plus a small seeded jitter, so rejection filtering has a
-meaningful signal.
+meaningful signal; it depends on the seed alone (``toy_confidence``), so a
+sample can be scored before it is rendered.
 
 Per-sample randomness comes from independent substreams keyed by
 (seed, role), so generation is order-independent and can run in parallel
@@ -127,6 +128,19 @@ def toy_taxonomy(num_classes: int, seed: int = 0) -> tuple[ClassTaxonomy, list[T
 def injected_disagreement(seed: int) -> float:
     """Default disagreement level toy_generate draws for a sample seed."""
     return float(substream(seed, _DISAGREEMENT_STREAM).random())
+
+
+def toy_confidence(seed: int, disagreement: float | None = None) -> float:
+    """Classifier confidence toy_generate reports for a sample seed.
+
+    Falls with the disagreement level (drawn as toy_generate draws it when
+    None) plus a small seeded jitter, clamped to [0, 1]. It reads no latent
+    and no pixel, so a sample can be scored without being rendered.
+    """
+    if disagreement is None:
+        disagreement = injected_disagreement(seed)
+    jitter = float(substream(seed, _CONFIDENCE_STREAM).normal(0.0, 0.05))
+    return min(max(1.0 - 0.8 * disagreement + jitter, 0.0), 1.0)
 
 
 def _param(z_value: float, lo: float, hi: float) -> float:
@@ -248,12 +262,10 @@ def toy_generate(spec: ToyClassSpec, z: np.ndarray, seed: int, res: int = 64,
         heads = np.stack([1.0 - head_fg, head_fg], axis=-1)
         ensemble = EnsemblePrediction(heads, index, fg.shape)
 
-    jitter = float(substream(seed, _CONFIDENCE_STREAM).normal(0.0, 0.05))
-    confidence = min(max(1.0 - 0.8 * disagreement + jitter, 0.0), 1.0)
     return ToyOutput(
         image=image,
         gt_mask=Mask(gt),
         ensemble=ensemble,
-        confidence=confidence,
+        confidence=toy_confidence(seed, disagreement),
         disagreement=disagreement,
     )

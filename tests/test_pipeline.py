@@ -1,5 +1,10 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelgen import pipeline
 from labelgen.formats import read_manifest, read_mask, read_image
@@ -18,6 +23,11 @@ from labelgen.sampling import FilterConfig
 NO_FILTERS = FilterConfig(rejection_rate=0.0, uncertainty_fraction=0.0)
 
 
+def _listing(out_dir):
+    """Sorted file names under images/ and masks/."""
+    return tuple(sorted(p.name for p in (out_dir / sub).iterdir()) for sub in ("images", "masks"))
+
+
 def test_pool_formula_examples():
     assert candidate_pool_size(10, 0.0, 0.0) == 10
     assert candidate_pool_size(10, 0.9, 0.1) == 112
@@ -32,6 +42,62 @@ def test_source_deterministic_per_counter():
     np.testing.assert_array_equal(a.mask.labels, b.mask.labels)
     c, _ = source.generate(6)
     assert c.id != a.id
+
+
+@settings(max_examples=40, deadline=None)
+@given(counter=st.integers(0, 2**40), seed=st.integers(0, 2**32 - 1),
+       classes=st.integers(4, 254))
+def test_scored_equals_generated_sample_without_pixels(counter, seed, classes):
+    source = ToySource(num_classes=classes, seed=seed)
+    full, _ = source.generate(counter)
+    assert source.scored(counter) == replace(full, image=None, mask=None)
+
+
+def test_bad_resolution_rerun_leaves_previous_dataset(tmp_path):
+    synth_offline(PipelineSpec(filters=NO_FILTERS, mode="offline", n=2, out_dir=tmp_path, seed=0))
+    before = _listing(tmp_path)
+    # without an uncertainty stage nothing is rendered before the writer starts
+    with pytest.raises(ValueError, match="resolution"):
+        synth_offline(PipelineSpec(filters=NO_FILTERS, mode="offline", n=2, out_dir=tmp_path,
+                                   seed=1, resolution=100))
+    assert _listing(tmp_path) == before
+    assert len(read_manifest(tmp_path / "manifest.txt")) == 2
+
+
+def _count_renders(monkeypatch) -> list[bool]:
+    """Record, per toy_generate call the pipeline makes, whether it built an ensemble."""
+    calls = []
+    real = pipeline.toy_generate
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(out.ensemble is not None)
+        return out
+
+    monkeypatch.setattr(pipeline, "toy_generate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.0])
+def test_offline_builds_ensembles_only_for_rejection_survivors(tmp_path, monkeypatch, fraction):
+    calls = _count_renders(monkeypatch)
+    spec = PipelineSpec(filters=FilterConfig(uncertainty_fraction=fraction), mode="offline",
+                        n=10, out_dir=tmp_path, seed=0)
+    manifest = synth_offline(spec)
+    pool = int(manifest.metadata["pool"])
+    ensembles = sum(calls)
+    assert ensembles == (math.ceil(0.1 * pool) if fraction else 0)
+    assert len(calls) - ensembles == 10  # the survivors, rendered for writing
+
+
+def test_online_renders_only_accepted_samples(monkeypatch):
+    calls = _count_renders(monkeypatch)
+    stream = synth_online(PipelineSpec(mode="online", seed=0))
+    for _ in range(20):
+        next(stream)
+    assert stream.candidates > 100
+    assert len(calls) == stream.accepted == 20
+    assert not any(calls)
 
 
 def test_unknown_source_rejected():
@@ -55,6 +121,25 @@ def test_offline_defaults_pool_and_count(tmp_path):
     assert manifest.metadata["uncertainty_fraction"] == "0.1"
     for entry in manifest.entries:
         assert entry.confidence is not None and entry.uncertainty is not None
+
+
+def test_offline_funnel_metadata(tmp_path):
+    manifest = synth_offline(PipelineSpec(mode="offline", n=10, out_dir=tmp_path, seed=0))
+    md = manifest.metadata
+    assert (md["pool"], md["after_rejection"], md["after_uncertainty"]) == ("112", "12", "10")
+    # independent re-scoring: the 12th-highest confidence of the pool is the rejection cut
+    source = ToySource(num_classes=16, seed=0)
+    ranked = sorted((source.generate(c)[0].confidence for c in range(112)), reverse=True)
+    assert md["confidence_cut"] == repr(ranked[11])
+    assert md["uncertainty_cut"] == repr(max(e.uncertainty for e in manifest.entries))
+    assert read_manifest(tmp_path / "manifest.txt").metadata == md
+
+
+def test_offline_funnel_metadata_without_filters(tmp_path):
+    spec = PipelineSpec(filters=NO_FILTERS, mode="offline", n=5, out_dir=tmp_path, seed=0)
+    md = synth_offline(spec).metadata
+    assert [md[k] for k in ("pool", "after_rejection", "confidence_cut", "after_uncertainty",
+                            "uncertainty_cut")] == ["5", "5", "-", "5", "-"]
 
 
 def test_offline_rerun_byte_identical(tmp_path):
@@ -141,6 +226,15 @@ def test_write_stream(tmp_path):
     back = read_manifest(tmp_path / "manifest.txt")
     assert [e.id for e in back.entries] == [e.id for e in manifest.entries]
     assert back.metadata["mode"] == "online"
+    assert back.metadata["accepted"] == "12"
+    assert back.metadata["threshold"] == repr(OnlineStream(spec).threshold)
+    assert int(back.metadata["candidates"]) > 12
+
+
+def test_write_stream_without_rejection_has_no_threshold(tmp_path):
+    spec = PipelineSpec(filters=NO_FILTERS, mode="online", out_dir=tmp_path, seed=2)
+    md = write_stream(spec, 3).metadata
+    assert (md["candidates"], md["accepted"], md["threshold"]) == ("3", "3", "-")
 
 
 def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
@@ -161,6 +255,29 @@ def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
                                    seed=1))
     # the first run's manifest would name images the rerun has overwritten
     assert not (tmp_path / "manifest.txt").exists()
+    # the first run's files are gone; only what the rerun wrote before failing is left
+    assert _listing(tmp_path) == (["toy-000000000000.ppm", "toy-000000000001.ppm"],
+                                  ["toy-000000000000.pgm"])
+
+
+def test_rerun_removes_files_the_previous_manifest_named(tmp_path):
+    synth_offline(PipelineSpec(filters=NO_FILTERS, mode="offline", n=4, out_dir=tmp_path, seed=0))
+    (tmp_path / "images" / "unlisted.ppm").write_bytes(b"not ours")
+    manifest = synth_offline(PipelineSpec(filters=NO_FILTERS, mode="offline", n=2,
+                                          out_dir=tmp_path, seed=1))
+    assert _listing(tmp_path) == (
+        ["toy-000000000000.ppm", "toy-000000000001.ppm", "unlisted.ppm"],
+        ["toy-000000000000.pgm", "toy-000000000001.pgm"])
+    assert manifest.metadata["seed"] == "1"
+
+
+def test_rerun_over_unreadable_manifest_removes_no_pixel_files(tmp_path):
+    synth_offline(PipelineSpec(filters=NO_FILTERS, mode="offline", n=4, out_dir=tmp_path, seed=0))
+    (tmp_path / "manifest.txt").write_text("not a manifest\n")
+    synth_offline(PipelineSpec(filters=NO_FILTERS, mode="offline", n=2, out_dir=tmp_path, seed=1))
+    assert _listing(tmp_path) == ([f"toy-{i:012d}.ppm" for i in range(4)],
+                                  [f"toy-{i:012d}.pgm" for i in range(4)])
+    assert len(read_manifest(tmp_path / "manifest.txt")) == 2
 
 
 @pytest.mark.parametrize("mode", ["offline", "online"])

@@ -12,6 +12,7 @@ from labelgen.sampling import (
     EnsemblePrediction,
     FilterConfig,
     confidence_rejection,
+    filtered_count,
     js_divergence,
     nucleus_topk_sample,
     nucleus_topk_support,
@@ -255,6 +256,20 @@ def test_listed_ensemble_is_read_only():
         pred.index[0] = 1
 
 
+def test_ensemble_copies_callers_arrays():
+    dense = np.full((2, 2, 2, 2), 0.5)
+    pred = EnsemblePrediction(dense)
+    assert dense.flags.writeable
+    dense[...] = 0.0
+    assert (pred.probs == 0.5).all()
+    probs, index = _listed()
+    pred = EnsemblePrediction(probs, index, (1, 3))
+    assert probs.flags.writeable and index.flags.writeable
+    listed = pred.index.copy()
+    index[0] = 1
+    assert (pred.index == listed).all()
+
+
 def test_listed_uncertainty_divides_by_grid():
     # one disagreeing pixel (ln 2) on a 4x5 grid of otherwise agreeing heads
     probs = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
@@ -376,3 +391,42 @@ def test_filters_monotone_in_rate_and_fraction():
         if previous is not None:
             assert kept <= previous
         previous = kept
+
+
+_TIED_SCORES = st.sampled_from([0.0, 0.25, 0.5, 1.0])  # few values, so ties are common
+_RATES = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=st.lists(_TIED_SCORES, max_size=40), rate=_RATES, data=st.data())
+def test_confidence_rejection_keeps_count_and_breaks_ties_by_id(scores, rate, data):
+    ids = data.draw(st.permutations([f"s{i:02d}" for i in range(len(scores))]))
+    samples = _scored(ids, confidence=scores)
+    kept = confidence_rejection(samples, rate)
+    assert len(kept) == math.ceil((1.0 - rate) * len(samples))
+    # the most confident first, a tie keeping the smaller id; input order kept
+    best = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))[: len(kept)]
+    assert kept == [samples[i] for i in sorted(best)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=st.lists(_TIED_SCORES, max_size=40), fraction=_RATES, data=st.data())
+def test_uncertainty_filter_drops_count_and_breaks_ties_by_id(scores, fraction, data):
+    ids = data.draw(st.permutations([f"s{i:02d}" for i in range(len(scores))]))
+    samples = _scored(ids, uncertainty=scores)
+    kept = uncertainty_filter(samples, fraction)
+    drop = math.ceil(fraction * len(samples))
+    assert len(kept) == len(samples) - drop
+    # the most uncertain are dropped, a tie dropping the larger id; input order kept
+    worst = set(sorted(range(len(ids)), key=lambda i: (scores[i], ids[i]), reverse=True)[:drop])
+    assert kept == [s for i, s in enumerate(samples) if i not in worst]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 400), rate=_RATES, fraction=_RATES, seed=st.integers(0, 2**32 - 1))
+def test_filtered_count_equals_filter_stack(n, rate, fraction, seed):
+    rng = np.random.default_rng(seed)
+    samples = _scored([f"s{i:03d}" for i in range(n)], confidence=rng.random(n).tolist(),
+                      uncertainty=rng.random(n).tolist())
+    kept = uncertainty_filter(confidence_rejection(samples, rate), fraction)
+    assert filtered_count(n, rate, fraction) == len(kept)
