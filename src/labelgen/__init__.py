@@ -1,5 +1,7 @@
 """Tooling for synthetic labeled datasets: filtering, geometry, metrics."""
 
+import importlib
+
 from .formats import (
     ClassTaxonomy,
     DatasetManifest,
@@ -19,22 +21,6 @@ from .formats import (
     write_mask,
     write_taxonomy,
 )
-from .geometry import (
-    MaskStats,
-    MeanShapeSet,
-    Polygon,
-    center_scatter,
-    chamfer,
-    connected_components,
-    largest_component_polygon,
-    mask_stats,
-    mean_shapes,
-    polygon_length,
-    shape_complexity,
-    shape_diversity,
-    simplify_dp,
-)
-from .distmetrics import GaussianFit, apply_mask, fid, fit_gaussian, kid
 from .sampling import (
     CategoricalDist,
     EnsemblePrediction,
@@ -49,15 +35,30 @@ from .sampling import (
 )
 from .toygen import ToyClassSpec, ToyOutput, toy_generate, toy_taxonomy
 from .pipeline import OnlineStream, PipelineSpec, ToySource, synth_offline, synth_online
-from .fusion import FusionPlan, LayerSpec, compare, plan_baseline, plan_grouped
-from .benchmark import (
-    ConfusionMatrix,
-    TaskSpec,
-    accumulate,
-    build_task,
-    miou,
-    rank_classes,
-    task_split_sizes,
-)
+
+# The analysis modules load scipy.ndimage and scipy.spatial, which synthesis
+# never needs; their names are imported on first use (PEP 562).
+_LAZY = {
+    "geometry": ("MaskStats", "MeanShapeSet", "Polygon", "center_scatter", "chamfer",
+                 "connected_components", "largest_component_polygon", "mask_stats",
+                 "mean_shapes", "polygon_length", "shape_complexity", "shape_diversity",
+                 "simplify_dp"),
+    "distmetrics": ("GaussianFit", "apply_mask", "fid", "fit_gaussian", "kid"),
+    "fusion": ("FusionPlan", "LayerSpec", "compare", "plan_baseline", "plan_grouped"),
+    "benchmark": ("ConfusionMatrix", "TaskSpec", "accumulate", "build_task", "miou",
+                  "rank_classes", "task_split_sizes"),
+}
+_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _LAZY_OWNER:
+        value = getattr(importlib.import_module(f".{_LAZY_OWNER[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import benchmark, distmetrics, fusion, geometry, pipeline
+from . import pipeline
 from .formats import (
     DatasetManifest,
     read_manifest,
@@ -94,6 +94,8 @@ def _cmd_stream(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import geometry
+
     manifest = read_manifest(args.manifest)
     report = geometry.analyze_masks(
         manifest.name, _load_masks(manifest, args.manifest),
@@ -107,6 +109,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_geometry(args) -> int:
+    from . import geometry
+
     manifest = read_manifest(args.manifest)
     polys = geometry.class_polygons(
         _load_masks(manifest, args.manifest),
@@ -119,6 +123,8 @@ def _cmd_geometry(args) -> int:
 
 
 def _cmd_meanshapes(args) -> int:
+    from . import geometry
+
     manifest = read_manifest(args.manifest)
     shape_sets, skipped = geometry.class_mean_shapes(
         _load_masks(manifest, args.manifest),
@@ -137,6 +143,8 @@ def _cmd_meanshapes(args) -> int:
 
 
 def _cmd_scatter(args) -> int:
+    from . import geometry
+
     manifest = read_manifest(args.manifest)
     centers = geometry.center_scatter(
         mask for _, mask in _load_masks(manifest, args.manifest)
@@ -147,6 +155,8 @@ def _cmd_scatter(args) -> int:
 
 
 def _cmd_distmetrics(args) -> int:
+    from . import distmetrics
+
     a = read_embeddings(args.a)
     b = read_embeddings(args.b)
     fid_value = distmetrics.fid(a, b)
@@ -158,6 +168,8 @@ def _cmd_distmetrics(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    from . import fusion
+
     layers = fusion.read_layers(args.layers)
     report = fusion.compare(layers, d_reduce=args.d_reduce, final_res=args.final_res)
     print(report.format_table())
@@ -176,6 +188,8 @@ def _label_name(task, taxonomy, label: int) -> str:
 
 
 def _cmd_bench(args) -> int:
+    from . import benchmark
+
     pred_manifest = read_manifest(args.pred_manifest)
     gt_manifest = read_manifest(args.gt_manifest)
     taxonomy = read_taxonomy(args.taxonomy) if args.taxonomy else None
@@ -333,8 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:  # parse_args keeps no state in the parser, so one serves every call
+        _parser = build_parser()
+    parser = _parser
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

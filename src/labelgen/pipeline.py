@@ -3,9 +3,11 @@
 Offline mode sizes a candidate pool so the batch filters leave the requested
 number of samples, applies confidence rejection then uncertainty filtering,
 and writes images, masks and a manifest. Confidence comes from a sample's
-seed alone, so rejected candidates are never rendered or ensemble-scored:
-only rejection survivors are generated with an ensemble and scored for
-uncertainty, and only the final survivors are rendered for writing. Online
+seed alone, so rejected candidates are never rendered or ensemble-scored.
+Uncertainty needs only a sample's shape, so each rejection survivor gets an
+ensemble built from its rasterized shape (``ToySource.ensemble``) and no
+image; only the final survivors are rendered, once, by the writer. Between
+stages only pixel-free records are kept, never images, masks or ensembles. Online
 mode is a never-repeating stream that applies only cheap per-sample filters:
 the confidence threshold is calibrated once from a warmup batch, only
 accepted counters are rendered, and the expensive ensemble-uncertainty stage
@@ -37,6 +39,7 @@ from .formats import (
     write_taxonomy,
 )
 from .sampling import (
+    EnsemblePrediction,
     FilterConfig,
     confidence_rejection,
     filtered_count,
@@ -50,6 +53,7 @@ from .toygen import (
     injected_disagreement,
     substream,
     toy_confidence,
+    toy_ensemble,
     toy_generate,
     toy_taxonomy,
 )
@@ -136,11 +140,22 @@ class ToySource:
             confidence=toy_confidence(seed),
         )
 
-    def generate(self, counter: int, need_ensemble: bool = True):
-        """Return (LabeledSample, EnsemblePrediction or None) for a counter."""
+    def _draw(self, counter: int) -> tuple[ToyClassSpec, int, np.ndarray]:
+        """The counter's class spec, sample seed and truncated latent."""
         class_spec: ToyClassSpec = self.specs[counter % len(self.specs)]
         seed = _sample_seed(self.seed, counter)
         z = truncated_normal(self.latent_dim, self.truncation_psi, substream(seed, 1))
+        return class_spec, seed, z
+
+    def ensemble(self, counter: int) -> EnsemblePrediction:
+        """The counter's ensemble, equal to ``generate(counter)[1]``, built from
+        the shape alone: no image is painted."""
+        class_spec, seed, z = self._draw(counter)
+        return toy_ensemble(class_spec, z, seed, self.resolution)
+
+    def generate(self, counter: int, need_ensemble: bool = True):
+        """Return (LabeledSample, EnsemblePrediction or None) for a counter."""
+        class_spec, seed, z = self._draw(counter)
         out = toy_generate(class_spec, z, seed, self.resolution, with_ensemble=need_ensemble)
         sample = LabeledSample(
             id=f"toy-{counter:012d}",
@@ -198,7 +213,7 @@ def synth_offline(spec: PipelineSpec) -> DatasetManifest:
         confidence_cut = repr(min(s.confidence for s in kept))
     after_rejection = len(kept)
     if fraction > 0:
-        kept = [replace(s, uncertainty=sample_uncertainty(source.generate(counter_of[s.id])[1]))
+        kept = [replace(s, uncertainty=sample_uncertainty(source.ensemble(counter_of[s.id])))
                 for s in kept]
         kept = uncertainty_filter(kept, fraction)
         uncertainty_cut = repr(max(s.uncertainty for s in kept))

@@ -15,7 +15,11 @@ indices and the (16, m, 2) head probabilities there, never a dense
 (16, H, W, 2) tensor. Classifier confidence decreases with the injected
 disagreement plus a small seeded jitter, so rejection filtering has a
 meaningful signal; it depends on the seed alone (``toy_confidence``), so a
-sample can be scored before it is rendered.
+sample can be scored before it is rendered. The ensemble depends on the
+shape alone, so ``toy_ensemble`` builds it from the rasterized shape without
+painting an image. Rasterization evaluates only the pixels in a box around
+the shape, and the band comes from shifted views of the mask, not from a
+morphology library.
 
 Per-sample randomness comes from independent substreams keyed by
 (seed, role), so generation is order-independent and can run in parallel
@@ -27,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .formats import ClassTaxonomy, Image, Mask
 from .sampling import EnsemblePrediction
@@ -163,27 +166,40 @@ def _points_in_polygon(px: np.ndarray, py: np.ndarray, verts: np.ndarray) -> np.
 
 def _rasterize(family: str, res: int, cx: float, cy: float, a: float, b: float,
                rot: float) -> np.ndarray:
-    """Exact pixel-center rasterization of one shape; a/b are semi-extents in pixels."""
-    ys, xs = np.mgrid[0:res, 0:res]
+    """Exact pixel-center rasterization of one shape; a/b are semi-extents in pixels.
+
+    Only the window of pixels within hypot(a, b) + 2 of the center, clipped
+    to the grid, is evaluated; every family lies within hypot(a, b) of its
+    center. Each window pixel gets the same float expression a full-grid
+    evaluation would give it, and every other pixel is background.
+    """
+    reach = math.hypot(a, b) + 2.0
+    x0, x1 = max(int(cx - reach), 0), min(int(cx + reach) + 1, res)
+    y0, y1 = max(int(cy - reach), 0), min(int(cy + reach) + 1, res)
+    ys, xs = np.mgrid[y0:y1, x0:x1]
     px = xs + 0.5 - cx
     py = ys + 0.5 - cy
     cos_r, sin_r = math.cos(rot), math.sin(rot)
     xr = cos_r * px + sin_r * py
     yr = -sin_r * px + cos_r * py
     if family == "ellipse":
-        return (xr / a) ** 2 + (yr / b) ** 2 <= 1.0
-    if family == "rectangle":
-        return (np.abs(xr) <= a) & (np.abs(yr) <= b)
-    if family == "star":
+        inside = (xr / a) ** 2 + (yr / b) ** 2 <= 1.0
+    elif family == "rectangle":
+        inside = (np.abs(xr) <= a) & (np.abs(yr) <= b)
+    elif family == "star":
         angles = np.arange(10) * math.pi / 5 - math.pi / 2
         radii = np.where(np.arange(10) % 2 == 0, a, 0.45 * a)
         verts = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
-        return _points_in_polygon(xr, yr / b * a, verts)
-    if family == "crescent":
+        inside = _points_in_polygon(xr, yr / b * a, verts)
+    elif family == "crescent":
         body = xr**2 + yr**2 <= a**2
         cutout = (xr - 0.55 * a) ** 2 + yr**2 <= (0.8 * a) ** 2
-        return body & ~cutout
-    raise ValueError(f"unknown shape family {family!r}")
+        inside = body & ~cutout
+    else:
+        raise ValueError(f"unknown shape family {family!r}")
+    out = np.zeros((res, res), dtype=bool)
+    out[y0:y1, x0:x1] = inside
+    return out
 
 
 def _background(res: int, texture: int, rng: np.random.Generator) -> np.ndarray:
@@ -203,16 +219,12 @@ def _background(res: int, texture: int, rng: np.random.Generator) -> np.ndarray:
     return np.clip(canvas, 0, 255)
 
 
-def toy_generate(spec: ToyClassSpec, z: np.ndarray, seed: int, res: int = 64,
-                 disagreement: float | None = None, with_ensemble: bool = True) -> ToyOutput:
-    """Render one labeled sample; deterministic in (spec, z, seed, res).
+def _shape(spec: ToyClassSpec, z: np.ndarray, seed: int, res: int,
+           disagreement: float | None) -> tuple[np.ndarray, np.ndarray, float]:
+    """Check the inputs and rasterize the shape.
 
-    ``disagreement`` in [0, 1] sets how far the ensemble heads slide from the
-    true label toward their fixed fan of probability targets inside the
-    boundary band; when None it is drawn uniformly from a seed-keyed
-    substream. The ensemble lists only the boundary band's pixels.
-    ``with_ensemble=False`` skips the head construction (image, mask and
-    confidence are unaffected, they use separate substreams).
+    Returns the foreground mask, the latent cycled to its 8 used coordinates
+    and the disagreement level (drawn from the seed when None).
     """
     if res not in VALID_RESOLUTIONS:
         raise ValueError(f"resolution {res} not in {VALID_RESOLUTIONS}")
@@ -238,8 +250,58 @@ def toy_generate(spec: ToyClassSpec, z: np.ndarray, seed: int, res: int = 64,
     cy = _param(zc[4], margin, 1.0 - margin) * res
     a = size * res / 2
     b = aspect * a
+    return _rasterize(spec.shape_family, res, cx, cy, a, b, rot), zc, disagreement
 
-    fg = _rasterize(spec.shape_family, res, cx, cy, a, b, rot)
+
+def _band(fg: np.ndarray) -> np.ndarray:
+    """Pixels within 1 of the foreground and within 2 of the background.
+
+    The 3x3 dilation minus the 5x5 erosion (two 3x3 erosions) of ``fg``, with
+    everything outside the frame counted as background; each window is two
+    passes of shifted views over a zero-padded copy.
+    """
+    h, w = fg.shape
+    pad = np.zeros((h + 4, w + 4), dtype=bool)
+    pad[2:-2, 2:-2] = fg
+    rows = pad[:, 1:-3] | pad[:, 2:-2] | pad[:, 3:-1]
+    dilated = rows[1:-3] | rows[2:-2] | rows[3:-1]
+    rows = pad[:, :-4] & pad[:, 1:-3] & pad[:, 2:-2] & pad[:, 3:-1] & pad[:, 4:]
+    eroded = rows[:-4] & rows[1:-3] & rows[2:-2] & rows[3:-1] & rows[4:]
+    return dilated & ~eroded
+
+
+def _band_ensemble(fg: np.ndarray, disagreement: float) -> EnsemblePrediction:
+    index = np.flatnonzero(_band(fg))
+    fg_prob = fg.ravel()[index].astype(np.float64)
+    targets = (2.0 * np.arange(NUM_HEADS) + 1.0) / (2.0 * NUM_HEADS)
+    head_fg = (1.0 - disagreement) * fg_prob[None, :] + disagreement * targets[:, None]
+    heads = np.stack([1.0 - head_fg, head_fg], axis=-1)
+    return EnsemblePrediction(heads, index, fg.shape)
+
+
+def toy_ensemble(spec: ToyClassSpec, z: np.ndarray, seed: int, res: int = 64,
+                 disagreement: float | None = None) -> EnsemblePrediction:
+    """The ensemble ``toy_generate`` would return, from the shape alone.
+
+    Rasterizes the shape and builds the band heads; paints no image. Takes
+    the same arguments and makes the same checks as ``toy_generate``.
+    """
+    fg, _, disagreement = _shape(spec, z, seed, res, disagreement)
+    return _band_ensemble(fg, disagreement)
+
+
+def toy_generate(spec: ToyClassSpec, z: np.ndarray, seed: int, res: int = 64,
+                 disagreement: float | None = None, with_ensemble: bool = True) -> ToyOutput:
+    """Render one labeled sample; deterministic in (spec, z, seed, res).
+
+    ``disagreement`` in [0, 1] sets how far the ensemble heads slide from the
+    true label toward their fixed fan of probability targets inside the
+    boundary band; when None it is drawn uniformly from a seed-keyed
+    substream. The ensemble lists only the boundary band's pixels.
+    ``with_ensemble=False`` skips the head construction (image, mask and
+    confidence are unaffected, they use separate substreams).
+    """
+    fg, zc, disagreement = _shape(spec, z, seed, res, disagreement)
     gt = np.where(fg, np.uint8(spec.class_id), np.uint8(0))
 
     color = np.array(
@@ -249,23 +311,10 @@ def toy_generate(spec: ToyClassSpec, z: np.ndarray, seed: int, res: int = 64,
     canvas[fg] = color
     image = Image(np.clip(canvas, 0, 255).astype(np.uint8))
 
-    ensemble = None
-    if with_ensemble:
-        structure = np.ones((3, 3), dtype=bool)
-        band = ndimage.binary_dilation(fg, structure) & ~ndimage.binary_erosion(
-            fg, structure, iterations=2
-        )
-        index = np.flatnonzero(band)
-        fg_prob = fg.ravel()[index].astype(np.float64)
-        targets = (2.0 * np.arange(NUM_HEADS) + 1.0) / (2.0 * NUM_HEADS)
-        head_fg = (1.0 - disagreement) * fg_prob[None, :] + disagreement * targets[:, None]
-        heads = np.stack([1.0 - head_fg, head_fg], axis=-1)
-        ensemble = EnsemblePrediction(heads, index, fg.shape)
-
     return ToyOutput(
         image=image,
         gt_mask=Mask(gt),
-        ensemble=ensemble,
+        ensemble=_band_ensemble(fg, disagreement) if with_ensemble else None,
         confidence=toy_confidence(seed, disagreement),
         disagreement=disagreement,
     )

@@ -3,6 +3,7 @@
 Everything here is deliberately written the slow, obvious way (python loops,
 recursion, full enumeration) so it shares no code path with the library.
 """
+import math
 from collections import deque
 
 import numpy as np
@@ -206,3 +207,67 @@ def dense_js_uncertainty(heads):
 
     per_pixel = entropy(heads.mean(axis=0)) - entropy(heads).mean(axis=0)
     return float(np.maximum(per_pixel, 0.0).mean())
+
+
+def _crossing_parity(px, py, verts):
+    inside = np.zeros(px.shape, dtype=bool)
+    x1, y1 = verts[-1]
+    for x2, y2 in verts:
+        crosses = (y1 > py) != (y2 > py)
+        denom = (y2 - y1) if y2 != y1 else 1.0
+        x_cross = (x2 - x1) * (py - y1) / denom + x1
+        inside ^= crosses & (px < x_cross)
+        x1, y1 = x2, y2
+    return inside
+
+
+def full_grid_rasterize(family, res, cx, cy, a, b, rot):
+    """The toy shapes evaluated at every pixel center of the res x res grid.
+
+    The reference for the library's bounding-box rasterizer: the same float
+    expressions, with no window.
+    """
+    ys, xs = np.mgrid[0:res, 0:res]
+    px = xs + 0.5 - cx
+    py = ys + 0.5 - cy
+    cos_r, sin_r = math.cos(rot), math.sin(rot)
+    xr = cos_r * px + sin_r * py
+    yr = -sin_r * px + cos_r * py
+    if family == "ellipse":
+        return (xr / a) ** 2 + (yr / b) ** 2 <= 1.0
+    if family == "rectangle":
+        return (np.abs(xr) <= a) & (np.abs(yr) <= b)
+    if family == "star":
+        angles = np.arange(10) * math.pi / 5 - math.pi / 2
+        radii = np.where(np.arange(10) % 2 == 0, a, 0.45 * a)
+        verts = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
+        return _crossing_parity(xr, yr / b * a, verts)
+    if family == "crescent":
+        body = xr**2 + yr**2 <= a**2
+        cutout = (xr - 0.55 * a) ** 2 + yr**2 <= (0.8 * a) ** 2
+        return body & ~cutout
+    raise ValueError(family)
+
+
+def scipy_band(foreground):
+    """The 3-pixel band as scipy.ndimage morphology: 3x3 dilation minus two
+    3x3 erosions, outside the frame counted as background."""
+    from scipy import ndimage
+
+    fg = np.asarray(foreground, dtype=bool)
+    structure = np.ones((3, 3), dtype=bool)
+    return ndimage.binary_dilation(fg, structure) & ~ndimage.binary_erosion(
+        fg, structure, iterations=2)
+
+
+def xlogy_uncertainty(pred):
+    """Listed-pixel JS uncertainty with entropies summed by ``.sum(-1)``."""
+    from scipy.special import xlogy
+
+    def entropy(p):
+        return -xlogy(p, p).sum(axis=-1)
+
+    probs = pred.probs
+    per_pixel = np.maximum(entropy(probs.mean(axis=0)) - entropy(probs).mean(axis=0), 0.0)
+    h, w = pred.shape
+    return float(per_pixel.sum() / (h * w))

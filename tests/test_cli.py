@@ -50,6 +50,47 @@ def test_module_entry_point_runs_from_source_tree(tmp_path):
     assert "synth" in result.stdout
 
 
+def test_cli_import_leaves_analysis_scipy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, labelgen.cli\n"
+        "loaded = [m for m in ('scipy.ndimage', 'scipy.spatial') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "import labelgen\n"
+        "from labelgen import chamfer, fid, miou\n"
+        "assert chamfer is labelgen.geometry.chamfer and fid is labelgen.distmetrics.fid\n"
+        "assert miou is labelgen.benchmark.miou\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+
+
+def test_unknown_package_attribute_raises():
+    import labelgen
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        labelgen.no_such_name
+
+
+def test_repeated_main_calls_share_no_parsed_state(tmp_path, monkeypatch, capsys):
+    from labelgen import cli
+
+    monkeypatch.delenv("LABELGEN_SEED", raising=False)
+    base = ["synth", "--n", "2", "--uncertainty", "0"]
+    assert main(base + ["--seed", "5", "--rejection", "0.5", "--out", str(tmp_path / "a")]) == 0
+    parser = cli._parser
+    assert main(base + ["--out", str(tmp_path / "b")]) == 0
+    monkeypatch.setenv("LABELGEN_SEED", "7")
+    assert main(base + ["--out", str(tmp_path / "c")]) == 0
+    assert cli._parser is parser
+    metadata = {name: read_manifest(tmp_path / name / "manifest.txt").metadata
+                for name in ("a", "b", "c")}
+    assert (metadata["a"]["seed"], metadata["a"]["rejection_rate"]) == ("5", "0.5")
+    assert (metadata["b"]["seed"], metadata["b"]["rejection_rate"]) == ("0", "0.9")
+    assert (metadata["c"]["seed"], metadata["c"]["rejection_rate"]) == ("7", "0.9")
+
+
 def test_subcommand_help_documents_defaults(capsys):
     assert main(["synth", "--help"]) == 0
     text = capsys.readouterr().out

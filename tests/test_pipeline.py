@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelgen import pipeline
+from labelgen import pipeline, toygen
 from labelgen.formats import read_manifest, read_mask, read_image
 from labelgen.pipeline import (
     OnlineStream,
@@ -53,6 +53,18 @@ def test_scored_equals_generated_sample_without_pixels(counter, seed, classes):
     assert source.scored(counter) == replace(full, image=None, mask=None)
 
 
+@settings(max_examples=30, deadline=None)
+@given(counter=st.integers(0, 2**40), seed=st.integers(0, 2**32 - 1),
+       res=st.sampled_from([64, 128, 256]))
+def test_shape_only_ensemble_equals_generated_ensemble(counter, seed, res):
+    source = ToySource(num_classes=16, seed=seed, resolution=res)
+    _, generated = source.generate(counter)
+    shape_only = source.ensemble(counter)
+    assert shape_only.shape == generated.shape
+    assert (shape_only.index == generated.index).all()
+    assert (shape_only.probs == generated.probs).all()
+
+
 def test_bad_resolution_rerun_leaves_previous_dataset(tmp_path):
     synth_offline(PipelineSpec(filters=NO_FILTERS, mode="offline", n=2, out_dir=tmp_path, seed=0))
     before = _listing(tmp_path)
@@ -78,16 +90,31 @@ def _count_renders(monkeypatch) -> list[bool]:
     return calls
 
 
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Record the arguments of every call to ``owner.name``."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 @pytest.mark.parametrize("fraction", [0.1, 0.0])
 def test_offline_builds_ensembles_only_for_rejection_survivors(tmp_path, monkeypatch, fraction):
-    calls = _count_renders(monkeypatch)
+    renders = _count_renders(monkeypatch)
+    ensembles = _count_calls(monkeypatch, pipeline, "toy_ensemble")
+    backgrounds = _count_calls(monkeypatch, toygen, "_background")
     spec = PipelineSpec(filters=FilterConfig(uncertainty_fraction=fraction), mode="offline",
                         n=10, out_dir=tmp_path, seed=0)
     manifest = synth_offline(spec)
     pool = int(manifest.metadata["pool"])
-    ensembles = sum(calls)
-    assert ensembles == (math.ceil(0.1 * pool) if fraction else 0)
-    assert len(calls) - ensembles == 10  # the survivors, rendered for writing
+    assert len(ensembles) == (math.ceil(0.1 * pool) if fraction else 0)
+    assert len(renders) == 10 and not any(renders)  # the survivors, rendered for writing
+    assert len(backgrounds) == 10  # no image is painted for a candidate that is not written
 
 
 def test_online_renders_only_accepted_samples(monkeypatch):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import spearmanr
 
 from labelgen.geometry import mask_stats
@@ -9,13 +12,24 @@ from labelgen.sampling import sample_uncertainty, truncated_normal
 from labelgen.toygen import (
     FAMILIES,
     NUM_HEADS,
+    VALID_RESOLUTIONS,
     ToyClassSpec,
+    _band,
+    _rasterize,
     substream,
+    toy_ensemble,
     toy_generate,
     toy_taxonomy,
 )
 
-from .oracles import dense_js_uncertainty, toy_band, toy_dense_ensemble
+from .oracles import (
+    dense_js_uncertainty,
+    full_grid_rasterize,
+    scipy_band,
+    toy_band,
+    toy_dense_ensemble,
+    xlogy_uncertainty,
+)
 
 
 def test_taxonomy_four_classes_one_per_family():
@@ -117,6 +131,64 @@ def test_band_uncertainty_matches_dense_oracle():
     np.testing.assert_allclose(banded, dense, rtol=1e-12, atol=0)
     np.testing.assert_array_equal(np.argsort(banded, kind="stable"),
                                   np.argsort(dense, kind="stable"))
+
+
+def test_uncertainty_equals_xlogy_sum_oracle():
+    _, specs = toy_taxonomy(16, seed=0)
+    for i in range(400):
+        z = truncated_normal(8, 0.9, substream(900 + i, 1))
+        ensemble = toy_generate(specs[i % 16], z, seed=900 + i, res=64).ensemble
+        assert sample_uncertainty(ensemble) == xlogy_uncertainty(ensemble)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(FAMILIES), res=st.sampled_from(VALID_RESOLUTIONS),
+       size=st.floats(0.01, 0.9), aspect=st.floats(0.05, 1.0),
+       rot=st.floats(0.0, math.pi), u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0))
+def test_box_rasterize_equals_full_grid(family, res, size, aspect, rot, u, v):
+    # centers anywhere in the frame, so windows are clipped on every side
+    a = size * res / 2
+    b = aspect * a
+    args = (family, res, u * res, v * res, a, b, rot)
+    box = _rasterize(*args)
+    assert box.shape == (res, res) and box.dtype == bool
+    assert (box == full_grid_rasterize(*args)).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(bool, st.tuples(st.integers(1, 24), st.integers(1, 24))))
+@example(np.ones((7, 9), dtype=bool))
+@example(np.eye(6, dtype=bool))
+@example(np.pad(np.ones((3, 3), dtype=bool), ((0, 4), (4, 0))))
+def test_shift_band_equals_scipy_band(grid):
+    assert (_band(grid) == scipy_band(grid)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(index=st.integers(0, 15), seed=st.integers(0, 2**32), res=st.sampled_from(VALID_RESOLUTIONS),
+       level=st.one_of(st.none(), st.floats(0.0, 1.0)))
+def test_toy_ensemble_equals_generated_ensemble(index, seed, res, level):
+    _, specs = toy_taxonomy(16, seed=0)
+    z = truncated_normal(8, 0.9, substream(seed, 1))
+    shape_only = toy_ensemble(specs[index], z, seed, res, disagreement=level)
+    generated = toy_generate(specs[index], z, seed, res, disagreement=level).ensemble
+    assert shape_only.shape == generated.shape
+    assert (shape_only.index == generated.index).all()
+    assert (shape_only.probs == generated.probs).all()
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"res": 100}, "resolution"),
+    ({"z": np.array([])}, "latent"),
+    ({"z": np.array([np.nan])}, "latent"),
+    ({"disagreement": 1.5}, "disagreement"),
+])
+def test_toy_ensemble_checks_inputs_like_generate(kwargs, message):
+    spec, z = _spec_and_z(index=1)
+    call = {"spec": spec, "z": z, "seed": 3, **kwargs}
+    for build in (toy_ensemble, toy_generate):
+        with pytest.raises(ValueError, match=message):
+            build(**call)
 
 
 def test_uncertainty_strictly_increasing_in_disagreement():
