@@ -47,17 +47,21 @@ class TaskSpec:
             )
 
 
-def build_task(taxonomy: ClassTaxonomy, name: str) -> TaskSpec:
+def build_task(taxonomy: ClassTaxonomy | None, name: str, class_ids=()) -> TaskSpec:
     """Derive a TaskSpec from a taxonomy group table.
 
     "FG/BG" (or "fgbg") maps every class to task label 1 even without an
-    explicit group table. Binary tasks include background in the mIoU mean;
-    multi-class tasks exclude it.
+    explicit group table; without a taxonomy its classes are ``class_ids``,
+    and no other task can be built. Binary tasks include background in the
+    mIoU mean; multi-class tasks exclude it.
     """
-    if name in taxonomy.groups:
+    if taxonomy is not None and name in taxonomy.groups:
         class_map = dict(taxonomy.groups[name])
     elif name in ("FG/BG", "fgbg"):
-        class_map = {cid: 1 for cid in taxonomy.classes}
+        ids = sorted(class_ids) if taxonomy is None else taxonomy.classes
+        class_map = {cid: 1 for cid in ids}
+    elif taxonomy is None:
+        raise ValueError(f"task {name!r} needs a taxonomy")
     else:
         raise ValueError(f"taxonomy has no group table for task {name!r}")
     num_labels = max(class_map.values())

@@ -193,16 +193,7 @@ def _cmd_bench(args) -> int:
     pred_manifest = read_manifest(args.pred_manifest)
     gt_manifest = read_manifest(args.gt_manifest)
     taxonomy = read_taxonomy(args.taxonomy) if args.taxonomy else None
-    if taxonomy is not None:
-        task = benchmark.build_task(taxonomy, args.task)
-    elif args.task in ("FG/BG", "fgbg"):
-        ids = sorted({e.class_id for e in gt_manifest.entries})
-        task = benchmark.TaskSpec(
-            name=args.task, class_map={cid: 1 for cid in ids},
-            num_task_labels=1, include_background=True,
-        )
-    else:
-        raise ValueError(f"task {args.task!r} needs --taxonomy")
+    task = benchmark.build_task(taxonomy, args.task, {e.class_id for e in gt_manifest.entries})
     preds = {e.id: e for e in pred_manifest.entries}
     pred_dir = Path(args.pred_manifest).parent
     gt_dir = Path(args.gt_manifest).parent

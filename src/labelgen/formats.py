@@ -12,6 +12,7 @@ read-only so instances can be shared freely between threads.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -328,19 +329,22 @@ def _parse_netpbm(data: bytes, magic: bytes, path) -> tuple[int, int, bytes]:
     return width, height, data[pos + 1 :]
 
 
-def read_mask(path) -> Mask:
-    """Read a binary PGM (P5, maxval 255) label grid."""
-    data = Path(path).read_bytes()
-    width, height, payload = _parse_netpbm(data, b"P5", path)
-    expected = width * height
+def _read_netpbm(path, magic: bytes, *channels: int) -> np.ndarray:
+    """The (height, width, *channels) uint8 payload of a binary netpbm file."""
+    width, height, payload = _parse_netpbm(Path(path).read_bytes(), magic, path)
+    expected = width * height * math.prod(channels)
     if len(payload) < expected:
         raise TruncatedPayloadError(
             f"{path}: payload has {len(payload)} bytes, expected {expected}"
         )
     if len(payload) > expected:
         raise FormatError(f"{path}: {len(payload) - expected} trailing bytes")
-    labels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return Mask(labels)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, *channels)
+
+
+def read_mask(path) -> Mask:
+    """Read a binary PGM (P5, maxval 255) label grid."""
+    return Mask(_read_netpbm(path, b"P5"))
 
 
 def write_mask(mask: Mask, path) -> None:
@@ -350,17 +354,7 @@ def write_mask(mask: Mask, path) -> None:
 
 def read_image(path) -> Image:
     """Read a binary PPM (P6, maxval 255) RGB image."""
-    data = Path(path).read_bytes()
-    width, height, payload = _parse_netpbm(data, b"P6", path)
-    expected = width * height * 3
-    if len(payload) < expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload has {len(payload)} bytes, expected {expected}"
-        )
-    if len(payload) > expected:
-        raise FormatError(f"{path}: {len(payload) - expected} trailing bytes")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return Image(pixels)
+    return Image(_read_netpbm(path, b"P6", 3))
 
 
 def write_image(image: Image, path) -> None:

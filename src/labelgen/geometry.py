@@ -270,29 +270,23 @@ def _extremal_triangle(points: np.ndarray) -> np.ndarray:
     return points[idx]
 
 
-def simplify_dp(poly, epsilon: float = 0.01, closed: bool | None = None):
+def simplify_dp(poly, epsilon: float = 0.01):
     """Simplify a polygon or chain with the Douglas-Peucker algorithm.
 
-    A ``Polygon`` is treated as a closed outline (the result keeps at least
-    3 vertices); a bare point array is treated as an open chain. Degenerate
-    polygons pass through unchanged.
+    A ``Polygon`` is a closed outline (the result keeps at least 3
+    vertices); a bare point array is an open chain. Degenerate polygons pass
+    through unchanged.
     """
-    if isinstance(poly, Polygon):
-        if closed is None:
-            closed = True
-        if poly.degenerate:
-            return poly
-        simplified = simplify_chain(poly.points, epsilon)
-        if closed and len(simplified) < 3:
-            simplified = _extremal_triangle(poly.points)
-        if len(simplified) < 3:
-            return Polygon(simplified, degenerate=True)
-        return Polygon(simplified)
-    pts = np.asarray(poly, dtype=np.float64)
-    simplified = simplify_chain(pts, epsilon)
-    if closed and len(simplified) < 3:
-        simplified = _extremal_triangle(pts)
-    return simplified
+    if not isinstance(poly, Polygon):
+        return simplify_chain(poly, epsilon)
+    if poly.degenerate:
+        return poly
+    simplified = simplify_chain(poly.points, epsilon)
+    if len(simplified) < 3:
+        simplified = _extremal_triangle(poly.points)
+    if len(simplified) < 3:
+        return Polygon(simplified, degenerate=True)
+    return Polygon(simplified)
 
 
 # --------------------------------------------------------------------------

@@ -13,9 +13,13 @@ the confidence threshold is calibrated once from a warmup batch, only
 accepted counters are rendered, and the expensive ensemble-uncertainty stage
 is not used.
 
-Sources are deterministic functions of a 64-bit seed counter, so any run is
-reproducible and candidate generation can be distributed over disjoint
-counter ranges without changing the result.
+A source is a deterministic function of a 64-bit seed counter, so any run
+is reproducible and candidate generation can be distributed over disjoint
+counter ranges without changing the result. The pipeline reads four members
+of its source: ``taxonomy``, ``scored(counter)`` (the pixel-free sample with
+its confidence), ``ensemble(counter)`` (an ``EnsemblePrediction``) and
+``generate(counter)`` (the rendered ``LabeledSample``). ``ToySource`` is the
+one source; a spec naming any other is rejected.
 """
 from __future__ import annotations
 
@@ -48,6 +52,7 @@ from .sampling import (
     uncertainty_filter,
 )
 from .toygen import (
+    LATENT_DIM,
     VALID_RESOLUTIONS,
     ToyClassSpec,
     injected_disagreement,
@@ -76,10 +81,11 @@ class PipelineSpec:
     seed: int = 0
     resolution: int = 64
     num_classes: int = 16
-    latent_dim: int = 8
     name: str = "dataset"
 
     def __post_init__(self):
+        if self.source != "toy":
+            raise ValueError(f"unknown source {self.source!r}; the only source is 'toy'")
         if self.mode not in ("offline", "online"):
             raise ValueError(f"mode must be offline or online, got {self.mode!r}")
         if self.mode == "offline" and self.n < 1:
@@ -101,7 +107,7 @@ class ToySource:
     """
 
     def __init__(self, num_classes: int = 16, seed: int = 0, resolution: int = 64,
-                 truncation_psi: float = 0.9, latent_dim: int = 8):
+                 truncation_psi: float = 0.9):
         # checked here, not at the first render: a run may score its whole
         # pool and clear an earlier run's files before it renders anything
         if resolution not in VALID_RESOLUTIONS:
@@ -110,7 +116,6 @@ class ToySource:
         self.seed = seed
         self.resolution = resolution
         self.truncation_psi = truncation_psi
-        self.latent_dim = latent_dim
 
     @classmethod
     def from_spec(cls, spec: PipelineSpec) -> "ToySource":
@@ -119,7 +124,6 @@ class ToySource:
             seed=spec.seed,
             resolution=spec.resolution,
             truncation_psi=spec.filters.truncation_psi,
-            latent_dim=spec.latent_dim,
         )
 
     def injected_disagreement(self, counter: int) -> float:
@@ -144,20 +148,21 @@ class ToySource:
         """The counter's class spec, sample seed and truncated latent."""
         class_spec: ToyClassSpec = self.specs[counter % len(self.specs)]
         seed = _sample_seed(self.seed, counter)
-        z = truncated_normal(self.latent_dim, self.truncation_psi, substream(seed, 1))
+        z = truncated_normal(LATENT_DIM, self.truncation_psi, substream(seed, 1))
         return class_spec, seed, z
 
     def ensemble(self, counter: int) -> EnsemblePrediction:
-        """The counter's ensemble, equal to ``generate(counter)[1]``, built from
-        the shape alone: no image is painted."""
+        """The counter's ensemble, equal to the one ``toy_generate`` builds for
+        the sample ``generate(counter)`` renders, from the shape alone: no
+        image is painted."""
         class_spec, seed, z = self._draw(counter)
         return toy_ensemble(class_spec, z, seed, self.resolution)
 
-    def generate(self, counter: int, need_ensemble: bool = True):
-        """Return (LabeledSample, EnsemblePrediction or None) for a counter."""
+    def generate(self, counter: int) -> LabeledSample:
+        """The counter's rendered sample: image, mask and confidence."""
         class_spec, seed, z = self._draw(counter)
-        out = toy_generate(class_spec, z, seed, self.resolution, with_ensemble=need_ensemble)
-        sample = LabeledSample(
+        out = toy_generate(class_spec, z, seed, self.resolution, with_ensemble=False)
+        return LabeledSample(
             id=f"toy-{counter:012d}",
             class_id=class_spec.class_id,
             provenance="toy",
@@ -166,16 +171,6 @@ class ToySource:
             image=out.image,
             mask=out.gt_mask,
         )
-        return sample, out.ensemble
-
-
-SOURCES = {"toy": ToySource.from_spec}
-
-
-def make_source(spec: PipelineSpec):
-    if spec.source not in SOURCES:
-        raise ValueError(f"unknown source {spec.source!r}; registered: {sorted(SOURCES)}")
-    return SOURCES[spec.source](spec)
 
 
 def candidate_pool_size(n: int, rejection_rate: float, uncertainty_fraction: float) -> int:
@@ -196,7 +191,7 @@ def synth_offline(spec: PipelineSpec) -> DatasetManifest:
         raise ValueError("synth_offline needs an offline-mode spec")
     if spec.out_dir is None:
         raise ValueError("offline synthesis needs an output directory")
-    source = make_source(spec)
+    source = ToySource.from_spec(spec)
     rate = spec.filters.rejection_rate
     fraction = spec.filters.uncertainty_fraction
 
@@ -222,15 +217,13 @@ def synth_offline(spec: PipelineSpec) -> DatasetManifest:
               "uncertainty_cut": uncertainty_cut}
 
     full_survivors = (
-        replace(source.generate(counter_of[slim.id], need_ensemble=False)[0],
-                uncertainty=slim.uncertainty)
+        replace(source.generate(counter_of[slim.id]), uncertainty=slim.uncertainty)
         for slim in kept[: spec.n]
     )
-    return _write_dataset(spec, full_survivors, getattr(source, "taxonomy", None),
-                          lambda: funnel)
+    return _write_dataset(spec, full_survivors, source.taxonomy, lambda: funnel)
 
 
-def _write_dataset(spec: PipelineSpec, samples, taxonomy: ClassTaxonomy | None,
+def _write_dataset(spec: PipelineSpec, samples, taxonomy: ClassTaxonomy,
                    run_stats) -> DatasetManifest:
     """Write each sample's image and mask, the taxonomy, then the manifest.
 
@@ -277,8 +270,7 @@ def _write_dataset(spec: PipelineSpec, samples, taxonomy: ClassTaxonomy | None,
         entries=tuple(entries),
         metadata=_run_metadata(spec, **run_stats()),
     )
-    if taxonomy is not None:
-        write_taxonomy(taxonomy, out_dir / "taxonomy.txt")
+    write_taxonomy(taxonomy, out_dir / "taxonomy.txt")
     staged = out_dir / "manifest.txt.tmp"
     write_manifest(manifest, staged)
     os.replace(staged, manifest_path)
@@ -317,7 +309,7 @@ class OnlineStream:
         if spec.mode != "online":
             raise ValueError("OnlineStream needs an online-mode spec")
         self.spec = spec
-        self.source = make_source(spec)
+        self.source = ToySource.from_spec(spec)
         self.counter = 0
         self.candidates = 0
         self.accepted = 0
@@ -338,7 +330,7 @@ class OnlineStream:
             self.candidates += 1
             if self.threshold is None or self.source.scored(counter).confidence > self.threshold:
                 self.accepted += 1
-                return self.source.generate(counter, need_ensemble=False)[0]
+                return self.source.generate(counter)
 
 
 def synth_online(spec: PipelineSpec) -> OnlineStream:
@@ -351,8 +343,7 @@ def write_stream(spec: PipelineSpec, count: int) -> DatasetManifest:
     if spec.out_dir is None:
         raise ValueError("writing a stream needs an output directory")
     stream = synth_online(spec)
-    return _write_dataset(spec, islice(stream, count),
-                          getattr(stream.source, "taxonomy", None),
+    return _write_dataset(spec, islice(stream, count), stream.source.taxonomy,
                           lambda: {"candidates": stream.candidates,
                                    "accepted": stream.accepted,
                                    "threshold": "-" if stream.threshold is None

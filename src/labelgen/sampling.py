@@ -156,38 +156,30 @@ class EnsemblePrediction:
     ``probs`` has shape (K, m, C): the heads' distributions at the m pixels
     whose row-major flat indices are listed, strictly increasing, in
     ``index``. Every pixel not listed has all heads equal, so it adds exactly
-    0 to the heads' disagreement and need not be stored. A dense
-    (K, H, W, C) array given without an index lists every pixel.
+    0 to the heads' disagreement and need not be stored. The arrays are
+    owned, read-only copies.
     """
 
     probs: np.ndarray
-    index: np.ndarray | None = None
-    shape: tuple[int, int] | None = None
+    index: np.ndarray
+    shape: tuple[int, int]
 
     def __post_init__(self):
         # owned copies: the arrays are frozen below, and the caller's stay writable
         arr = np.array(self.probs, dtype=np.float64, order="C")
-        if self.index is None:
-            if arr.ndim != 4:
-                raise ValueError(f"dense ensemble probs must be (K, H, W, C), got {arr.shape}")
-            h, w = arr.shape[1:3]
-            if self.shape is not None and tuple(self.shape) != (h, w):
-                raise ValueError(f"grid shape {self.shape} does not match probs {arr.shape}")
-            index = np.arange(h * w)
-        else:
-            if arr.ndim != 3:
-                raise ValueError(f"listed-pixel probs must be (K, m, C), got {arr.shape}")
-            if self.shape is None or len(self.shape) != 2 or min(self.shape) < 1:
-                raise ValueError(f"listed pixels need a positive (H, W) grid, got {self.shape}")
-            h, w = (int(s) for s in self.shape)
-            index = np.array(self.index)
-            if index.ndim != 1 or index.dtype.kind not in "iu":
-                raise ValueError("index must be a 1-D integer array")
-            if index.size != arr.shape[1]:
-                raise ValueError(f"index lists {index.size} pixels, probs {arr.shape[1]}")
-            if index.size and (index[0] < 0 or index[-1] >= h * w
-                               or (np.diff(index) <= 0).any()):
-                raise ValueError(f"index must be strictly increasing within the {h}x{w} grid")
+        if arr.ndim != 3:
+            raise ValueError(f"listed-pixel probs must be (K, m, C), got {arr.shape}")
+        if self.shape is None or len(self.shape) != 2 or min(self.shape) < 1:
+            raise ValueError(f"listed pixels need a positive (H, W) grid, got {self.shape}")
+        h, w = (int(s) for s in self.shape)
+        index = np.array(self.index)
+        if index.ndim != 1 or index.dtype.kind not in "iu":
+            raise ValueError("index must be a 1-D integer array")
+        if index.size != arr.shape[1]:
+            raise ValueError(f"index lists {index.size} pixels, probs {arr.shape[1]}")
+        if index.size and (index[0] < 0 or index[-1] >= h * w
+                           or (np.diff(index) <= 0).any()):
+            raise ValueError(f"index must be strictly increasing within the {h}x{w} grid")
         if arr.shape[0] < 2:
             raise ValueError("ensemble needs K >= 2 heads")
         if arr.size:
@@ -197,7 +189,7 @@ class EnsemblePrediction:
                 raise ValueError("per-pixel probabilities must sum to 1 within 1e-6")
         arr.flags.writeable = False
         index.flags.writeable = False
-        object.__setattr__(self, "probs", arr.reshape(arr.shape[0], index.size, arr.shape[-1]))
+        object.__setattr__(self, "probs", arr)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "shape", (h, w))
 
@@ -206,15 +198,12 @@ class EnsemblePrediction:
         return self.probs.shape[0]
 
 
-def sample_uncertainty(pred) -> float:
+def sample_uncertainty(pred: EnsemblePrediction) -> float:
     """Mean over the grid of the per-pixel JS divergence across ensemble heads.
 
-    Accepts an EnsemblePrediction or a dense (K, H, W, C) array. Unlisted
-    pixels add exactly 0, so the sum runs over the listed pixels only and is
-    divided by H*W.
+    Unlisted pixels add exactly 0, so the sum runs over the listed pixels
+    only and is divided by H*W.
     """
-    if not isinstance(pred, EnsemblePrediction):
-        pred = EnsemblePrediction(pred)
     probs = pred.probs
     mixture_entropy = _entropy(probs.mean(axis=0))
     mean_entropy = _entropy(probs).mean(axis=0)

@@ -38,6 +38,7 @@ from .sampling import EnsemblePrediction
 FAMILIES = ("ellipse", "rectangle", "star", "crescent")
 VALID_RESOLUTIONS = (64, 128, 256)
 NUM_HEADS = 16
+LATENT_DIM = 8  # latent coordinates read per sample; ToySource draws this many
 
 _CONFIDENCE_STREAM = 50
 _DISAGREEMENT_STREAM = 60
@@ -223,8 +224,8 @@ def _shape(spec: ToyClassSpec, z: np.ndarray, seed: int, res: int,
            disagreement: float | None) -> tuple[np.ndarray, np.ndarray, float]:
     """Check the inputs and rasterize the shape.
 
-    Returns the foreground mask, the latent cycled to its 8 used coordinates
-    and the disagreement level (drawn from the seed when None).
+    Returns the foreground mask, the latent cycled to its LATENT_DIM used
+    coordinates and the disagreement level (drawn from the seed when None).
     """
     if res not in VALID_RESOLUTIONS:
         raise ValueError(f"resolution {res} not in {VALID_RESOLUTIONS}")
@@ -235,7 +236,7 @@ def _shape(spec: ToyClassSpec, z: np.ndarray, seed: int, res: int,
         disagreement = injected_disagreement(seed)
     if not 0.0 <= disagreement <= 1.0:
         raise ValueError("disagreement must be in [0, 1]")
-    zc = np.resize(z, 8)
+    zc = np.resize(z, LATENT_DIM)
 
     size = _param(zc[0], *spec.size_range)
     aspect = _param(zc[1], *spec.aspect_range)

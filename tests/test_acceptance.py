@@ -207,8 +207,8 @@ def test_criterion_4_end_to_end_toy_pipeline(tmp_path):
         uncertainties = np.empty(pool)
         levels = np.empty(pool)
         for counter in range(pool):
-            sample, ensemble = source.generate(counter)
-            uncertainties[counter] = sample_uncertainty(ensemble)
+            sample = source.generate(counter)
+            uncertainties[counter] = sample_uncertainty(source.ensemble(counter))
             levels[counter] = source.injected_disagreement(counter)
             slim.append(
                 LabeledSample(id=sample.id, class_id=sample.class_id, provenance="toy",

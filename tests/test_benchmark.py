@@ -49,6 +49,14 @@ def test_build_task_unknown_name():
         build_task(taxonomy, "MC-999")
 
 
+def test_build_task_without_taxonomy_only_fgbg():
+    task = build_task(None, "fgbg", {7, 3})
+    assert task.class_map == {3: 1, 7: 1}
+    assert task.num_task_labels == 1 and task.include_background
+    with pytest.raises(ValueError, match="needs a taxonomy"):
+        build_task(None, "family", {7, 3})
+
+
 def _binary_task():
     return TaskSpec(
         name="fgbg", class_map={1: 1}, num_task_labels=1, include_background=True

@@ -126,6 +126,8 @@ def test_no_subcommand_exits_one(capsys):
     (["synth", "--n", "1", "--res", "100"], None, 2),
     (["synth", "--n", "1", "--truncation", "-1"], None, 2),
     (["synth", "--n", "1"], "abc", 2),                        # LABELGEN_SEED
+    (["synth", "--n", "1", "--source", "biggan"], None, 2),   # only "toy" exists
+    (["stream", "--count", "1", "--source", "biggan"], None, 2),
 ])
 def test_exit_codes(tmp_path, capsys, monkeypatch, argv, seed_env, code):
     # 1: the command line does not parse; 2: a parsed value is rejected
@@ -327,6 +329,32 @@ def test_bench_family_task(tmp_path):
                  "--gt-manifest", str(gt_dir / "manifest.txt"),
                  "--taxonomy", str(tax_file), "--report", str(report)]) == 0
     assert "mIoU\t1.000000" in report.read_text()
+
+
+def test_bench_fgbg_without_taxonomy_report_bytes(toy_dataset, tmp_path, capsys):
+    # without --taxonomy, FG/BG maps the ground truth's class ids to label 1;
+    # predictions are the foregrounds shifted 2 pixels right, so IoU < 1
+    gt_manifest = read_manifest(toy_dataset / "manifest.txt")
+    pred_dir = tmp_path / "pred"
+    (pred_dir / "masks").mkdir(parents=True)
+    pred_entries = []
+    for entry in gt_manifest.entries:
+        fg = read_mask(toy_dataset / entry.mask_path).foreground()
+        write_mask(Mask(np.roll(fg, 2, axis=1).astype(np.uint8)), pred_dir / f"masks/{entry.id}.pgm")
+        pred_entries.append(ManifestEntry(id=entry.id, class_id=entry.class_id,
+                                          image_path=f"masks/{entry.id}.pgm",
+                                          mask_path=f"masks/{entry.id}.pgm", provenance="toy"))
+    write_manifest(DatasetManifest("pred", tuple(pred_entries)), pred_dir / "manifest.txt")
+    report = tmp_path / "report.txt"
+    assert main(["bench", "--task", "FG/BG",
+                 "--pred-manifest", str(pred_dir / "manifest.txt"),
+                 "--gt-manifest", str(toy_dataset / "manifest.txt"),
+                 "--report", str(report)]) == 0
+    expected = ("0\tbackground\t0.961288\n1\tforeground\t0.782637\nmIoU\t0.871962\n"
+                "top-5 best\n  0\tbackground\t0.961288\n  1\tforeground\t0.782637\n"
+                "top-5 worst\n  1\tforeground\t0.782637\n  0\tbackground\t0.961288\n")
+    assert report.read_text() == expected
+    assert capsys.readouterr().out == expected
 
 
 def test_bench_multiclass_without_taxonomy_is_usage_data_error(toy_dataset, capsys):

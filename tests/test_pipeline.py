@@ -13,12 +13,11 @@ from labelgen.pipeline import (
     PipelineSpec,
     ToySource,
     candidate_pool_size,
-    make_source,
     synth_offline,
     synth_online,
     write_stream,
 )
-from labelgen.sampling import FilterConfig
+from labelgen.sampling import FilterConfig, truncated_normal
 
 NO_FILTERS = FilterConfig(rejection_rate=0.0, uncertainty_fraction=0.0)
 
@@ -36,11 +35,11 @@ def test_pool_formula_examples():
 
 def test_source_deterministic_per_counter():
     source = ToySource(num_classes=16, seed=0)
-    a, _ = source.generate(5)
-    b, _ = source.generate(5)
+    a = source.generate(5)
+    b = source.generate(5)
     assert a.id == b.id and a.latent_seed == b.latent_seed
     np.testing.assert_array_equal(a.mask.labels, b.mask.labels)
-    c, _ = source.generate(6)
+    c = source.generate(6)
     assert c.id != a.id
 
 
@@ -49,7 +48,7 @@ def test_source_deterministic_per_counter():
        classes=st.integers(4, 254))
 def test_scored_equals_generated_sample_without_pixels(counter, seed, classes):
     source = ToySource(num_classes=classes, seed=seed)
-    full, _ = source.generate(counter)
+    full = source.generate(counter)
     assert source.scored(counter) == replace(full, image=None, mask=None)
 
 
@@ -58,7 +57,9 @@ def test_scored_equals_generated_sample_without_pixels(counter, seed, classes):
        res=st.sampled_from([64, 128, 256]))
 def test_shape_only_ensemble_equals_generated_ensemble(counter, seed, res):
     source = ToySource(num_classes=16, seed=seed, resolution=res)
-    _, generated = source.generate(counter)
+    sample_seed = source.scored(counter).latent_seed
+    z = truncated_normal(toygen.LATENT_DIM, 0.9, toygen.substream(sample_seed, 1))
+    generated = toygen.toy_generate(source.specs[counter % 16], z, sample_seed, res).ensemble
     shape_only = source.ensemble(counter)
     assert shape_only.shape == generated.shape
     assert (shape_only.index == generated.index).all()
@@ -129,7 +130,7 @@ def test_online_renders_only_accepted_samples(monkeypatch):
 
 def test_unknown_source_rejected():
     with pytest.raises(ValueError, match="unknown source"):
-        make_source(PipelineSpec(source="biggan", mode="offline", n=1))
+        PipelineSpec(source="biggan", mode="offline", n=1)
 
 
 def test_offline_no_filters_first_n_counters(tmp_path):
@@ -156,7 +157,7 @@ def test_offline_funnel_metadata(tmp_path):
     assert (md["pool"], md["after_rejection"], md["after_uncertainty"]) == ("112", "12", "10")
     # independent re-scoring: the 12th-highest confidence of the pool is the rejection cut
     source = ToySource(num_classes=16, seed=0)
-    ranked = sorted((source.generate(c)[0].confidence for c in range(112)), reverse=True)
+    ranked = sorted((source.generate(c).confidence for c in range(112)), reverse=True)
     assert md["confidence_cut"] == repr(ranked[11])
     assert md["uncertainty_cut"] == repr(max(e.uncertainty for e in manifest.entries))
     assert read_manifest(tmp_path / "manifest.txt").metadata == md

@@ -174,42 +174,36 @@ def test_js_support_mismatch():
 
 # ------------------------------------------------------------------ uncertainty
 
+def _every_pixel(dense):
+    """The ensemble that lists every pixel of a dense (K, H, W, C) array."""
+    k, h, w, c = np.shape(dense)
+    return EnsemblePrediction(np.reshape(dense, (k, h * w, c)), np.arange(h * w), (h, w))
+
+
 def test_sample_uncertainty_identical_heads_zero():
     head = np.zeros((2, 2, 2))
     head[..., 0] = 1.0
-    pred = EnsemblePrediction(np.repeat(head[None], 4, axis=0))
+    pred = _every_pixel(np.repeat(head[None], 4, axis=0))
     assert sample_uncertainty(pred) == 0.0
 
 
 def test_sample_uncertainty_single_pixel_ln2():
     probs = np.array([[[[1.0, 0.0]]], [[[0.0, 1.0]]]])
-    assert sample_uncertainty(EnsemblePrediction(probs)) == pytest.approx(math.log(2))
+    assert sample_uncertainty(_every_pixel(probs)) == pytest.approx(math.log(2))
 
 
 def test_sample_uncertainty_bounded_by_ln_k():
     rng = np.random.default_rng(8)
     k = 6
     probs = rng.dirichlet(np.ones(3), size=(k, 4, 4))
-    assert sample_uncertainty(EnsemblePrediction(probs)) <= math.log(k)
+    assert sample_uncertainty(_every_pixel(probs)) <= math.log(k)
 
 
 def test_ensemble_validation():
     with pytest.raises(ValueError):
-        EnsemblePrediction(np.ones((1, 2, 2, 2)) * 0.5)  # K < 2
+        _every_pixel(np.ones((1, 2, 2, 2)) * 0.5)  # K < 2
     with pytest.raises(ValueError):
-        EnsemblePrediction(np.full((2, 2, 2, 2), 0.6))  # sums != 1
-    with pytest.raises(ValueError, match="does not match"):
-        EnsemblePrediction(np.full((2, 2, 2, 2), 0.5), shape=(2, 3))
-
-
-def test_dense_ensemble_lists_every_pixel():
-    rng = np.random.default_rng(3)
-    dense = rng.dirichlet(np.ones(3), size=(4, 2, 5))
-    pred = EnsemblePrediction(dense)
-    assert pred.shape == (2, 5) and pred.num_heads == 4
-    np.testing.assert_array_equal(pred.index, np.arange(10))
-    np.testing.assert_array_equal(pred.probs, dense.reshape(4, 10, 3))
-    assert not pred.probs.flags.writeable and not pred.index.flags.writeable
+        _every_pixel(np.full((2, 2, 2, 2), 0.6))  # sums != 1
 
 
 def _listed(k=2, m=3):
@@ -242,7 +236,7 @@ def test_listed_ensemble_validation():
     with pytest.raises(ValueError, match="integer"):
         EnsemblePrediction(probs, index.astype(float), (2, 2))
     with pytest.raises(ValueError, match="grid"):
-        EnsemblePrediction(probs, index)  # no grid shape
+        EnsemblePrediction(probs, index, None)  # no grid shape
     with pytest.raises(ValueError, match=r"\(K, m, C\)"):
         EnsemblePrediction(probs[None], index, (2, 2))
 
@@ -258,7 +252,7 @@ def test_listed_ensemble_is_read_only():
 
 def test_ensemble_copies_callers_arrays():
     dense = np.full((2, 2, 2, 2), 0.5)
-    pred = EnsemblePrediction(dense)
+    pred = _every_pixel(dense)
     assert dense.flags.writeable
     dense[...] = 0.0
     assert (pred.probs == 0.5).all()
@@ -291,7 +285,7 @@ def test_listed_uncertainty_equals_agreeing_dense_padding(k, c, h, w, data):
     dense = np.repeat(rng.dirichlet(np.ones(c), size=(1, h * w)), k, axis=0)
     dense[:, index] = probs
     banded = sample_uncertainty(EnsemblePrediction(probs, index, (h, w)))
-    padded = sample_uncertainty(dense.reshape(k, h, w, c))
+    padded = sample_uncertainty(_every_pixel(dense.reshape(k, h, w, c)))
     # identical heads can leave a rounding residue of ~1e-16 per padded pixel
     assert banded == pytest.approx(padded, rel=1e-12, abs=1e-14)
 

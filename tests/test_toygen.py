@@ -125,8 +125,6 @@ def test_band_uncertainty_matches_dense_oracle():
         heads = toy_dense_ensemble(out.gt_mask.foreground(), out.disagreement, NUM_HEADS)
         banded.append(sample_uncertainty(out.ensemble))
         dense.append(dense_js_uncertainty(heads))
-        if i % 40 == 0:  # the library's dense input lists every pixel
-            assert sample_uncertainty(heads) == pytest.approx(banded[-1], rel=1e-12)
     banded, dense = np.array(banded), np.array(dense)
     np.testing.assert_allclose(banded, dense, rtol=1e-12, atol=0)
     np.testing.assert_array_equal(np.argsort(banded, kind="stable"),
