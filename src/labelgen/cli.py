@@ -132,9 +132,10 @@ def _cmd_meanshapes(args) -> int:
     )
     lines = []
     for shapes in shape_sets:
-        for cluster, (grid, size) in enumerate(zip(shapes.shapes, shapes.cluster_sizes)):
-            values = " ".join(f"{v:.6f}" for v in grid.ravel())
-            lines.append(f"{shapes.class_id}\t{cluster}\t{int(size)}\t{values}")
+        for cluster, (grid, size) in enumerate(zip(shapes.shapes.tolist(),
+                                                   shapes.cluster_sizes.tolist())):
+            values = " ".join(f"{v:.6f}" for row in grid for v in row)
+            lines.append(f"{shapes.class_id}\t{cluster}\t{size}\t{values}")
     _write_lines(args.out, lines)
     if skipped:
         print(f"skipped classes with fewer than k={args.k} masks: {skipped}", file=sys.stderr)

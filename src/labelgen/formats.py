@@ -32,6 +32,10 @@ PROVENANCE_TAGS = (
 MANIFEST_MAGIC = "LGKITv1"
 EMBEDDING_MAGIC = b"EMB1"
 
+# the characters str.splitlines ends a line at; a field also may not hold a tab
+_LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+_FIELD_BREAKS = _LINE_BREAKS | {"\t"}
+
 
 class FormatError(ValueError):
     """Base class for malformed or inconsistent on-disk data."""
@@ -71,6 +75,12 @@ class MissingFieldError(FormatError):
 
 class UnknownProvenanceError(FormatError):
     pass
+
+
+def _check_text(what: str, text: str, breaks=_FIELD_BREAKS) -> None:
+    """Reject text that would not read back as one field of one line."""
+    if not breaks.isdisjoint(text):
+        raise FormatError(f"{what} {text!r} would not read back: it breaks the line or field")
 
 
 def _frozen_array(obj, name, value):
@@ -196,7 +206,10 @@ class ClassTaxonomy:
     groups: dict[str, dict[int, int]] = field(default_factory=dict)
 
     def __post_init__(self):
+        for cid, name in self.classes.items():
+            _check_text(f"class {cid} name", name)
         for task, table in self.groups.items():
+            _check_text("task name", task)
             labels = set(table.values())
             if not labels:
                 raise ValueError(f"task {task!r} has an empty group table")
@@ -227,6 +240,9 @@ class ManifestEntry:
         for name in ("id", "image_path", "mask_path"):
             if not getattr(self, name):
                 raise MissingFieldError(f"manifest entry field {name!r} is empty")
+            _check_text(f"manifest entry {name}", getattr(self, name))
+        if self.id.startswith("#"):
+            raise FormatError(f"sample id {self.id!r} starts with '#', as metadata lines do")
         if not 1 <= self.class_id <= 1000:
             raise ValueError(f"class_id {self.class_id} outside 1..1000")
         if self.provenance not in PROVENANCE_TAGS:
@@ -251,6 +267,12 @@ class DatasetManifest:
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_text("manifest name", self.name, _LINE_BREAKS)
+        for key, value in self.metadata.items():
+            _check_text("metadata key", key, _LINE_BREAKS)
+            if "=" in key:
+                raise FormatError(f"metadata key {key!r} holds '='")
+            _check_text(f"metadata value of {key!r}", value, _LINE_BREAKS)
         object.__setattr__(self, "entries", tuple(self.entries))
         seen = set()
         for entry in self.entries:
@@ -389,8 +411,14 @@ def read_embeddings(path) -> EmbeddingSet:
 
 
 def write_embeddings(embeddings: EmbeddingSet, path) -> None:
+    """Write an EMB1 file; values beyond the float32 range are rejected, not
+    stored as infinities."""
+    with np.errstate(over="ignore"):
+        rows = embeddings.rows.astype("<f4")
+    if not np.isfinite(rows).all():
+        raise NonFiniteError("embedding values exceed the float32 range of EMB1")
     header = EMBEDDING_MAGIC + struct.pack("<II", embeddings.count, embeddings.dim)
-    payload = embeddings.rows.astype("<f4").tobytes()
+    payload = rows.tobytes()
     Path(path).write_bytes(header + payload)
 
 
@@ -500,16 +528,19 @@ def read_taxonomy(path) -> ClassTaxonomy:
         if not line or line.startswith("#"):
             continue
         fields = line.split("\t")
+        if (fields[0], len(fields)) not in (("class", 3), ("group", 4)):
+            raise FormatError(f"{path}:{lineno}: unrecognized taxonomy line")
         try:
-            if fields[0] == "class" and len(fields) == 3:
+            if fields[0] == "class":
                 classes[int(fields[1])] = fields[2]
-            elif fields[0] == "group" and len(fields) == 4:
-                groups.setdefault(fields[1], {})[int(fields[2])] = int(fields[3])
             else:
-                raise FormatError(f"{path}:{lineno}: unrecognized taxonomy line")
+                groups.setdefault(fields[1], {})[int(fields[2])] = int(fields[3])
         except ValueError:
             raise FormatError(f"{path}:{lineno}: non-integer id field") from None
-    return ClassTaxonomy(classes=classes, groups=groups)
+    try:
+        return ClassTaxonomy(classes=classes, groups=groups)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -522,7 +553,7 @@ def write_polygons(polys_by_class: dict[int, list[np.ndarray]], path) -> None:
     for cid in sorted(polys_by_class):
         for poly in polys_by_class[cid]:
             pts = np.asarray(getattr(poly, "points", poly), dtype=float)
-            body = ";".join(f"{x:.6f},{y:.6f}" for x, y in pts)
+            body = ";".join(f"{x:.6f},{y:.6f}" for x, y in pts.tolist())
             lines.append(f"{cid}\t{body}")
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 

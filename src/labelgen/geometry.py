@@ -7,10 +7,13 @@ end points, normalize the points to the unit square per axis, then simplify
 with Douglas-Peucker. Perimeter, point count and pairwise Chamfer distance
 are computed on the simplified polygons. The dataset passes at the end
 (analyze_masks, class_polygons, class_mean_shapes) take (class_id, Mask)
-pairs, so callers decide how masks are read.
+pairs, so callers decide how masks are read. They simplify outlines in
+batches and compute Chamfer distances block-wise, with results bit-equal to
+one outline or pair at a time.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +30,11 @@ _DIRS = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
 _DIR_INDEX = {d: i for i, d in enumerate(_DIRS)}
 
 MEAN_SHAPE_RES = 32
+
+# outlines simplified together by the dataset passes
+_SIMPLIFY_BATCH = 256
+# cdist entries per diversity block: one polygon against the later ones
+_DIVERSITY_BLOCK = 1 << 16
 
 
 def foreground_grid(mask) -> np.ndarray:
@@ -236,29 +244,81 @@ def _segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.n
     return np.linalg.norm(points - proj, axis=1)
 
 
-def simplify_chain(points: np.ndarray, epsilon: float) -> np.ndarray:
-    """Douglas-Peucker on an open chain anchored at its end points.
+def _farthest_interior(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """For segments pts[lo]-pts[hi], sorted by interior length, each with at
+    least one interior point: the interior point ``np.argmax`` picks from
+    ``_segment_distances`` (the first maximum, or the first NaN) and its
+    distance, bit for bit.
+
+    The two dot products run as ``(k, L, d) @ (k, d, 1)`` over the k
+    segments with L interior points, so BLAS sums each one in the order it
+    uses for a single segment; the remaining steps are elementwise.
+    """
+    inner = hi - lo - 1
+    a = pts[lo]
+    ab = pts[hi] - a
+    denom = (ab[:, None, :] @ ab[:, :, None]).ravel()
+    # one row per interior point, segment by segment
+    seg = np.repeat(np.arange(len(lo)), inner)
+    row = np.arange(len(seg))
+    row_start = np.cumsum(inner) - inner
+    points = pts[row + (lo + 1 - row_start)[seg]]
+    a_rows, ab_rows = a[seg], ab[seg]
+    rel = points - a_rows
+    dot = np.empty(len(seg))
+    edges = [0, *(np.flatnonzero(np.diff(inner)) + 1).tolist(), len(lo)]
+    for s0, s1 in zip(edges[:-1], edges[1:]):
+        r0, r1 = row_start[s0], row_start[s1 - 1] + inner[s1 - 1]
+        block = rel[r0:r1].reshape(s1 - s0, inner[s0], -1)
+        dot[r0:r1] = (block @ ab[s0:s1, :, None]).ravel()
+    flat = denom == 0.0
+    t = np.clip(dot / np.where(flat, 1.0, denom)[seg], 0.0, 1.0)
+    t[flat[seg]] = 0.0  # a point segment: the distance to its end point
+    dists = np.linalg.norm(points - (a_rows + t[:, None] * ab_rows), axis=1)
+    far = np.maximum.reduceat(dists, row_start)
+    row[(dists != far[seg]) & ~np.isnan(dists)] = len(seg)
+    return np.minimum.reduceat(row, row_start) - row_start + lo + 1, far
+
+
+def simplify_chains(chains, epsilon: float) -> list[np.ndarray]:
+    """Douglas-Peucker on open chains anchored at their end points.
 
     Interior points are dropped only when their maximum segment deviation is
     strictly below epsilon, so epsilon=0 is the identity.
+
+    Each round splits every open segment of every chain at one recursion
+    depth; a segment's outcome depends only on its end points, so the kept
+    points are those of the recursive algorithm, and the split points are
+    those of ``_segment_distances`` per segment, bit for bit.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    n = len(pts)
-    keep = np.zeros(n, dtype=bool)
-    keep[0] = keep[n - 1] = True
-    stack = [(0, n - 1)]
-    while stack:
-        a, b = stack.pop()
-        if b - a < 2:
-            continue
-        dists = _segment_distances(pts[a + 1 : b], pts[a], pts[b])
-        split = a + 1 + int(np.argmax(dists))
-        if dists[split - a - 1] < epsilon:
-            continue
-        keep[split] = True
-        stack.append((a, split))
-        stack.append((split, b))
-    return pts[keep]
+    arrays = [np.asarray(c, dtype=np.float64) for c in chains]
+    if not arrays:
+        return []
+    if any(len(a) == 0 for a in arrays):
+        raise ValueError("cannot simplify an empty chain")
+    pts = np.concatenate(arrays)
+    sizes = np.array([len(a) for a in arrays])
+    first = np.cumsum(sizes) - sizes
+    keep = np.zeros(len(pts), dtype=bool)
+    keep[first] = keep[first + sizes - 1] = True
+    lo, hi = first, first + sizes - 1
+    while True:
+        wide = hi - lo >= 2
+        if not wide.any():
+            break
+        order = np.argsort((hi - lo)[wide], kind="stable")
+        lo, hi = lo[wide][order], hi[wide][order]
+        split, far = _farthest_interior(pts, lo, hi)
+        cut = ~(far < epsilon)
+        keep[split[cut]] = True
+        lo = np.concatenate([lo[cut], split[cut]])
+        hi = np.concatenate([split[cut], hi[cut]])
+    return [pts[s : s + n][keep[s : s + n]] for s, n in zip(first.tolist(), sizes.tolist())]
+
+
+def simplify_chain(points: np.ndarray, epsilon: float) -> np.ndarray:
+    """Douglas-Peucker on one open chain; see ``simplify_chains``."""
+    return simplify_chains([points], epsilon)[0]
 
 
 def _extremal_triangle(points: np.ndarray) -> np.ndarray:
@@ -270,6 +330,22 @@ def _extremal_triangle(points: np.ndarray) -> np.ndarray:
     return points[idx]
 
 
+def _simplified_polygon(poly: Polygon, simplified: np.ndarray) -> Polygon:
+    if len(simplified) < 3:
+        simplified = _extremal_triangle(poly.points)
+    if len(simplified) < 3:
+        return Polygon(simplified, degenerate=True)
+    return Polygon(simplified)
+
+
+def simplify_polygons(polys, epsilon: float = 0.01) -> list[Polygon]:
+    """``simplify_dp`` of each polygon, with the chains simplified in one batch."""
+    polys = list(polys)
+    usable = [p for p in polys if not p.degenerate]
+    chains = iter(simplify_chains([p.points for p in usable], epsilon))
+    return [p if p.degenerate else _simplified_polygon(p, next(chains)) for p in polys]
+
+
 def simplify_dp(poly, epsilon: float = 0.01):
     """Simplify a polygon or chain with the Douglas-Peucker algorithm.
 
@@ -279,14 +355,7 @@ def simplify_dp(poly, epsilon: float = 0.01):
     """
     if not isinstance(poly, Polygon):
         return simplify_chain(poly, epsilon)
-    if poly.degenerate:
-        return poly
-    simplified = simplify_chain(poly.points, epsilon)
-    if len(simplified) < 3:
-        simplified = _extremal_triangle(poly.points)
-    if len(simplified) < 3:
-        return Polygon(simplified, degenerate=True)
-    return Polygon(simplified)
+    return simplify_polygons([poly], epsilon)[0]
 
 
 # --------------------------------------------------------------------------
@@ -333,13 +402,47 @@ def shape_diversity_by_class(polys_by_class) -> tuple[dict, list]:
             skipped.append(cid)
             continue
         total = 0.0
-        pairs = 0
-        for i in range(len(polys)):
-            for j in range(i + 1, len(polys)):
-                total += chamfer(polys[i], polys[j])
-                pairs += 1
-        per_class[cid] = total / pairs
+        for value in _class_chamfers(polys):  # not sum(): 3.12 compensates its rounding
+            total += value
+        per_class[cid] = total / (len(polys) * (len(polys) - 1) // 2)
     return per_class, skipped
+
+
+def _class_chamfers(polys):
+    """``chamfer(polys[i], polys[j])`` for i < j, in (i, j) order.
+
+    One cdist runs from polygon i to a block of the polygons after it, capped
+    at about ``_DIVERSITY_BLOCK`` entries. Distances and minima are exact, and
+    each pair's two minima are summed as contiguous arrays of the pair's own
+    lengths, so every value equals ``chamfer`` bit for bit.
+    """
+    sets = [np.atleast_2d(np.asarray(getattr(p, "points", p), dtype=float)) for p in polys]
+    if any(s.size == 0 for s in sets):
+        raise ValueError("chamfer distance requires nonempty point sets")
+    points = np.concatenate(sets)
+    sizes = np.array([len(s) for s in sets])
+    ends = np.cumsum(sizes)
+    for i, pa in enumerate(sets[:-1]):
+        j0 = i + 1
+        while j0 < len(sets):
+            start = ends[j0 - 1]
+            j1 = max(j0 + 1, int(np.searchsorted(ends, start + _DIVERSITY_BLOCK // len(pa),
+                                                 side="right")))
+            cuts = ends[j0 - 1:j1 - 1] - start
+            row_mins, col_mins = _block_minima(pa, points[start:ends[j1 - 1]], cuts)
+            for row_min, c0, c1 in zip(row_mins, cuts, ends[j0:j1] - start):
+                yield float(row_min.sum() + col_mins[c0:c1].sum())
+            j0 = j1
+
+
+def _block_minima(pa: np.ndarray, block: np.ndarray, cuts: np.ndarray):
+    """Minimum squared distance from each point of pa to each polygon of the
+    block (one contiguous row per polygon), and from each block point to pa.
+
+    The distance matrix is freed on return, before the next block's is made.
+    """
+    d2 = cdist(pa, block, "sqeuclidean")
+    return np.minimum.reduceat(d2, cuts, axis=1).T.copy(), d2.min(axis=0)
 
 
 def shape_diversity(polys_by_class) -> float:
@@ -394,8 +497,9 @@ def geometry_report(polys_by_class) -> GeometryReport:
 # mean shapes
 # --------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=256)
 def _box_weights(n_in: int, n_out: int) -> np.ndarray:
-    """Row-stochastic overlap matrix for area-weighted box resampling."""
+    """Row-stochastic overlap matrix for area-weighted box resampling (read-only)."""
     scale = n_in / n_out
     weights = np.zeros((n_out, n_in))
     for i in range(n_out):
@@ -404,6 +508,7 @@ def _box_weights(n_in: int, n_out: int) -> np.ndarray:
         for j in range(j0, j1):
             weights[i, j] = min(hi, j + 1) - max(lo, j)
     weights /= weights.sum(axis=1, keepdims=True)
+    weights.flags.writeable = False
     return weights
 
 
@@ -493,24 +598,45 @@ def mean_shapes(masks, k: int = 5, seed: int = 0, class_id: int | None = None) -
 # dataset passes over (class_id, Mask) pairs
 # --------------------------------------------------------------------------
 
-def _add_polygon(polys_by_class: dict, class_id: int, mask, min_pixels: int,
-                 epsilon: float) -> None:
-    """Append the mask's simplified largest-component outline under its class,
-    unless the component is below min_pixels or the outline is degenerate."""
-    poly = largest_component_polygon(mask, min_pixels=min_pixels)
-    if poly is None:
-        return
-    simplified = simplify_dp(poly, epsilon)
-    if not simplified.degenerate:
-        polys_by_class.setdefault(class_id, []).append(simplified)
+class _Outlines:
+    """Simplified largest-component outlines grouped by class id, in mask order.
+
+    Outlines are traced as masks arrive and simplified in batches of
+    ``_SIMPLIFY_BATCH``, so memory stays flat however many masks stream in.
+    Outlines below min_pixels or degenerate after simplification are left out.
+    """
+
+    def __init__(self, min_pixels: int, epsilon: float):
+        self.min_pixels = min_pixels
+        self.epsilon = epsilon
+        self.by_class: dict[int, list[Polygon]] = {}
+        self._pending: list[tuple[int, Polygon]] = []
+
+    def add(self, class_id: int, mask) -> None:
+        poly = largest_component_polygon(mask, min_pixels=self.min_pixels)
+        if poly is not None and not poly.degenerate:
+            self._pending.append((class_id, poly))
+            if len(self._pending) == _SIMPLIFY_BATCH:
+                self._flush()
+
+    def _flush(self) -> None:
+        simplified = simplify_polygons([poly for _, poly in self._pending], self.epsilon)
+        for (class_id, _), poly in zip(self._pending, simplified):
+            if not poly.degenerate:
+                self.by_class.setdefault(class_id, []).append(poly)
+        self._pending.clear()
+
+    def result(self) -> dict[int, list[Polygon]]:
+        self._flush()
+        return self.by_class
 
 
 def class_polygons(pairs, min_pixels: int = 100, epsilon: float = 0.01) -> dict:
     """Simplified normalized outlines grouped by class id, in mask order."""
-    polys_by_class: dict[int, list[Polygon]] = {}
+    outlines = _Outlines(min_pixels, epsilon)
     for class_id, mask in pairs:
-        _add_polygon(polys_by_class, class_id, mask, min_pixels, epsilon)
-    return polys_by_class
+        outlines.add(class_id, mask)
+    return outlines.result()
 
 
 def class_mean_shapes(pairs, k: int = 5, seed: int = 0) -> tuple[list, list]:
@@ -603,7 +729,7 @@ def analyze_masks(name: str, pairs, min_pixels: int = 100,
     instance_counts = []
     mi, bi, mb = [], [], []
     fg_total = bbox_total = pixel_total = 0
-    polys_by_class: dict[int, list[Polygon]] = {}
+    outlines = _Outlines(min_pixels, epsilon)
     for class_id, mask in pairs:
         stats = mask_stats(mask)
         instance_counts.append(stats.instance_count)
@@ -615,9 +741,10 @@ def analyze_masks(name: str, pairs, min_pixels: int = 100,
         pixel_total += pixels
         fg_total += round(stats.mask_over_image * pixels)
         bbox_total += round(stats.bbox_over_image * pixels)
-        _add_polygon(polys_by_class, class_id, mask, min_pixels, epsilon)
+        outlines.add(class_id, mask)
     if not instance_counts:
         raise ValueError("empty dataset")
+    polys_by_class = outlines.result()
     if polys_by_class:
         report = geometry_report(polys_by_class)
         pl, sc, sd = report.polygon_length, report.shape_complexity, report.shape_diversity

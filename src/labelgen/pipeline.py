@@ -90,6 +90,7 @@ class PipelineSpec:
             raise ValueError(f"mode must be offline or online, got {self.mode!r}")
         if self.mode == "offline" and self.n < 1:
             raise ValueError("offline mode needs n >= 1")
+        DatasetManifest(self.name, ())  # the name must be one a manifest can hold
 
 
 def _sample_seed(root: int, counter: int) -> int:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import xlogy
 
 _DIST_TOL = 1e-9
 
@@ -129,6 +128,10 @@ def _class_sum(t: np.ndarray) -> np.ndarray:
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:
+    # imported here: scipy.special is most of a cold start, and most
+    # commands never compute an entropy
+    from scipy.special import xlogy
+
     return -_class_sum(xlogy(p, p))
 
 

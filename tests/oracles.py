@@ -97,6 +97,62 @@ def recursive_dp(points, epsilon):
     return points[rec(0, len(points) - 1)]
 
 
+def _segment_distances(points, a, b):
+    """Distance from each point to the segment a-b, one numpy call at a time."""
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        return np.linalg.norm(points - a, axis=1)
+    t = np.clip((points - a) @ ab / denom, 0.0, 1.0)
+    proj = a + t[:, None] * ab
+    return np.linalg.norm(points - proj, axis=1)
+
+
+def segment_dp(points, epsilon):
+    """Douglas-Peucker one segment at a time from a stack, with numpy distances.
+
+    The per-segment form the batched library version must equal bit for bit:
+    the same dot products, each for one segment.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    n = len(pts)
+    keep = np.zeros(n, dtype=bool)
+    keep[0] = keep[n - 1] = True
+    stack = [(0, n - 1)]
+    while stack:
+        a, b = stack.pop()
+        if b - a < 2:
+            continue
+        dists = _segment_distances(pts[a + 1 : b], pts[a], pts[b])
+        split = a + 1 + int(np.argmax(dists))
+        if dists[split - a - 1] < epsilon:
+            continue
+        keep[split] = True
+        stack.append((a, split))
+        stack.append((split, b))
+    return pts[keep]
+
+
+def pairwise_diversity(polys_by_class):
+    """Per-class mean Chamfer over every pair, one cdist per pair in (i, j) order."""
+    from scipy.spatial.distance import cdist
+
+    per_class = {}
+    for cid in sorted(polys_by_class):
+        polys = [np.atleast_2d(np.asarray(getattr(p, "points", p), dtype=float))
+                 for p in polys_by_class[cid]]
+        if len(polys) < 2:
+            continue
+        total, pairs = 0.0, 0
+        for i in range(len(polys)):
+            for j in range(i + 1, len(polys)):
+                d2 = cdist(polys[i], polys[j], "sqeuclidean")
+                total += float(d2.min(axis=1).sum() + d2.min(axis=0).sum())
+                pairs += 1
+        per_class[cid] = total / pairs
+    return per_class
+
+
 def pixel_iou(pred, gt, class_map, num_labels, include_background):
     """Set-based per-class IoU over mapped ground-truth labels."""
     pred = np.asarray(pred)

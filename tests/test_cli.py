@@ -66,6 +66,20 @@ def test_cli_import_leaves_analysis_scipy_unloaded():
     assert result.returncode == 0, result.stderr
 
 
+def test_cli_import_leaves_scipy_special_unloaded_until_an_entropy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, labelgen.cli\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "from labelgen.sampling import js_divergence\n"
+        "assert abs(js_divergence([[1.0, 0.0], [0.0, 1.0]]) - 0.6931471805599453) < 1e-12\n"
+        "assert 'scipy.special' in sys.modules\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+
+
 def test_unknown_package_attribute_raises():
     import labelgen
 
@@ -173,6 +187,16 @@ def test_corrupt_manifest_exits_two(tmp_path, capsys):
 
 def test_missing_file_exits_two(tmp_path, capsys):
     assert main(["analyze", "--manifest", str(tmp_path / "nope.txt")]) == 2
+
+
+@pytest.mark.parametrize("command", ["synth", "stream"])
+def test_dataset_name_that_would_not_read_back_exits_two(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    count = "--n" if command == "synth" else "--count"
+    assert main([command, count, "1", "--name", "a\u2028b", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("labelgen: data error:") and "manifest name" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("classes", ["255", "256"])

@@ -3,7 +3,9 @@
 For every format, reading back what was written gives the written value to
 the format's precision (exact for netpbm, manifests and taxonomies, float32
 for EMB1, 6 decimals for polygon files), and writing what was read gives
-the same bytes again.
+the same bytes again. Manifests and taxonomies whose text would not read
+back (a tab or line break in a field, an id read as a metadata line) are
+rejected when they are built.
 """
 import numpy as np
 import pytest
@@ -40,6 +42,9 @@ PROPERTY = settings(max_examples=60, deadline=None,
 
 # text fields are one line with no tab: no control, line or paragraph separators
 FIELD_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
+# any text, tabs and line breaks included, and biased towards them
+ANY_TEXT = st.text(st.characters(blacklist_categories=("Cs",)) | st.sampled_from(
+    "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029#=/."), max_size=8)
 
 
 def _round_trip(write, read, value, path):
@@ -124,6 +129,36 @@ _ENTRY = st.builds(
 )
 
 
+def _one_line(text):
+    return len(f"x{text}x".splitlines()) == 1
+
+
+def _one_field(text):
+    return "\t" not in text and _one_line(text)
+
+
+@PROPERTY
+@given(sid=ANY_TEXT.filter(bool), image_path=ANY_TEXT.filter(bool), name=ANY_TEXT,
+       key=ANY_TEXT, value=ANY_TEXT)
+def test_manifest_round_trip_or_rejection(tmp_path, sid, image_path, name, key, value):
+    """Any text either reads back exactly or is rejected when the manifest is built."""
+    reads_back = (_one_field(sid) and not sid.startswith("#") and _one_field(image_path)
+                  and _one_line(name) and _one_line(key) and "=" not in key and _one_line(value))
+    try:
+        entry = ManifestEntry(id=sid, class_id=1, image_path=image_path, mask_path="m.pgm",
+                              provenance="toy")
+        manifest = DatasetManifest(name, (entry,), {key: value})
+    except FormatError:
+        # paths that leave the manifest directory are rejected too
+        assert not reads_back or image_path.startswith("/") or ".." in image_path.split("/")
+        return
+    assert reads_back
+    back, first, again = _round_trip(write_manifest, read_manifest, manifest,
+                                     tmp_path / "manifest.txt")
+    assert back == manifest
+    assert again == first
+
+
 @PROPERTY
 @given(name=FIELD_TEXT,
        entries=st.lists(_ENTRY, max_size=6, unique_by=lambda e: e.id),
@@ -157,6 +192,23 @@ def _taxonomies(draw):
 @PROPERTY
 @given(taxonomy=_taxonomies())
 def test_taxonomy_round_trip(tmp_path, taxonomy):
+    back, first, again = _round_trip(write_taxonomy, read_taxonomy, taxonomy,
+                                     tmp_path / "taxonomy.txt")
+    assert back == taxonomy
+    assert again == first
+
+
+@PROPERTY
+@given(class_name=ANY_TEXT, task=ANY_TEXT)
+def test_taxonomy_round_trip_or_rejection(tmp_path, class_name, task):
+    """Any class or task name either reads back exactly or is rejected when
+    the taxonomy is built."""
+    try:
+        taxonomy = ClassTaxonomy({1: class_name, 2: "b"}, {task: {1: 1, 2: 1}})
+    except FormatError:
+        assert not (_one_field(class_name) and _one_field(task))
+        return
+    assert _one_field(class_name) and _one_field(task)
     back, first, again = _round_trip(write_taxonomy, read_taxonomy, taxonomy,
                                      tmp_path / "taxonomy.txt")
     assert back == taxonomy

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,20 @@ def test_embeddings_nan_rejected(tmp_path):
         read_embeddings(path)
 
 
+def test_embeddings_beyond_float32_rejected_before_writing(tmp_path):
+    path = tmp_path / "e.emb"
+    big = float(np.finfo(np.float32).max) * 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="float32"):
+            write_embeddings(EmbeddingSet([[big], [0.0]]), path)
+        assert not path.exists()
+        # the largest float32 itself is stored
+        top = float(np.finfo(np.float32).max)
+        write_embeddings(EmbeddingSet([[top], [-top]]), path)
+    assert read_embeddings(path).rows.tolist() == [[top], [-top]]
+
+
 def test_embeddings_bad_magic(tmp_path):
     path = tmp_path / "e.emb"
     path.write_bytes(b"NOPE" + bytes(8))
@@ -255,6 +271,48 @@ def test_taxonomy_roundtrip(tmp_path):
     back = read_taxonomy(path)
     assert back.classes == taxonomy.classes
     assert back.groups == taxonomy.groups
+
+
+@pytest.mark.parametrize("line, message", [
+    ("klass\t1\ta", "unrecognized taxonomy line"),
+    ("class\t1", "unrecognized taxonomy line"),
+    ("group\tt\t1", "unrecognized taxonomy line"),
+    ("class\tone\ta", "non-integer id field"),
+    ("group\tt\t1\tx", "non-integer id field"),
+])
+def test_read_taxonomy_names_what_is_wrong(tmp_path, line, message):
+    path = tmp_path / "tax.txt"
+    path.write_text("class\t1\ta\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=f"tax.txt:2: {message}$"):
+        read_taxonomy(path)
+
+
+def test_read_taxonomy_names_the_file_of_a_bad_group_table(tmp_path):
+    path = tmp_path / "tax.txt"
+    path.write_text("class\t1\ta\nclass\t2\tb\ngroup\tt\t1\t1\ngroup\tt\t2\t3\n")
+    with pytest.raises(FormatError, match="tax.txt: task 't' labels are not contiguous"):
+        read_taxonomy(path)
+
+
+@pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb", "a\x85b", "a\u2028b"])
+def test_taxonomy_rejects_names_that_would_not_read_back(name):
+    with pytest.raises(FormatError, match="class 1 name"):
+        ClassTaxonomy(classes={1: name})
+    with pytest.raises(FormatError, match="task name"):
+        ClassTaxonomy(classes={1: "a"}, groups={name: {1: 1}})
+
+
+@pytest.mark.parametrize("field", ["id", "image_path", "mask_path"])
+@pytest.mark.parametrize("text", ["a\tb", "a\nb", "a\rb", "a\x0bb", "a\x1cb", "a\u2029b"])
+def test_manifest_rejects_fields_that_would_not_read_back(field, text):
+    with pytest.raises(FormatError, match=field):
+        _entry(0, **{field: text})
+
+
+def test_manifest_rejects_ids_read_as_metadata():
+    with pytest.raises(FormatError, match="'#'"):
+        _entry(0, id="#a=b")
+    assert _entry(0, id="a#b").id == "a#b"
 
 
 def test_taxonomy_contiguity_enforced():

@@ -363,6 +363,17 @@ def _blob(kind, res=24):
     return grid
 
 
+def test_box_weights_are_cached_read_only_and_row_stochastic():
+    from labelgen.geometry import _box_weights
+
+    weights = _box_weights(45, 32)
+    assert _box_weights(45, 32) is weights
+    assert not weights.flags.writeable
+    np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    with pytest.raises(ValueError):
+        weights[0, 0] = 1.0
+
+
 def test_mean_shapes_identical_masks():
     masks = [_blob("disk")] * 5
     result = mean_shapes(masks, k=5, seed=0)
