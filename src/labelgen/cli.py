@@ -7,7 +7,8 @@ the default seed 0; an explicit --seed flag wins over both.
 Exit codes: 0 success; 1 when the command line does not parse (an unknown
 flag, a missing required flag, a non-integer --n); 2 when a parsed value or
 an input file is rejected (--n 0, --res 100, a negative --truncation, a
-non-integer LABELGEN_SEED, a malformed manifest). Errors print one line to
+negative --count, a negative or NaN --epsilon, --k 0, a non-integer
+LABELGEN_SEED, a malformed manifest). Errors print one line to
 stderr, never a traceback.
 """
 from __future__ import annotations

@@ -4,8 +4,12 @@ The polygon pipeline mirrors the usual contour workflow: take the largest
 8-connected foreground component, trace its outer boundary clockwise,
 compress straight (horizontal/vertical/diagonal) pixel runs down to their
 end points, normalize the points to the unit square per axis, then simplify
-with Douglas-Peucker. Perimeter, point count and pairwise Chamfer distance
-are computed on the simplified polygons. The dataset passes at the end
+with Douglas-Peucker. Per mask this costs a few numpy calls: one labelling
+picks the largest component, bounding boxes come from row and column
+projections, and the boundary walk runs over a byte copy of the padded grid
+with module-level tables of moves, so each step is a few list and bytes
+lookups rather than numpy indexing. Perimeter, point count and pairwise
+Chamfer distance are computed on the simplified polygons. The dataset passes at the end
 (analyze_masks, class_polygons, class_mean_shapes) take (class_id, Mask)
 pairs, so callers decide how masks are read. They simplify outlines in
 batches and compute Chamfer distances block-wise, with results bit-equal to
@@ -27,7 +31,12 @@ _EIGHT = np.ones((3, 3), dtype=bool)
 
 # clockwise neighbor ring in image coordinates (y down): N NE E SE S SW W NW
 _DIRS = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
-_DIR_INDEX = {d: i for i, d in enumerate(_DIRS)}
+_WEST = 6
+# the directions a trace tries, in order, when its back pixel lies in direction b
+_TRY_ORDER = tuple(tuple((b + step) % 8 for step in range(1, 9)) for b in range(8))
+# after a move in direction d, the direction from the pixel moved to of the new
+# back pixel, the neighbor tried just before d: _DIRS[d - 1] - _DIRS[d]
+_BACK_AFTER = (6, 6, 0, 0, 2, 2, 4, 4)
 
 MEAN_SHAPE_RES = 32
 
@@ -55,7 +64,9 @@ def connected_components(mask) -> list[np.ndarray]:
     """8-connected foreground components as boolean grids.
 
     Ordered by pixel count descending; ties broken by the smallest row-major
-    index of the component's top-left pixel.
+    index of the component's top-left pixel. The outline passes take only
+    the first of these, from one labelling (``_largest_component``); the
+    tests hold that choice to this order.
     """
     fg = foreground_grid(mask)
     labeled, n = ndimage.label(fg, structure=_EIGHT)
@@ -85,15 +96,23 @@ class MaskStats:
     mask_over_bbox: float
 
 
+def _bbox(fg: np.ndarray) -> tuple[int, int, int, int]:
+    """Inclusive (top, bottom, left, right) of a nonempty grid's foreground,
+    from its row and column projections."""
+    rows = np.flatnonzero(fg.any(axis=1))
+    cols = np.flatnonzero(fg.any(axis=0))
+    return int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1])
+
+
 def mask_stats(mask) -> MaskStats:
     fg = foreground_grid(mask)
     h, w = fg.shape
-    area = int(fg.sum())
+    area = int(np.count_nonzero(fg))
     if area == 0:
         return MaskStats(0, 0.0, 0.0, 0.0)
     n = ndimage.label(fg, structure=_EIGHT)[1]
-    ys, xs = np.nonzero(fg)
-    bbox = int(ys.max() - ys.min() + 1) * int(xs.max() - xs.min() + 1)
+    top, bottom, left, right = _bbox(fg)
+    bbox = (bottom - top + 1) * (right - left + 1)
     return MaskStats(
         instance_count=int(n),
         mask_over_image=area / (w * h),
@@ -110,9 +129,9 @@ def center_scatter(masks) -> np.ndarray:
         if not fg.any():
             continue
         h, w = fg.shape
-        ys, xs = np.nonzero(fg)
-        cx = (int(xs.min()) + int(xs.max()) + 1) / 2 / w
-        cy = (int(ys.min()) + int(ys.max()) + 1) / 2 / h
+        top, bottom, left, right = _bbox(fg)
+        cx = (left + right + 1) / 2 / w
+        cy = (top + bottom + 1) / 2 / h
         centers.append((cx, cy))
     return np.array(centers, dtype=float).reshape(-1, 2)
 
@@ -155,36 +174,43 @@ def trace_boundary(component: np.ndarray) -> np.ndarray:
     """Clockwise outer-boundary pixels of a connected component.
 
     Moore-neighbor tracing starting at the top-left foreground pixel, with
-    the entered-from-the-same-direction stopping rule. Returns (n, 2) pixel
-    coordinates as (x, y); boundary pixels of one-pixel-wide parts appear
-    once per traversal direction, as a boundary walk does.
+    the entered-from-the-same-direction stopping rule, for at most
+    8 * area + 8 moves. Returns (n, 2) pixel coordinates as (x, y); boundary
+    pixels of one-pixel-wide parts appear once per traversal direction, as a
+    boundary walk does.
+
+    The walk runs on a byte copy of the zero-padded grid. Its state is the
+    flat position and the direction of the back pixel (the background pixel
+    it entered from); a move in direction d tries the eight neighbors
+    clockwise after the back direction (``_TRY_ORDER``), steps by that
+    direction's flat offset and takes ``_BACK_AFTER[d]`` as the new back
+    direction. The walk stops when the start state (start pixel, back pixel
+    to the west) comes round again.
     """
     comp = np.asarray(component, dtype=bool)
-    ys, xs = np.nonzero(comp)
-    if ys.size == 0:
+    padded = np.zeros((comp.shape[0] + 2, comp.shape[1] + 2), dtype=bool)
+    padded[1:-1, 1:-1] = comp
+    start = int(np.argmax(padded))
+    if not padded.flat[start]:
         raise ValueError("cannot trace an empty component")
-    grid = np.pad(comp, 1)
-    cy, cx = int(ys[0]) + 1, int(xs[0]) + 1
-    by, bx = cy, cx - 1
-    start, start_back = (cy, cx), (by, bx)
-    pixels = [(cx, cy)]
-    limit = 8 * ys.size + 8
-    for _ in range(limit):
-        base = _DIR_INDEX[(by - cy, bx - cx)]
-        for step in range(1, 9):
-            dy, dx = _DIRS[(base + step) % 8]
-            ny, nx = cy + dy, cx + dx
-            if grid[ny, nx]:
-                py, px = _DIRS[(base + step - 1) % 8]
-                by, bx = cy + py, cx + px
-                cy, cx = ny, nx
+    grid = padded.tobytes()
+    width = padded.shape[1]
+    offsets = [dy * width + dx for dy, dx in _DIRS]
+    pos, back = start, _WEST
+    positions = [pos]
+    for _ in range(8 * int(np.count_nonzero(padded)) + 8):
+        for d in _TRY_ORDER[back]:
+            if grid[pos + offsets[d]]:
                 break
         else:
             break  # isolated pixel
-        if (cy, cx) == start and (by, bx) == start_back:
+        pos += offsets[d]
+        back = _BACK_AFTER[d]
+        if pos == start and back == _WEST:
             break
-        pixels.append((cx, cy))
-    return np.array(pixels, dtype=np.float64) - 1.0
+        positions.append(pos)
+    rows, cols = np.divmod(np.array(positions), width)
+    return np.stack([cols, rows], axis=1) - 1.0
 
 
 def compress_collinear(pixels: np.ndarray) -> np.ndarray:
@@ -192,8 +218,10 @@ def compress_collinear(pixels: np.ndarray) -> np.ndarray:
     pts = np.asarray(pixels)
     if len(pts) < 3:
         return pts
-    steps = np.diff(pts, axis=0, append=pts[:1])
-    keep = np.any(steps != np.roll(steps, 1, axis=0), axis=1)
+    # steps[i] enters point i and steps[i + 1] leaves it
+    cycle = np.concatenate((pts[-1:], pts, pts[:1]))
+    steps = cycle[1:] - cycle[:-1]
+    keep = (steps[1:] != steps[:-1]).any(axis=1)
     if not keep.any():
         return pts[:1]
     return pts[keep]
@@ -212,13 +240,25 @@ def normalize_unit(points: np.ndarray) -> tuple[np.ndarray, bool]:
     return out, degenerate
 
 
+def _largest_component(fg: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """``connected_components(fg)[0]`` and its pixel count from one labelling;
+    (None, 0) for an empty grid."""
+    labeled, n = ndimage.label(fg, structure=_EIGHT)
+    if n == 0:
+        return None, 0
+    if n == 1:
+        return fg, int(np.count_nonzero(fg))
+    # ndimage.label numbers components in the raster order of their first
+    # pixels, so argmax's first maximum is connected_components' tie-break
+    counts = np.bincount(labeled.ravel())
+    label = int(np.argmax(counts[1:])) + 1
+    return labeled == label, int(counts[label])
+
+
 def largest_component_polygon(mask, min_pixels: int = 100) -> Polygon | None:
     """Normalized outline of the largest component, or None below min_pixels."""
-    comps = connected_components(mask)
-    if not comps:
-        return None
-    largest = comps[0]
-    if int(largest.sum()) < min_pixels:
+    largest, area = _largest_component(foreground_grid(mask))
+    if largest is None or area < min_pixels:
         return None
     contour = compress_collinear(trace_boundary(largest))
     points, degenerate = normalize_unit(contour)
@@ -517,8 +557,8 @@ def crop_resize_shape(mask, res: int = MEAN_SHAPE_RES) -> np.ndarray:
     fg = foreground_grid(mask)
     if not fg.any():
         raise ValueError("cannot crop an empty mask")
-    ys, xs = np.nonzero(fg)
-    crop = fg[ys.min() : ys.max() + 1, xs.min() : xs.max() + 1].astype(np.float64)
+    top, bottom, left, right = _bbox(fg)
+    crop = fg[top : bottom + 1, left : right + 1].astype(np.float64)
     wr = _box_weights(crop.shape[0], res)
     wc = _box_weights(crop.shape[1], res)
     return wr @ crop @ wc.T
@@ -573,12 +613,18 @@ class MeanShapeSet:
     class_id: int | None = None
 
 
+def _check_cluster_count(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+
+
 def mean_shapes(masks, k: int = 5, seed: int = 0, class_id: int | None = None) -> MeanShapeSet:
     """Cluster bbox-cropped, 32x32-resized masks with seeded k-means.
 
     Uses k-means++ initialization and Lloyd iterations until the assignment
     reaches a fixpoint (at most 100 rounds); deterministic for a given seed.
     """
+    _check_cluster_count(k)
     vectors = []
     for mask in masks:
         fg = foreground_grid(mask)
@@ -607,6 +653,10 @@ class _Outlines:
     """
 
     def __init__(self, min_pixels: int, epsilon: float):
+        if min_pixels < 0:
+            raise ValueError(f"min_pixels must be >= 0, got {min_pixels}")
+        if not epsilon >= 0:  # also rejects NaN, which would keep every point
+            raise ValueError(f"epsilon must be a number >= 0, got {epsilon}")
         self.min_pixels = min_pixels
         self.epsilon = epsilon
         self.by_class: dict[int, list[Polygon]] = {}
@@ -645,6 +695,7 @@ def class_mean_shapes(pairs, k: int = 5, seed: int = 0) -> tuple[list, list]:
     Returns the MeanShapeSets and the ids of the classes skipped for having
     fewer than k nonempty masks.
     """
+    _check_cluster_count(k)
     by_class: dict[int, list] = {}
     for class_id, mask in pairs:
         if foreground_grid(mask).any():

@@ -341,6 +341,8 @@ def synth_online(spec: PipelineSpec) -> OnlineStream:
 
 def write_stream(spec: PipelineSpec, count: int) -> DatasetManifest:
     """Materialize the first ``count`` samples of an online stream to disk."""
+    if count < 0:
+        raise ValueError(f"stream count must be >= 0, got {count}")
     if spec.out_dir is None:
         raise ValueError("writing a stream needs an output directory")
     stream = synth_online(spec)

@@ -35,6 +35,46 @@ def flood_fill_components(foreground):
     return components
 
 
+# clockwise neighbor ring in image coordinates (y down): N NE E SE S SW W NW
+_DIRS = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
+_DIR_INDEX = {d: i for i, d in enumerate(_DIRS)}
+
+
+def moore_trace(component):
+    """Clockwise Moore-neighbor boundary walk with coordinate tuples.
+
+    Starts at the top-left foreground pixel, entered from its west neighbor,
+    and stops when it re-enters the start pixel from that neighbor or after
+    8 * area + 8 moves. Returns (n, 2) float (x, y) pixel coordinates.
+    """
+    comp = np.asarray(component, dtype=bool)
+    ys, xs = np.nonzero(comp)
+    if ys.size == 0:
+        raise ValueError("cannot trace an empty component")
+    grid = np.pad(comp, 1)
+    cy, cx = int(ys[0]) + 1, int(xs[0]) + 1
+    by, bx = cy, cx - 1
+    start, start_back = (cy, cx), (by, bx)
+    pixels = [(cx, cy)]
+    limit = 8 * ys.size + 8
+    for _ in range(limit):
+        base = _DIR_INDEX[(by - cy, bx - cx)]
+        for step in range(1, 9):
+            dy, dx = _DIRS[(base + step) % 8]
+            ny, nx = cy + dy, cx + dx
+            if grid[ny, nx]:
+                py, px = _DIRS[(base + step - 1) % 8]
+                by, bx = cy + py, cx + px
+                cy, cx = ny, nx
+                break
+        else:
+            break  # isolated pixel
+        if (cy, cx) == start and (by, bx) == start_back:
+            break
+        pixels.append((cx, cy))
+    return np.array(pixels, dtype=np.float64) - 1.0
+
+
 def hand_mask_stats(foreground):
     """Loop-based instance count, area ratios and bbox ratios."""
     fg = np.asarray(foreground, dtype=bool)

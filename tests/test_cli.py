@@ -130,6 +130,33 @@ def test_no_subcommand_exits_one(capsys):
     assert main([]) == 1
 
 
+MANIFEST = "<manifest>"  # stands for a readable one-mask manifest
+
+
+def _one_mask_manifest(directory: Path) -> Path:
+    grid = np.zeros((16, 16), dtype=np.uint8)
+    grid[2:12, 3:9] = 1
+    (directory / "masks").mkdir()
+    write_mask(Mask(grid), directory / "masks" / "a.pgm")
+    manifest = directory / "manifest.txt"
+    manifest.write_text("LGKITv1 x\na\t1\timages/a.ppm\tmasks/a.pgm\ttoy\t-\t-\t-\n")
+    return manifest
+
+
+# the whole stderr line of rows whose rejection has its own message
+REASONS = {
+    ("stream", "--count", "-2"): "stream count must be >= 0, got -2",
+    ("meanshapes", "--k", "0"): "k must be at least 1, got 0",
+    ("meanshapes", "--k", "-1"): "k must be at least 1, got -1",
+    ("analyze", "--epsilon", "nan"): "epsilon must be a number >= 0, got nan",
+    ("analyze", "--epsilon", "-0.01"): "epsilon must be a number >= 0, got -0.01",
+    ("analyze", "--min-pixels", "-1"): "min_pixels must be >= 0, got -1",
+    ("geometry", "--epsilon", "nan"): "epsilon must be a number >= 0, got nan",
+    ("geometry", "--epsilon", "-1"): "epsilon must be a number >= 0, got -1.0",
+    ("geometry", "--min-pixels", "-5"): "min_pixels must be >= 0, got -5",
+}
+
+
 @pytest.mark.parametrize("argv, seed_env, code", [
     (["synth", "--n", "1", "--bogus"], None, 1),            # unknown flag
     (["synth", "--n", "1", "--nucleus-p", "0.9"], None, 1),  # removed flag
@@ -142,16 +169,31 @@ def test_no_subcommand_exits_one(capsys):
     (["synth", "--n", "1"], "abc", 2),                        # LABELGEN_SEED
     (["synth", "--n", "1", "--source", "biggan"], None, 2),   # only "toy" exists
     (["stream", "--count", "1", "--source", "biggan"], None, 2),
+    (["stream", "--count", "-2"], None, 2),
+    (["meanshapes", "--manifest", MANIFEST, "--k", "0"], None, 2),
+    (["meanshapes", "--manifest", MANIFEST, "--k", "-1"], None, 2),
+    (["analyze", "--manifest", MANIFEST, "--epsilon", "nan"], None, 2),
+    (["analyze", "--manifest", MANIFEST, "--epsilon", "-0.01"], None, 2),
+    (["analyze", "--manifest", MANIFEST, "--min-pixels", "-1"], None, 2),
+    (["geometry", "--manifest", MANIFEST, "--epsilon", "nan"], None, 2),
+    (["geometry", "--manifest", MANIFEST, "--epsilon", "-1"], None, 2),
+    (["geometry", "--manifest", MANIFEST, "--min-pixels", "-5"], None, 2),
 ])
 def test_exit_codes(tmp_path, capsys, monkeypatch, argv, seed_env, code):
     # 1: the command line does not parse; 2: a parsed value is rejected
     if seed_env is not None:
         monkeypatch.setenv("LABELGEN_SEED", seed_env)
+    reason = REASONS.get((argv[0], *argv[-2:]))
     out = tmp_path / "out"
-    assert main(argv + ["--out", str(out)]) == code
+    argv = [str(_one_mask_manifest(tmp_path)) if arg == MANIFEST else arg for arg in argv]
+    if argv[0] != "analyze":  # analyze prints its report and takes no --out
+        argv += ["--out", str(out)]
+    assert main(argv) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("usage:" if code == 1 else "labelgen: data error:")
+    if reason is not None:
+        assert err == f"labelgen: data error: {reason}\n"
     assert not out.exists()
 
 
