@@ -159,6 +159,7 @@ def _cmd_scatter(args) -> int:
 def _cmd_distmetrics(args) -> int:
     from . import distmetrics
 
+    distmetrics.check_block_size(args.block_size)
     a = read_embeddings(args.a)
     b = read_embeddings(args.b)
     fid_value = distmetrics.fid(a, b)

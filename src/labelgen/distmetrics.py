@@ -7,7 +7,11 @@ FID is the Frechet distance between Gaussians fitted to two embedding sets:
 with the matrix square root evaluated through the symmetric product
 cov_a^(1/2) cov_b cov_a^(1/2), which keeps everything in real symmetric
 eigendecompositions. KID is the unbiased squared MMD with the cubic
-polynomial kernel k(x, y) = (x.y / d + 1)^3.
+polynomial kernel k(x, y) = (x.y / d + 1)^3. Its kernel sums stream over
+row tiles of at most 2^19 Gram entries (4 MiB), so memory is O(tile), not
+O(n^2). Each symmetric Gram (x with x, y with y) is computed once: a tile
+is multiplied only against the columns from its own first row on, and the
+entries right of its diagonal block count for both triangles.
 
 Embeddings are ingested, never computed here; pixel inputs only pass
 through ``apply_mask`` which blanks background before any external
@@ -99,18 +103,46 @@ def fid(a, b) -> float:
     return max(value, 0.0)
 
 
-def _poly_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return (x @ y.T / x.shape[1] + 1.0) ** 3
+_KID_TILE = 1 << 19  # Gram entries per row tile: 4 MiB of float64
+
+
+def _kernel_sum(x: np.ndarray, y: np.ndarray, symmetric: bool) -> float:
+    """Sum of k(x_i, y_j) over all pairs, or over i != j when ``symmetric``
+    (``y`` is then ``x``), streamed over row tiles of ``x`` that hold at
+    most ``_KID_TILE`` Gram entries (at least one row).
+
+    A symmetric tile is multiplied only against the columns from its own
+    first row on: the part right of its leading square block stands for
+    both triangles and counts twice, and the block's diagonal is dropped.
+    """
+    d = x.shape[1]
+    step = max(1, _KID_TILE // len(y))
+    total = 0.0
+    for start in range(0, len(x), step):
+        tile = x[start : start + step]
+        g = tile @ (y[start:] if symmetric else y).T
+        g /= d
+        g += 1.0
+        g *= g * g
+        if symmetric:
+            rows = len(tile)
+            total += g[:, :rows].sum() - np.trace(g) + 2.0 * g[:, rows:].sum()
+        else:
+            total += g.sum()
+    return float(total)
 
 
 def _mmd2_unbiased(x: np.ndarray, y: np.ndarray) -> float:
     n, m = len(x), len(y)
-    kxx = _poly_kernel(x, x)
-    kyy = _poly_kernel(y, y)
-    kxy = _poly_kernel(x, y)
-    term_x = (kxx.sum() - np.trace(kxx)) / (n * (n - 1))
-    term_y = (kyy.sum() - np.trace(kyy)) / (m * (m - 1))
-    return float(term_x + term_y - 2.0 * kxy.mean())
+    term_x = _kernel_sum(x, x, symmetric=True) / (n * (n - 1))
+    term_y = _kernel_sum(y, y, symmetric=True) / (m * (m - 1))
+    return float(term_x + term_y - 2.0 * _kernel_sum(x, y, symmetric=False) / (n * m))
+
+
+def check_block_size(block_size: int | None) -> None:
+    """Reject a KID ``block_size`` below 2; ``None`` means the full sets."""
+    if block_size is not None and block_size < 2:
+        raise ValueError("block_size must be >= 2")
 
 
 def kid(a, b, block_size: int | None = None) -> float:
@@ -118,15 +150,14 @@ def kid(a, b, block_size: int | None = None) -> float:
 
     By default the estimator runs over the full sets. With ``block_size``
     it is averaged over consecutive same-index block pairs instead, which
-    bounds the Gram matrices on large sets; blocks need at least 2 rows.
+    costs less on large sets; blocks need at least 2 rows.
     """
     ra, rb = _rows(a), _rows(b)
     if ra.shape[1] != rb.shape[1]:
         raise ValueError(f"embedding dims differ: {ra.shape[1]} vs {rb.shape[1]}")
+    check_block_size(block_size)
     if block_size is None:
         return _mmd2_unbiased(ra, rb)
-    if block_size < 2:
-        raise ValueError("block_size must be >= 2")
     blocks = min(len(ra), len(rb)) // block_size
     if blocks == 0:
         return _mmd2_unbiased(ra, rb)

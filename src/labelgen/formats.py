@@ -248,8 +248,8 @@ class ManifestEntry:
         if self.provenance not in PROVENANCE_TAGS:
             raise UnknownProvenanceError(f"unknown provenance {self.provenance!r}")
         for name in ("image_path", "mask_path"):
-            path = Path(getattr(self, name))
-            if path.is_absolute() or ".." in path.parts:
+            path = getattr(self, name)
+            if path.startswith("/") or ".." in path.split("/"):
                 raise FormatError(f"{name} must stay inside the manifest directory")
 
 

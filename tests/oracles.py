@@ -5,6 +5,7 @@ recursion, full enumeration) so it shares no code path with the library.
 """
 import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 
@@ -244,6 +245,22 @@ def kid_triple_loop(a, b):
     return term_a / (n * (n - 1)) + term_b / (m * (m - 1)) - 2 * cross / (n * m)
 
 
+def kid_dense(x, y):
+    """Unbiased polynomial-kernel MMD^2 from three dense n x n Gram matrices,
+    the form the row-tiled ``distmetrics._mmd2_unbiased`` replaced."""
+
+    def _poly_kernel(x, y):
+        return (x @ y.T / x.shape[1] + 1.0) ** 3
+
+    n, m = len(x), len(y)
+    kxx = _poly_kernel(x, x)
+    kyy = _poly_kernel(y, y)
+    kxy = _poly_kernel(x, y)
+    term_x = (kxx.sum() - np.trace(kxx)) / (n * (n - 1))
+    term_y = (kyy.sum() - np.trace(kyy)) / (m * (m - 1))
+    return float(term_x + term_y - 2.0 * kxy.mean())
+
+
 def truncated_normal_variance(psi):
     """Second moment of the truncated standard normal via quadrature."""
     from scipy import integrate
@@ -367,3 +384,10 @@ def xlogy_uncertainty(pred):
     per_pixel = np.maximum(entropy(probs.mean(axis=0)) - entropy(probs).mean(axis=0), 0.0)
     h, w = pred.shape
     return float(per_pixel.sum() / (h * w))
+
+
+def manifest_path_escapes(path):
+    """The pathlib rule ``ManifestEntry`` used for its relative paths: reject
+    an absolute path or one with a ``..`` component."""
+    parsed = Path(path)
+    return parsed.is_absolute() or ".." in parsed.parts

@@ -154,6 +154,7 @@ REASONS = {
     ("geometry", "--epsilon", "nan"): "epsilon must be a number >= 0, got nan",
     ("geometry", "--epsilon", "-1"): "epsilon must be a number >= 0, got -1.0",
     ("geometry", "--min-pixels", "-5"): "min_pixels must be >= 0, got -5",
+    ("distmetrics", "--block-size", "1"): "block_size must be >= 2",
 }
 
 
@@ -178,6 +179,8 @@ REASONS = {
     (["geometry", "--manifest", MANIFEST, "--epsilon", "nan"], None, 2),
     (["geometry", "--manifest", MANIFEST, "--epsilon", "-1"], None, 2),
     (["geometry", "--manifest", MANIFEST, "--min-pixels", "-5"], None, 2),
+    # rejected before the (missing) embedding files are read
+    (["distmetrics", "--a", "no.emb", "--b", "no.emb", "--block-size", "1"], None, 2),
 ])
 def test_exit_codes(tmp_path, capsys, monkeypatch, argv, seed_env, code):
     # 1: the command line does not parse; 2: a parsed value is rejected
@@ -186,10 +189,12 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, argv, seed_env, code):
     reason = REASONS.get((argv[0], *argv[-2:]))
     out = tmp_path / "out"
     argv = [str(_one_mask_manifest(tmp_path)) if arg == MANIFEST else arg for arg in argv]
-    if argv[0] != "analyze":  # analyze prints its report and takes no --out
+    if argv[0] not in ("analyze", "distmetrics"):  # these print and take no --out
         argv += ["--out", str(out)]
     assert main(argv) == code
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
     assert "Traceback" not in err
     assert err.startswith("usage:" if code == 1 else "labelgen: data error:")
     if reason is not None:

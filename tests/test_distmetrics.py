@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from labelgen import distmetrics
 from labelgen.distmetrics import GaussianFit, apply_mask, fid, fit_gaussian, kid
 from labelgen.formats import EmbeddingSet, Image, Mask
 
-from .oracles import fit_gaussian_two_pass, kid_triple_loop
+from .oracles import fit_gaussian_two_pass, kid_dense, kid_triple_loop
 
 
 # ------------------------------------------------------------------ apply_mask
@@ -194,3 +197,43 @@ def test_kid_block_averaging():
         [kid_triple_loop(a.rows[:10], b.rows[:10]), kid_triple_loop(a.rows[10:], b.rows[10:])]
     )
     assert blocked == pytest.approx(expected, rel=1e-12)
+
+
+# A tile of t Gram entries holds max(1, t // columns) rows: t = 1 gives
+# one-row tiles, t = 23 cuts an 11-row set into 2-row tiles with a short last
+# one, and 1 << 19 is the module's own cap (a single tile here).
+@pytest.mark.parametrize("tile", [1, 7, 23, 64, 1 << 19])
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 5), (11, 7), (13, 20)])
+def test_kid_tiles_match_the_loop_and_dense_oracles(monkeypatch, tile, n, m):
+    monkeypatch.setattr(distmetrics, "_KID_TILE", tile)
+    rng = np.random.default_rng([13, n, m])
+    for d in (1, 3, 8):
+        a = rng.normal(size=(n, d))
+        b = rng.normal(loc=0.3, scale=1.2, size=(m, d))
+        value = kid(EmbeddingSet(a), EmbeddingSet(b))
+        assert value == pytest.approx(kid_triple_loop(a, b), rel=1e-12, abs=1e-12)
+        assert value == pytest.approx(kid_dense(a, b), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("tile", [1, 10, 1 << 19])
+def test_kid_block_averaging_in_tiles_matches_the_dense_oracle(monkeypatch, tile):
+    monkeypatch.setattr(distmetrics, "_KID_TILE", tile)
+    rng = np.random.default_rng(14)
+    a = rng.normal(size=(23, 4))
+    b = rng.normal(loc=1.0, size=(18, 4))
+    expected = np.mean([kid_dense(a[i : i + 6], b[i : i + 6]) for i in (0, 6, 12)])
+    assert kid(a, b, block_size=6) == pytest.approx(expected, rel=1e-12)
+
+
+def test_kid_memory_stays_within_a_few_tiles():
+    # three dense 3000 x 3000 float64 Grams would take 216 MB
+    rng = np.random.default_rng(15)
+    a = rng.normal(size=(3000, 4))
+    b = rng.normal(loc=0.5, size=(3000, 4))
+    tracemalloc.start()
+    try:
+        kid(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelgen.formats import (
     BadMagicError,
@@ -35,6 +37,8 @@ from labelgen.formats import (
     write_polygons,
     write_taxonomy,
 )
+
+from .oracles import manifest_path_escapes
 
 
 def test_read_all_zero_pgm(tmp_path):
@@ -241,6 +245,19 @@ def test_read_manifest_names_line_of_escaping_path(tmp_path):
                     "b\t3\timages/b.ppm\t../../etc/b.pgm\ttoy\t0\t-\t-\n")
     with pytest.raises(FormatError, match="m.txt:3: mask_path"):
         read_manifest(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["/", ".", "..", "a", "\\"]), min_size=1, max_size=12)
+       .map("".join))
+def test_manifest_path_rule_equals_the_pathlib_rule(rel):
+    try:
+        _entry(0, mask_path=rel)
+    except FormatError:
+        rejected = True
+    else:
+        rejected = False
+    assert rejected == manifest_path_escapes(rel)
 
 
 def test_mask_label_validation():

@@ -1,4 +1,4 @@
-"""Pinned output bytes of two small CLI runs.
+"""Pinned output bytes of small CLI runs.
 
 The digests were recorded from the code before shape-only ensemble scoring,
 box rasterization and the shift-based band were introduced, and must not
@@ -7,6 +7,9 @@ image and mask (concatenated in manifest order), the taxonomy and the
 manifest's entry lines; metadata lines are left out, so the manifest may gain
 run metadata without touching them.
 
+The ``distmetrics`` lines were recorded from the dense-Gram KID, before it
+ran in row tiles.
+
 The digests also depend on numpy's ``Generator`` streams (PCG64 and the
 normal, integer and uniform samplers): a numpy release that changes those
 streams moves these digests without any change here.
@@ -14,9 +17,11 @@ streams moves these digests without any change here.
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from labelgen.cli import main
+from labelgen.formats import EmbeddingSet, write_embeddings
 
 TAXONOMY_16_SEED_DEFAULT = "befbd8f7e44f87414e5440f2ad1a1c6c4b0f41535bf2d1e506ff785b9ca74be2"
 
@@ -56,3 +61,19 @@ def test_output_bytes_are_pinned(tmp_path, run):
     argv, count, expected = PINNED[run]
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert _digests(tmp_path) == (count, expected)
+
+
+PINNED_DISTMETRICS = {
+    (): "fid\t0.851457\nkid\t0.01443611\nkid_x1000\t14.436112\n",
+    ("--block-size", "300"): "fid\t0.851457\nkid\t0.01210968\nkid_x1000\t12.109676\n",
+}
+
+
+@pytest.mark.parametrize("extra", sorted(PINNED_DISTMETRICS))
+def test_distmetrics_stdout_is_pinned(tmp_path, capsys, extra):
+    rng = np.random.default_rng(20)
+    a, b = tmp_path / "a.emb", tmp_path / "b.emb"
+    write_embeddings(EmbeddingSet(rng.standard_normal((700, 24))), a)
+    write_embeddings(EmbeddingSet(1.1 * rng.standard_normal((650, 24)) + 0.05), b)
+    assert main(["distmetrics", "--a", str(a), "--b", str(b), *extra]) == 0
+    assert capsys.readouterr().out == PINNED_DISTMETRICS[extra]
