@@ -8,8 +8,8 @@ Exit codes: 0 success; 1 when the command line does not parse (an unknown
 flag, a missing required flag, a non-integer --n); 2 when a parsed value or
 an input file is rejected (--n 0, --res 100, a negative --truncation, a
 negative --count, a negative or NaN --epsilon, --k 0, a non-integer
-LABELGEN_SEED, a malformed manifest). Errors print one line to
-stderr, never a traceback.
+LABELGEN_SEED, a negative --seed or LABELGEN_SEED, a malformed manifest).
+Errors print one line to stderr, never a traceback.
 """
 from __future__ import annotations
 
@@ -47,9 +47,13 @@ def _write_lines(path, lines) -> None:
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get("LABELGEN_SEED")
-    return int(env) if env else 0
+        seed = args.seed
+    else:
+        env = os.environ.get("LABELGEN_SEED")
+        seed = int(env) if env else 0
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _filters_from(args) -> FilterConfig:
@@ -133,10 +137,11 @@ def _cmd_meanshapes(args) -> int:
     )
     lines = []
     for shapes in shape_sets:
-        for cluster, (grid, size) in enumerate(zip(shapes.shapes.tolist(),
-                                                   shapes.cluster_sizes.tolist())):
-            values = " ".join(f"{v:.6f}" for row in grid for v in row)
-            lines.append(f"{shapes.class_id}\t{cluster}\t{size}\t{values}")
+        flat = shapes.shapes.reshape(len(shapes.shapes), -1)
+        row_format = " ".join(["%.6f"] * flat.shape[1])
+        for cluster, (values, size) in enumerate(zip(flat.tolist(),
+                                                     shapes.cluster_sizes.tolist())):
+            lines.append(f"{shapes.class_id}\t{cluster}\t{size}\t{row_format % tuple(values)}")
     _write_lines(args.out, lines)
     if skipped:
         print(f"skipped classes with fewer than k={args.k} masks: {skipped}", file=sys.stderr)

@@ -16,10 +16,15 @@ is not used.
 A source is a deterministic function of a 64-bit seed counter, so any run
 is reproducible and candidate generation can be distributed over disjoint
 counter ranges without changing the result. The pipeline reads four members
-of its source: ``taxonomy``, ``scored(counter)`` (the pixel-free sample with
-its confidence), ``ensemble(counter)`` (an ``EnsemblePrediction``) and
-``generate(counter)`` (the rendered ``LabeledSample``). ``ToySource`` is the
-one source; a spec naming any other is rejected.
+of its source: ``taxonomy``, ``scored_range(lo, hi)`` (the pixel-free samples
+of a counter range with their confidences), ``ensemble(counter)`` (an
+``EnsemblePrediction``) and ``generate(counter)`` (the rendered
+``LabeledSample``). Offline mode scores its whole pool with one
+``scored_range`` call, online mode its warmup batch with one and its pulls in
+chunks of ``STREAM_CHUNK`` counters. ``ToySource`` derives the counters'
+sample seeds and streams in bulk, bit-exact with numpy's ``SeedSequence``
+and ``PCG64`` (see ``toygen``). ``ToySource`` is the one source; a spec
+naming any other is rejected.
 """
 from __future__ import annotations
 
@@ -52,18 +57,24 @@ from .sampling import (
     uncertainty_filter,
 )
 from .toygen import (
+    CONFIDENCE_STREAM,
     LATENT_DIM,
+    LATENT_STREAM,
     VALID_RESOLUTIONS,
     ToyClassSpec,
-    injected_disagreement,
-    substream,
-    toy_confidence,
+    counter_stream,
+    counter_streams,
+    int_words,
+    jittered_confidence,
+    set_stream,
+    spawn_parent,
     toy_ensemble,
     toy_generate,
     toy_taxonomy,
 )
 
 WARMUP_SIZE = 1000
+STREAM_CHUNK = 128  # counters an online stream scores at a time
 # warmup counters live in their own range so the yielded stream always
 # starts at counter 0, with or without calibration
 _WARMUP_BASE = 1 << 56
@@ -93,18 +104,17 @@ class PipelineSpec:
         DatasetManifest(self.name, ())  # the name must be one a manifest can hold
 
 
-def _sample_seed(root: int, counter: int) -> int:
-    """Stable 64-bit per-sample seed derived from (root, counter)."""
-    seq = np.random.SeedSequence(root, spawn_key=(counter,))
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
 class ToySource:
     """Procedural source: each counter yields one independent labeled sample.
 
     Classes rotate round-robin over the taxonomy; the latent is drawn from a
     truncated normal under the configured truncation; injected disagreement
-    is uniform in [0, 1) per sample.
+    is uniform in [0, 1) per sample. A counter's sample seed is that of
+    ``SeedSequence(seed, spawn_key=(counter,))``. It and the counter's
+    disagreement, confidence and latent streams are derived without building
+    numpy seed sequences, in bulk for a counter range; the confidence jitter
+    and the latent are drawn from one reused generator put in the stream's
+    state.
     """
 
     def __init__(self, num_classes: int = 16, seed: int = 0, resolution: int = 64,
@@ -113,10 +123,14 @@ class ToySource:
         # pool and clear an earlier run's files before it renders anything
         if resolution not in VALID_RESOLUTIONS:
             raise ValueError(f"resolution {resolution} not in {VALID_RESOLUTIONS}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         self.taxonomy, self.specs = toy_taxonomy(num_classes, seed)
         self.seed = seed
         self.resolution = resolution
         self.truncation_psi = truncation_psi
+        self._parent = spawn_parent(int_words(seed))
+        self._rng = np.random.Generator(np.random.PCG64(0))  # state set before each draw
 
     @classmethod
     def from_spec(cls, spec: PipelineSpec) -> "ToySource":
@@ -129,40 +143,46 @@ class ToySource:
 
     def injected_disagreement(self, counter: int) -> float:
         """Disagreement level the generator will inject for this counter."""
-        return injected_disagreement(_sample_seed(self.seed, counter))
+        return counter_stream(self._parent, counter, LATENT_STREAM)[1]
 
-    def scored(self, counter: int) -> LabeledSample:
-        """The counter's sample without pixels: id, class, provenance, latent
-        seed and confidence, equal to those of ``generate(counter)``. Draws no
-        latent, renders nothing and builds no ensemble."""
-        class_spec: ToyClassSpec = self.specs[counter % len(self.specs)]
-        seed = _sample_seed(self.seed, counter)
-        return LabeledSample(
-            id=f"toy-{counter:012d}",
-            class_id=class_spec.class_id,
-            provenance="toy",
-            latent_seed=seed,
-            confidence=toy_confidence(seed),
-        )
+    def scored_range(self, lo: int, hi: int) -> list[LabeledSample]:
+        """The samples of counters lo..hi-1 (0 <= lo, hi <= 2**64) without
+        pixels: id, class, provenance, latent seed and confidence, equal to
+        those of ``generate(counter)``. Their seeds and streams are derived in
+        bulk; draws no latent, renders nothing and builds no ensemble."""
+        specs = self.specs
+        return [
+            LabeledSample(
+                id=f"toy-{counter:012d}",
+                class_id=specs[counter % len(specs)].class_id,
+                provenance="toy",
+                latent_seed=seed,
+                confidence=jittered_confidence(disagreement, set_stream(self._rng, state)),
+            )
+            for counter, (seed, disagreement, state) in zip(
+                range(lo, hi), counter_streams(self._parent, lo, hi, CONFIDENCE_STREAM))
+        ]
 
-    def _draw(self, counter: int) -> tuple[ToyClassSpec, int, np.ndarray]:
-        """The counter's class spec, sample seed and truncated latent."""
+    def _draw(self, counter: int) -> tuple[ToyClassSpec, int, np.ndarray, float]:
+        """The counter's class spec, sample seed, truncated latent and
+        injected disagreement."""
         class_spec: ToyClassSpec = self.specs[counter % len(self.specs)]
-        seed = _sample_seed(self.seed, counter)
-        z = truncated_normal(LATENT_DIM, self.truncation_psi, substream(seed, 1))
-        return class_spec, seed, z
+        seed, disagreement, state = counter_stream(self._parent, counter, LATENT_STREAM)
+        z = truncated_normal(LATENT_DIM, self.truncation_psi, set_stream(self._rng, state))
+        return class_spec, seed, z, disagreement
 
     def ensemble(self, counter: int) -> EnsemblePrediction:
         """The counter's ensemble, equal to the one ``toy_generate`` builds for
         the sample ``generate(counter)`` renders, from the shape alone: no
         image is painted."""
-        class_spec, seed, z = self._draw(counter)
-        return toy_ensemble(class_spec, z, seed, self.resolution)
+        class_spec, seed, z, disagreement = self._draw(counter)
+        return toy_ensemble(class_spec, z, seed, self.resolution, disagreement=disagreement)
 
     def generate(self, counter: int) -> LabeledSample:
         """The counter's rendered sample: image, mask and confidence."""
-        class_spec, seed, z = self._draw(counter)
-        out = toy_generate(class_spec, z, seed, self.resolution, with_ensemble=False)
+        class_spec, seed, z, disagreement = self._draw(counter)
+        out = toy_generate(class_spec, z, seed, self.resolution, disagreement=disagreement,
+                           with_ensemble=False)
         return LabeledSample(
             id=f"toy-{counter:012d}",
             class_id=class_spec.class_id,
@@ -200,7 +220,7 @@ def synth_offline(spec: PipelineSpec) -> DatasetManifest:
     while filtered_count(pool, rate, fraction) < spec.n:
         pool += math.ceil(0.1 * pool)
 
-    candidates = [source.scored(counter) for counter in range(pool)]
+    candidates = source.scored_range(0, pool)
     counter_of = {s.id: counter for counter, s in enumerate(candidates)}
     kept = candidates
     confidence_cut = uncertainty_cut = "-"
@@ -300,10 +320,11 @@ class OnlineStream:
 
     Each pull advances a monotone seed counter. When rejection is enabled the
     acceptance threshold is the rate-quantile of confidences over a warmup
-    batch scored, not rendered, from a dedicated counter range; the
-    ensemble-uncertainty stage is never applied online. ``candidates`` and
-    ``accepted`` expose the running totals, ``threshold`` the calibrated cut
-    (None without rejection).
+    batch scored, not rendered, from a dedicated counter range; pulls are
+    then scored ``STREAM_CHUNK`` counters at a time. The ensemble-uncertainty
+    stage is never applied online. ``candidates`` (the counters pulled, not
+    those scored ahead) and ``accepted`` expose the running totals,
+    ``threshold`` the calibrated cut (None without rejection).
     """
 
     def __init__(self, spec: PipelineSpec):
@@ -315,10 +336,12 @@ class OnlineStream:
         self.candidates = 0
         self.accepted = 0
         self.threshold: float | None = None
+        self._chunk_lo = 0
+        self._chunk: list[float] = []  # confidences of counters _chunk_lo onward
         rate = spec.filters.rejection_rate
         if rate > 0:
-            warm = [self.source.scored(_WARMUP_BASE + i).confidence for i in range(WARMUP_SIZE)]
-            self.threshold = float(np.quantile(warm, rate))
+            warm = self.source.scored_range(_WARMUP_BASE, _WARMUP_BASE + WARMUP_SIZE)
+            self.threshold = float(np.quantile([s.confidence for s in warm], rate))
 
     def __iter__(self):
         return self
@@ -329,9 +352,18 @@ class OnlineStream:
             counter = self.counter
             self.counter += 1
             self.candidates += 1
-            if self.threshold is None or self.source.scored(counter).confidence > self.threshold:
+            if self.threshold is None or self._confidence(counter) > self.threshold:
                 self.accepted += 1
                 return self.source.generate(counter)
+
+    def _confidence(self, counter: int) -> float:
+        """The counter's confidence; past the scored chunk, the next
+        STREAM_CHUNK counters are scored."""
+        if counter - self._chunk_lo >= len(self._chunk):
+            self._chunk_lo = counter
+            self._chunk = [s.confidence for s in
+                           self.source.scored_range(counter, counter + STREAM_CHUNK)]
+        return self._chunk[counter - self._chunk_lo]
 
 
 def synth_online(spec: PipelineSpec) -> OnlineStream:

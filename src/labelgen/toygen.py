@@ -23,7 +23,12 @@ morphology library.
 
 Per-sample randomness comes from independent substreams keyed by
 (seed, role), so generation is order-independent and can run in parallel
-without changing results.
+without changing results. A source derives each counter's sample seed and
+streams from numpy's ``SeedSequence`` hash and ``PCG64`` seeding, rewritten
+here bit-exact once over values that are Python ints (one counter,
+``counter_stream``) or uint64 arrays (a counter range, ``counter_streams``),
+so a whole candidate pool is seeded in bulk with the numbers
+``substream`` would give.
 """
 from __future__ import annotations
 
@@ -40,7 +45,8 @@ VALID_RESOLUTIONS = (64, 128, 256)
 NUM_HEADS = 16
 LATENT_DIM = 8  # latent coordinates read per sample; ToySource draws this many
 
-_CONFIDENCE_STREAM = 50
+LATENT_STREAM = 1
+CONFIDENCE_STREAM = 50
 _DISAGREEMENT_STREAM = 60
 _TEXTURE_STREAM = 70
 
@@ -51,6 +57,147 @@ _SIZE_SCALE = {"ellipse": 1.0, "rectangle": 0.78, "star": 1.0, "crescent": 0.85}
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent deterministic generator for (seed, path)."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
+
+
+# numpy's SeedSequence (O'Neill's seed_seq_fe over a pool of four 32-bit
+# words) and PCG64 seeding (a 128-bit LCG with an XSL-RR output). The hash
+# runs on Python ints and on uint64 arrays alike: every value is a 32-bit
+# word, a product of two words fits 64 bits, and each result is masked.
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(value, const):
+    """seed_seq_fe's hashmix: the hashed word and the next hash constant."""
+    value = value ^ const
+    const = const * _MULT_A & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    """seed_seq_fe's mix of a pool word with a hashed word."""
+    result = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _absorb(pool, const, word):
+    """Mix one more entropy word into every pool word."""
+    mixed = []
+    for value in pool:
+        hashed, const = _hashmix(word, const)
+        mixed.append(_mix(value, hashed))
+    return mixed, const
+
+
+def int_words(n: int) -> list[int]:
+    """numpy's split of a non-negative int into little-endian 32-bit words
+    (0 is one word)."""
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def spawn_parent(words) -> tuple[list, int]:
+    """The (pool, hash constant) ``SeedSequence(entropy, spawn_key=key)``
+    holds before it mixes in a nonempty key, from the entropy's words.
+
+    As numpy does when a key follows, the words are zero-padded to the
+    four-word pool; words past the fourth are mixed in after the pool.
+    """
+    words = list(words) + [0] * (4 - len(words))
+    pool, const = [], _INIT_A
+    for word in words[:4]:
+        hashed, const = _hashmix(word, const)
+        pool.append(hashed)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in words[4:]:
+        pool, const = _absorb(pool, const, word)
+    return pool, const
+
+
+def spawn_state(parent: tuple[list, int], key, n: int) -> list:
+    """``generate_state(n, np.uint64)`` of the child of ``parent`` whose
+    spawn key has the 32-bit words ``key``."""
+    pool, const = parent
+    for word in key:
+        pool, const = _absorb(pool, const, word)
+    const, halves = _INIT_B, []
+    for i in range(2 * n):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        halves.append(value ^ value >> 16)
+    return [halves[i] | halves[i + 1] << 32 for i in range(0, 2 * n, 2)]
+
+
+def pcg64_seeded(words) -> tuple[int, int]:
+    """PCG64's (state, increment) when seeded from ``generate_state(4, np.uint64)``."""
+    s0, s1, s2, s3 = words
+    inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+    return ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def pcg64_random(state: int, inc: int) -> float:
+    """The first ``random()`` of a PCG64 in (state, inc): one LCG step, the
+    XSL-RR output, its top 53 bits scaled to [0, 1)."""
+    state = (state * _PCG_MULT + inc) & _MASK128
+    word = (state >> 64 ^ state) & _MASK64
+    rot = state >> 122
+    word = (word >> rot | word << (64 - rot)) & _MASK64
+    return (word >> 11) * (1.0 / 9007199254740992.0)
+
+
+def _streams(parent, key, role: int):
+    """Sample seeds, then disagreement-stream and ``role``-stream state words
+    of the counters with spawn-key words ``key`` (ints or uint64 arrays)."""
+    seeds = spawn_state(parent, key, 1)[0]
+    seed_parent = spawn_parent([seeds & _MASK32, seeds >> 32])
+    return (seeds, spawn_state(seed_parent, [_DISAGREEMENT_STREAM], 4),
+            spawn_state(seed_parent, [role], 4))
+
+
+def counter_stream(parent, counter: int, role: int) -> tuple[int, float, tuple[int, int]]:
+    """One counter's sample seed, injected disagreement and the PCG64 (state,
+    increment) of ``substream(seed, role)``, where ``parent = spawn_parent(
+    int_words(root))`` and the sample seed is that of ``SeedSequence(root,
+    spawn_key=(counter,))``."""
+    seed, disagreement, words = _streams(parent, int_words(counter), role)
+    return seed, pcg64_random(*pcg64_seeded(disagreement)), pcg64_seeded(words)
+
+
+def counter_streams(parent, lo: int, hi: int,
+                    role: int) -> list[tuple[int, float, tuple[int, int]]]:
+    """``counter_stream`` of each counter in [lo, hi) (below 2**64), hashed
+    as uint64 arrays: one group below 2**32, whose spawn keys are one word,
+    and one at or above it, whose keys are two."""
+    out = []
+    for a, b in ((lo, min(hi, 1 << 32)), (max(lo, 1 << 32), hi)):
+        if a >= b:
+            continue
+        counters = np.arange(a, b, dtype=np.uint64)
+        key = [counters] if b <= 1 << 32 else [counters & _MASK32, counters >> 32]
+        seeds, disagreement, words = _streams(parent, key, role)
+        for seed, d_words, r_words in zip(seeds.tolist(),
+                                          zip(*(w.tolist() for w in disagreement)),
+                                          zip(*(w.tolist() for w in words))):
+            out.append((seed, pcg64_random(*pcg64_seeded(d_words)), pcg64_seeded(r_words)))
+    return out
+
+
+def set_stream(rng: np.random.Generator, state: tuple[int, int]) -> np.random.Generator:
+    """Put a PCG64 ``Generator`` in (state, increment), as freshly seeded."""
+    rng.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state[0], "inc": state[1]},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 @dataclass(frozen=True)
@@ -143,7 +290,13 @@ def toy_confidence(seed: int, disagreement: float | None = None) -> float:
     """
     if disagreement is None:
         disagreement = injected_disagreement(seed)
-    jitter = float(substream(seed, _CONFIDENCE_STREAM).normal(0.0, 0.05))
+    return jittered_confidence(disagreement, substream(seed, CONFIDENCE_STREAM))
+
+
+def jittered_confidence(disagreement: float, rng: np.random.Generator) -> float:
+    """``toy_confidence`` with the jitter drawn from ``rng``, the sample's
+    confidence stream."""
+    jitter = float(rng.normal(0.0, 0.05))
     return min(max(1.0 - 0.8 * disagreement + jitter, 0.0), 1.0)
 
 

@@ -391,3 +391,59 @@ def manifest_path_escapes(path):
     an absolute path or one with a ``..`` component."""
     parsed = Path(path)
     return parsed.is_absolute() or ".." in parsed.parts
+
+
+# roles of a toy sample's numpy substreams: latent, confidence, disagreement
+_TOY_LATENT, _TOY_CONFIDENCE, _TOY_DISAGREEMENT = 1, 50, 60
+
+
+def numpy_sample_seed(root, counter):
+    """A toy sample's seed from numpy's own ``SeedSequence``."""
+    seq = np.random.SeedSequence(root, spawn_key=(counter,))
+    return int(seq.generate_state(1, np.uint64)[0])
+
+
+def numpy_stream(seed, role):
+    """A toy sample's substream from numpy's own ``SeedSequence`` and ``default_rng``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(role,)))
+
+
+def toy_scored(source, counter):
+    """``ToySource``'s pixel-free sample of one counter, one counter at a time
+    through numpy's own seed sequences and generators."""
+    from labelgen.formats import LabeledSample
+
+    seed = numpy_sample_seed(source.seed, counter)
+    disagreement = float(numpy_stream(seed, _TOY_DISAGREEMENT).random())
+    jitter = float(numpy_stream(seed, _TOY_CONFIDENCE).normal(0.0, 0.05))
+    return LabeledSample(
+        id=f"toy-{counter:012d}",
+        class_id=source.specs[counter % len(source.specs)].class_id,
+        provenance="toy",
+        latent_seed=seed,
+        confidence=min(max(1.0 - 0.8 * disagreement + jitter, 0.0), 1.0),
+    )
+
+
+def toy_latent(source, counter):
+    """The truncated latent ``ToySource`` draws for a counter, from numpy's
+    own substream."""
+    from labelgen.sampling import truncated_normal
+
+    seed = numpy_sample_seed(source.seed, counter)
+    return truncated_normal(8, source.truncation_psi, numpy_stream(seed, _TOY_LATENT))
+
+
+def stream_oracle(source, count, rate, warmup_base, warmup_size):
+    """(candidates, accepted, threshold) of an online stream of ``count``
+    samples, scoring one counter at a time with ``toy_scored``."""
+    threshold = None
+    if rate > 0:
+        warm = [toy_scored(source, warmup_base + i).confidence for i in range(warmup_size)]
+        threshold = float(np.quantile(warm, rate))
+    candidates = accepted = 0
+    while accepted < count:
+        if threshold is None or toy_scored(source, candidates).confidence > threshold:
+            accepted += 1
+        candidates += 1
+    return candidates, accepted, threshold

@@ -155,6 +155,9 @@ REASONS = {
     ("geometry", "--epsilon", "-1"): "epsilon must be a number >= 0, got -1.0",
     ("geometry", "--min-pixels", "-5"): "min_pixels must be >= 0, got -5",
     ("distmetrics", "--block-size", "1"): "block_size must be >= 2",
+    ("synth", "--seed", "-1"): "seed must be >= 0, got -1",
+    ("stream", "--count", "1"): "seed must be >= 0, got -3",  # LABELGEN_SEED=-3
+    ("meanshapes", "--seed", "-1"): "seed must be >= 0, got -1",
 }
 
 
@@ -181,6 +184,9 @@ REASONS = {
     (["geometry", "--manifest", MANIFEST, "--min-pixels", "-5"], None, 2),
     # rejected before the (missing) embedding files are read
     (["distmetrics", "--a", "no.emb", "--b", "no.emb", "--block-size", "1"], None, 2),
+    (["synth", "--n", "1", "--seed", "-1"], None, 2),
+    (["stream", "--count", "1"], "-3", 2),                  # LABELGEN_SEED
+    (["meanshapes", "--manifest", MANIFEST, "--seed", "-1"], None, 2),
 ])
 def test_exit_codes(tmp_path, capsys, monkeypatch, argv, seed_env, code):
     # 1: the command line does not parse; 2: a parsed value is rejected

@@ -49,7 +49,7 @@ def test_source_deterministic_per_counter():
 def test_scored_equals_generated_sample_without_pixels(counter, seed, classes):
     source = ToySource(num_classes=classes, seed=seed)
     full = source.generate(counter)
-    assert source.scored(counter) == replace(full, image=None, mask=None)
+    assert source.scored_range(counter, counter + 1) == [replace(full, image=None, mask=None)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -57,7 +57,7 @@ def test_scored_equals_generated_sample_without_pixels(counter, seed, classes):
        res=st.sampled_from([64, 128, 256]))
 def test_shape_only_ensemble_equals_generated_ensemble(counter, seed, res):
     source = ToySource(num_classes=16, seed=seed, resolution=res)
-    sample_seed = source.scored(counter).latent_seed
+    sample_seed = source.scored_range(counter, counter + 1)[0].latent_seed
     z = truncated_normal(toygen.LATENT_DIM, 0.9, toygen.substream(sample_seed, 1))
     generated = toygen.toy_generate(source.specs[counter % 16], z, sample_seed, res).ensemble
     shape_only = source.ensemble(counter)
