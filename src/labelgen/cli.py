@@ -6,8 +6,8 @@ the default seed 0; an explicit --seed flag wins over both.
 
 Exit codes: 0 success; 1 when the command line does not parse (an unknown
 flag, a missing required flag, a non-integer --n); 2 when a parsed value or
-an input file is rejected (--n 0, --res 100, a negative --truncation, a
-negative --count, a negative or NaN --epsilon, --k 0, a non-integer
+an input file is rejected (--n 0, --res 100, a --truncation below 0.01,
+a negative --count, a negative or NaN --epsilon, --k 0, a non-integer
 LABELGEN_SEED, a negative --seed or LABELGEN_SEED, a malformed manifest).
 Errors print one line to stderr, never a traceback.
 """
@@ -260,7 +260,7 @@ def _add_source_args(parser):
     parser.add_argument("--name", default="dataset", help="dataset name")
     parser.add_argument("--config", default=None, help="key=value filter config file")
     parser.add_argument("--truncation", type=float, default=None,
-                        help="latent truncation (default 0.9)")
+                        help="latent truncation, at least 0.01 (default 0.9)")
     parser.add_argument("--rejection", type=float, default=None,
                         help="confidence rejection rate (default 0.9)")
     _add_seed(parser)

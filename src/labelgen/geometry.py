@@ -356,11 +356,6 @@ def simplify_chains(chains, epsilon: float) -> list[np.ndarray]:
     return [pts[s : s + n][keep[s : s + n]] for s, n in zip(first.tolist(), sizes.tolist())]
 
 
-def simplify_chain(points: np.ndarray, epsilon: float) -> np.ndarray:
-    """Douglas-Peucker on one open chain; see ``simplify_chains``."""
-    return simplify_chains([points], epsilon)[0]
-
-
 def _extremal_triangle(points: np.ndarray) -> np.ndarray:
     """Three spanning vertices: first point, farthest from it, farthest off that chord."""
     p0 = points[0]
@@ -394,7 +389,7 @@ def simplify_dp(poly, epsilon: float = 0.01):
     through unchanged.
     """
     if not isinstance(poly, Polygon):
-        return simplify_chain(poly, epsilon)
+        return simplify_chains([poly], epsilon)[0]
     return simplify_polygons([poly], epsilon)[0]
 
 

@@ -21,10 +21,11 @@ of a counter range with their confidences), ``ensemble(counter)`` (an
 ``EnsemblePrediction``) and ``generate(counter)`` (the rendered
 ``LabeledSample``). Offline mode scores its whole pool with one
 ``scored_range`` call, online mode its warmup batch with one and its pulls in
-chunks of ``STREAM_CHUNK`` counters. ``ToySource`` derives the counters'
-sample seeds and streams in bulk, bit-exact with numpy's ``SeedSequence``
-and ``PCG64`` (see ``toygen``). ``ToySource`` is the one source; a spec
-naming any other is rejected.
+chunks of ``STREAM_CHUNK`` counters. ``ToySource`` derives each counter's
+sample seed, disagreement level, confidence and latent, once per stage and
+in bulk for a range, bit-exact with numpy's ``SeedSequence`` and ``PCG64``
+(see ``toygen``), and hands them to the renderer. ``ToySource`` is the one
+source; a spec naming any other is rejected.
 """
 from __future__ import annotations
 
@@ -61,7 +62,6 @@ from .toygen import (
     LATENT_DIM,
     LATENT_STREAM,
     VALID_RESOLUTIONS,
-    ToyClassSpec,
     counter_stream,
     counter_streams,
     int_words,
@@ -110,11 +110,13 @@ class ToySource:
     Classes rotate round-robin over the taxonomy; the latent is drawn from a
     truncated normal under the configured truncation; injected disagreement
     is uniform in [0, 1) per sample. A counter's sample seed is that of
-    ``SeedSequence(seed, spawn_key=(counter,))``. It and the counter's
-    disagreement, confidence and latent streams are derived without building
-    numpy seed sequences, in bulk for a counter range; the confidence jitter
+    ``SeedSequence(seed, spawn_key=(counter,))``. The source is the one
+    place a sample's randomness is derived: it and the counter's
+    disagreement, confidence and latent streams come without building numpy
+    seed sequences, in bulk for a counter range, and the confidence jitter
     and the latent are drawn from one reused generator put in the stream's
-    state.
+    state. ``toygen`` renders from the latent, seed and disagreement it is
+    given, and draws only the background texture from the seed.
     """
 
     def __init__(self, num_classes: int = 16, seed: int = 0, resolution: int = 64,
@@ -141,57 +143,45 @@ class ToySource:
             truncation_psi=spec.filters.truncation_psi,
         )
 
-    def injected_disagreement(self, counter: int) -> float:
-        """Disagreement level the generator will inject for this counter."""
-        return counter_stream(self._parent, counter, LATENT_STREAM)[1]
+    def _sample(self, counter: int, seed: int, disagreement: float,
+                confidence_state: tuple[int, int], **pixels) -> LabeledSample:
+        """The counter's sample: id, class, provenance, latent seed, the
+        confidence drawn from its confidence-stream state, and ``pixels``."""
+        return LabeledSample(
+            id=f"toy-{counter:012d}",
+            class_id=self.specs[counter % len(self.specs)].class_id,
+            provenance="toy",
+            latent_seed=seed,
+            confidence=jittered_confidence(disagreement, set_stream(self._rng, confidence_state)),
+            **pixels,
+        )
 
     def scored_range(self, lo: int, hi: int) -> list[LabeledSample]:
         """The samples of counters lo..hi-1 (0 <= lo, hi <= 2**64) without
         pixels: id, class, provenance, latent seed and confidence, equal to
         those of ``generate(counter)``. Their seeds and streams are derived in
         bulk; draws no latent, renders nothing and builds no ensemble."""
-        specs = self.specs
-        return [
-            LabeledSample(
-                id=f"toy-{counter:012d}",
-                class_id=specs[counter % len(specs)].class_id,
-                provenance="toy",
-                latent_seed=seed,
-                confidence=jittered_confidence(disagreement, set_stream(self._rng, state)),
-            )
-            for counter, (seed, disagreement, state) in zip(
-                range(lo, hi), counter_streams(self._parent, lo, hi, CONFIDENCE_STREAM))
-        ]
-
-    def _draw(self, counter: int) -> tuple[ToyClassSpec, int, np.ndarray, float]:
-        """The counter's class spec, sample seed, truncated latent and
-        injected disagreement."""
-        class_spec: ToyClassSpec = self.specs[counter % len(self.specs)]
-        seed, disagreement, state = counter_stream(self._parent, counter, LATENT_STREAM)
-        z = truncated_normal(LATENT_DIM, self.truncation_psi, set_stream(self._rng, state))
-        return class_spec, seed, z, disagreement
+        return [self._sample(counter, *streams) for counter, streams in zip(
+            range(lo, hi), counter_streams(self._parent, lo, hi, CONFIDENCE_STREAM))]
 
     def ensemble(self, counter: int) -> EnsemblePrediction:
         """The counter's ensemble, equal to the one ``toy_generate`` builds for
         the sample ``generate(counter)`` renders, from the shape alone: no
         image is painted."""
-        class_spec, seed, z, disagreement = self._draw(counter)
-        return toy_ensemble(class_spec, z, seed, self.resolution, disagreement=disagreement)
+        _, disagreement, latent = counter_stream(self._parent, counter, LATENT_STREAM)
+        z = truncated_normal(LATENT_DIM, self.truncation_psi, set_stream(self._rng, latent))
+        return toy_ensemble(self.specs[counter % len(self.specs)], z, self.resolution,
+                            disagreement=disagreement)
 
     def generate(self, counter: int) -> LabeledSample:
         """The counter's rendered sample: image, mask and confidence."""
-        class_spec, seed, z, disagreement = self._draw(counter)
-        out = toy_generate(class_spec, z, seed, self.resolution, disagreement=disagreement,
-                           with_ensemble=False)
-        return LabeledSample(
-            id=f"toy-{counter:012d}",
-            class_id=class_spec.class_id,
-            provenance="toy",
-            latent_seed=seed,
-            confidence=out.confidence,
-            image=out.image,
-            mask=out.gt_mask,
-        )
+        seed, disagreement, latent, confidence = counter_stream(
+            self._parent, counter, LATENT_STREAM, CONFIDENCE_STREAM)
+        z = truncated_normal(LATENT_DIM, self.truncation_psi, set_stream(self._rng, latent))
+        out = toy_generate(self.specs[counter % len(self.specs)], z, seed, self.resolution,
+                           disagreement=disagreement, with_ensemble=False)
+        return self._sample(counter, seed, disagreement, confidence,
+                            image=out.image, mask=out.gt_mask)
 
 
 def candidate_pool_size(n: int, rejection_rate: float, uncertainty_fraction: float) -> int:

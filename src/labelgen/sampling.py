@@ -15,13 +15,17 @@ from pathlib import Path
 import numpy as np
 
 _DIST_TOL = 1e-9
+# smallest truncation accepted: rejection sampling takes about 1.25 / psi
+# standard-normal draws per coordinate, so a tinier psi would not finish
+MIN_TRUNCATION_PSI = 0.01
 
 
 @dataclass(frozen=True)
 class FilterConfig:
     """Filter-stage knobs with their standard defaults.
 
-    truncation_psi: latent coordinates are resampled into [-psi, psi].
+    truncation_psi: latent coordinates are resampled into [-psi, psi];
+        at least ``MIN_TRUNCATION_PSI``.
     rejection_rate: fraction of lowest-confidence samples to reject.
     uncertainty_fraction: fraction of most-uncertain samples to drop.
     """
@@ -31,8 +35,9 @@ class FilterConfig:
     uncertainty_fraction: float = 0.10
 
     def __post_init__(self):
-        if not self.truncation_psi > 0:
-            raise ValueError("truncation_psi must be > 0")
+        if not self.truncation_psi >= MIN_TRUNCATION_PSI:
+            raise ValueError(f"truncation_psi must be >= {MIN_TRUNCATION_PSI}, "
+                             f"got {self.truncation_psi!r}")
         if not 0.0 <= self.rejection_rate < 1.0:
             raise ValueError("rejection_rate must be in [0, 1)")
         if not 0.0 <= self.uncertainty_fraction < 1.0:
@@ -85,11 +90,12 @@ class CategoricalDist:
 
 
 def truncated_normal(dim: int, psi: float, rng: np.random.Generator) -> np.ndarray:
-    """Standard-normal coordinates resampled independently until |z| <= psi."""
+    """Standard-normal coordinates resampled independently until |z| <= psi,
+    for psi >= ``MIN_TRUNCATION_PSI``."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if not psi > 0:
-        raise ValueError("psi must be > 0")
+    if not psi >= MIN_TRUNCATION_PSI:
+        raise ValueError(f"psi must be >= {MIN_TRUNCATION_PSI}, got {psi!r}")
     z = rng.standard_normal(dim)
     out_of_range = np.abs(z) > psi
     while out_of_range.any():
@@ -135,6 +141,11 @@ def _entropy(p: np.ndarray) -> np.ndarray:
     return -_class_sum(xlogy(p, p))
 
 
+def _js(p: np.ndarray) -> np.ndarray:
+    """Jensen-Shannon divergence across the leading (member) axis of ``p``."""
+    return _entropy(p.mean(0)) - _entropy(p).mean(0)
+
+
 def js_divergence(dists) -> float:
     """Jensen-Shannon divergence of N distributions, natural-log entropy.
 
@@ -147,9 +158,7 @@ def js_divergence(dists) -> float:
     sizes = {s.size for s in stack}
     if len(sizes) != 1:
         raise ValueError(f"support sizes differ: {sorted(sizes)}")
-    p = np.stack(stack)
-    value = _entropy(p.mean(axis=0)) - _entropy(p).mean()
-    return float(max(value, 0.0))
+    return float(max(_js(np.stack(stack)), 0.0))
 
 
 @dataclass(frozen=True)
@@ -207,10 +216,7 @@ def sample_uncertainty(pred: EnsemblePrediction) -> float:
     Unlisted pixels add exactly 0, so the sum runs over the listed pixels
     only and is divided by H*W.
     """
-    probs = pred.probs
-    mixture_entropy = _entropy(probs.mean(axis=0))
-    mean_entropy = _entropy(probs).mean(axis=0)
-    per_pixel = np.maximum(mixture_entropy - mean_entropy, 0.0)
+    per_pixel = np.maximum(_js(pred.probs), 0.0)
     h, w = pred.shape
     return float(per_pixel.sum() / (h * w))
 

@@ -1,34 +1,37 @@
 """Procedural class-conditional generator with exact ground truth.
 
 Stands in for a real generative model in end-to-end tests. Every output is
-a pure function of (class spec, latent, seed): shape parameters are a
-clamped affine map of the latent coordinates, the ground-truth mask is the
-exact rasterization of the shape at pixel centers, and a 16-head ensemble
-disagrees only inside a 3-pixel boundary band by an injectable amount.
-Inside the band each head slides from the true one-hot label toward its own
-fixed probability target (targets are spread evenly over (0, 1)), displaced
-by the disagreement level, so the per-pixel divergence across heads grows
-strictly with the level and the per-sample uncertainty score carries no
-sampling noise. Outside the band every head equals the one-hot ground truth,
-so the ensemble is emitted in its listed-pixel form: the band's flat pixel
-indices and the (16, m, 2) head probabilities there, never a dense
-(16, H, W, 2) tensor. Classifier confidence decreases with the injected
-disagreement plus a small seeded jitter, so rejection filtering has a
-meaningful signal; it depends on the seed alone (``toy_confidence``), so a
-sample can be scored before it is rendered. The ensemble depends on the
-shape alone, so ``toy_ensemble`` builds it from the rasterized shape without
-painting an image. Rasterization evaluates only the pixels in a box around
-the shape, and the band comes from shifted views of the mask, not from a
-morphology library.
+a pure function of (class spec, latent, seed, disagreement level): shape
+parameters are a clamped affine map of the latent coordinates, the
+ground-truth mask is the exact rasterization of the shape at pixel centers,
+and a 16-head ensemble disagrees only inside a 3-pixel boundary band by the
+given level. Inside the band each head slides from the true one-hot label
+toward its own fixed probability target (targets are spread evenly over (0,
+1)), displaced by the disagreement level, so the per-pixel divergence
+across heads grows strictly with the level and the per-sample uncertainty
+score carries no sampling noise. Outside the band every head equals the
+one-hot ground truth, so the ensemble is emitted in its listed-pixel form:
+the band's flat pixel indices and the (16, m, 2) head probabilities there,
+never a dense (16, H, W, 2) tensor. Classifier confidence
+(``jittered_confidence``) decreases with the disagreement plus a small
+jitter drawn from the sample's confidence stream, so rejection filtering
+has a meaningful signal; it reads no pixel, so a sample can be scored
+before it is rendered. The ensemble depends on the shape alone, so
+``toy_ensemble`` builds it from the rasterized shape without painting an
+image. Rasterization evaluates only the pixels in a box around the shape,
+and the band comes from shifted views of the mask, not from a morphology
+library.
 
-Per-sample randomness comes from independent substreams keyed by
-(seed, role), so generation is order-independent and can run in parallel
-without changing results. A source derives each counter's sample seed and
-streams from numpy's ``SeedSequence`` hash and ``PCG64`` seeding, rewritten
-here bit-exact once over values that are Python ints (one counter,
+Rendering draws nothing but the background texture, keyed by the sample
+seed; the latent and the disagreement level are inputs. A source derives a
+counter's sample seed, disagreement level and latent and confidence streams
+from independent substreams keyed by (seed, role), so generation is
+order-independent and can run in parallel without changing results. It does
+so with numpy's ``SeedSequence`` hash and ``PCG64`` seeding, rewritten here
+bit-exact once over values that are Python ints (one counter,
 ``counter_stream``) or uint64 arrays (a counter range, ``counter_streams``),
-so a whole candidate pool is seeded in bulk with the numbers
-``substream`` would give.
+so a whole candidate pool is seeded in bulk with the numbers ``substream``
+would give.
 """
 from __future__ import annotations
 
@@ -155,36 +158,38 @@ def pcg64_random(state: int, inc: int) -> float:
     return (word >> 11) * (1.0 / 9007199254740992.0)
 
 
-def _streams(parent, key, role: int):
-    """Sample seeds, then disagreement-stream and ``role``-stream state words
-    of the counters with spawn-key words ``key`` (ints or uint64 arrays)."""
+def _streams(parent, key, roles):
+    """Sample seeds, then the disagreement-stream state words and those of
+    each stream in ``roles``, of the counters with spawn-key words ``key``
+    (ints or uint64 arrays)."""
     seeds = spawn_state(parent, key, 1)[0]
     seed_parent = spawn_parent([seeds & _MASK32, seeds >> 32])
     return (seeds, spawn_state(seed_parent, [_DISAGREEMENT_STREAM], 4),
-            spawn_state(seed_parent, [role], 4))
+            [spawn_state(seed_parent, [role], 4) for role in roles])
 
 
-def counter_stream(parent, counter: int, role: int) -> tuple[int, float, tuple[int, int]]:
-    """One counter's sample seed, injected disagreement and the PCG64 (state,
-    increment) of ``substream(seed, role)``, where ``parent = spawn_parent(
-    int_words(root))`` and the sample seed is that of ``SeedSequence(root,
-    spawn_key=(counter,))``."""
-    seed, disagreement, words = _streams(parent, int_words(counter), role)
-    return seed, pcg64_random(*pcg64_seeded(disagreement)), pcg64_seeded(words)
+def counter_stream(parent, counter: int, *roles: int) -> tuple:
+    """One counter's sample seed, injected disagreement and, for each role,
+    the PCG64 (state, increment) of ``substream(seed, role)``, where
+    ``parent = spawn_parent(int_words(root))`` and the sample seed is that of
+    ``SeedSequence(root, spawn_key=(counter,))``."""
+    seed, disagreement, words = _streams(parent, int_words(counter), roles)
+    return (seed, pcg64_random(*pcg64_seeded(disagreement)),
+            *(pcg64_seeded(w) for w in words))
 
 
 def counter_streams(parent, lo: int, hi: int,
                     role: int) -> list[tuple[int, float, tuple[int, int]]]:
-    """``counter_stream`` of each counter in [lo, hi) (below 2**64), hashed
-    as uint64 arrays: one group below 2**32, whose spawn keys are one word,
-    and one at or above it, whose keys are two."""
+    """``counter_stream(parent, c, role)`` of each counter c in [lo, hi)
+    (below 2**64), hashed as uint64 arrays: one group below 2**32, whose
+    spawn keys are one word, and one at or above it, whose keys are two."""
     out = []
     for a, b in ((lo, min(hi, 1 << 32)), (max(lo, 1 << 32), hi)):
         if a >= b:
             continue
         counters = np.arange(a, b, dtype=np.uint64)
         key = [counters] if b <= 1 << 32 else [counters & _MASK32, counters >> 32]
-        seeds, disagreement, words = _streams(parent, key, role)
+        seeds, disagreement, (words,) = _streams(parent, key, (role,))
         for seed, d_words, r_words in zip(seeds.tolist(),
                                           zip(*(w.tolist() for w in disagreement)),
                                           zip(*(w.tolist() for w in words))):
@@ -226,8 +231,6 @@ class ToyOutput:
     image: Image
     gt_mask: Mask
     ensemble: EnsemblePrediction | None
-    confidence: float
-    disagreement: float
 
 
 def toy_taxonomy(num_classes: int, seed: int = 0) -> tuple[ClassTaxonomy, list[ToyClassSpec]]:
@@ -276,26 +279,13 @@ def toy_taxonomy(num_classes: int, seed: int = 0) -> tuple[ClassTaxonomy, list[T
     return taxonomy, specs
 
 
-def injected_disagreement(seed: int) -> float:
-    """Default disagreement level toy_generate draws for a sample seed."""
-    return float(substream(seed, _DISAGREEMENT_STREAM).random())
+def jittered_confidence(disagreement: float, rng: np.random.Generator) -> float:
+    """A toy sample's classifier confidence.
 
-
-def toy_confidence(seed: int, disagreement: float | None = None) -> float:
-    """Classifier confidence toy_generate reports for a sample seed.
-
-    Falls with the disagreement level (drawn as toy_generate draws it when
-    None) plus a small seeded jitter, clamped to [0, 1]. It reads no latent
+    Falls with the disagreement level plus a small jitter drawn from ``rng``,
+    the sample's confidence stream, clamped to [0, 1]. It reads no latent
     and no pixel, so a sample can be scored without being rendered.
     """
-    if disagreement is None:
-        disagreement = injected_disagreement(seed)
-    return jittered_confidence(disagreement, substream(seed, CONFIDENCE_STREAM))
-
-
-def jittered_confidence(disagreement: float, rng: np.random.Generator) -> float:
-    """``toy_confidence`` with the jitter drawn from ``rng``, the sample's
-    confidence stream."""
     jitter = float(rng.normal(0.0, 0.05))
     return min(max(1.0 - 0.8 * disagreement + jitter, 0.0), 1.0)
 
@@ -373,20 +363,18 @@ def _background(res: int, texture: int, rng: np.random.Generator) -> np.ndarray:
     return np.clip(canvas, 0, 255)
 
 
-def _shape(spec: ToyClassSpec, z: np.ndarray, seed: int, res: int,
-           disagreement: float | None) -> tuple[np.ndarray, np.ndarray, float]:
+def _shape(spec: ToyClassSpec, z: np.ndarray, res: int,
+           disagreement: float) -> tuple[np.ndarray, np.ndarray]:
     """Check the inputs and rasterize the shape.
 
-    Returns the foreground mask, the latent cycled to its LATENT_DIM used
-    coordinates and the disagreement level (drawn from the seed when None).
+    Returns the foreground mask and the latent cycled to its LATENT_DIM used
+    coordinates.
     """
     if res not in VALID_RESOLUTIONS:
         raise ValueError(f"resolution {res} not in {VALID_RESOLUTIONS}")
     z = np.asarray(z, dtype=np.float64).ravel()
     if z.size < 1 or not np.isfinite(z).all():
         raise ValueError("latent vector must be nonempty and finite")
-    if disagreement is None:
-        disagreement = injected_disagreement(seed)
     if not 0.0 <= disagreement <= 1.0:
         raise ValueError("disagreement must be in [0, 1]")
     zc = np.resize(z, LATENT_DIM)
@@ -404,7 +392,7 @@ def _shape(spec: ToyClassSpec, z: np.ndarray, seed: int, res: int,
     cy = _param(zc[4], margin, 1.0 - margin) * res
     a = size * res / 2
     b = aspect * a
-    return _rasterize(spec.shape_family, res, cx, cy, a, b, rot), zc, disagreement
+    return _rasterize(spec.shape_family, res, cx, cy, a, b, rot), zc
 
 
 def _band(fg: np.ndarray) -> np.ndarray:
@@ -433,29 +421,30 @@ def _band_ensemble(fg: np.ndarray, disagreement: float) -> EnsemblePrediction:
     return EnsemblePrediction(heads, index, fg.shape)
 
 
-def toy_ensemble(spec: ToyClassSpec, z: np.ndarray, seed: int, res: int = 64,
-                 disagreement: float | None = None) -> EnsemblePrediction:
+def toy_ensemble(spec: ToyClassSpec, z: np.ndarray, res: int = 64, *,
+                 disagreement: float) -> EnsemblePrediction:
     """The ensemble ``toy_generate`` would return, from the shape alone.
 
-    Rasterizes the shape and builds the band heads; paints no image. Takes
-    the same arguments and makes the same checks as ``toy_generate``.
+    Rasterizes the shape and builds the band heads; paints no image. Makes
+    the same checks as ``toy_generate``.
     """
-    fg, _, disagreement = _shape(spec, z, seed, res, disagreement)
+    fg, _ = _shape(spec, z, res, disagreement)
     return _band_ensemble(fg, disagreement)
 
 
-def toy_generate(spec: ToyClassSpec, z: np.ndarray, seed: int, res: int = 64,
-                 disagreement: float | None = None, with_ensemble: bool = True) -> ToyOutput:
-    """Render one labeled sample; deterministic in (spec, z, seed, res).
+def toy_generate(spec: ToyClassSpec, z: np.ndarray, seed: int, res: int = 64, *,
+                 disagreement: float, with_ensemble: bool = True) -> ToyOutput:
+    """Render one labeled sample; deterministic in (spec, z, seed, res,
+    disagreement).
 
-    ``disagreement`` in [0, 1] sets how far the ensemble heads slide from the
-    true label toward their fixed fan of probability targets inside the
-    boundary band; when None it is drawn uniformly from a seed-keyed
-    substream. The ensemble lists only the boundary band's pixels.
-    ``with_ensemble=False`` skips the head construction (image, mask and
-    confidence are unaffected, they use separate substreams).
+    The latent ``z`` sets the shape and its colour; ``seed`` keys only the
+    background texture. ``disagreement`` in [0, 1] sets how far the ensemble
+    heads slide from the true label toward their fixed fan of probability
+    targets inside the boundary band. The ensemble lists only the boundary
+    band's pixels. ``with_ensemble=False`` skips the head construction
+    (image and mask are unaffected).
     """
-    fg, zc, disagreement = _shape(spec, z, seed, res, disagreement)
+    fg, zc = _shape(spec, z, res, disagreement)
     gt = np.where(fg, np.uint8(spec.class_id), np.uint8(0))
 
     color = np.array(
@@ -469,6 +458,4 @@ def toy_generate(spec: ToyClassSpec, z: np.ndarray, seed: int, res: int = 64,
         image=image,
         gt_mask=Mask(gt),
         ensemble=_band_ensemble(fg, disagreement) if with_ensemble else None,
-        confidence=toy_confidence(seed, disagreement),
-        disagreement=disagreement,
     )

@@ -408,13 +408,18 @@ def numpy_stream(seed, role):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(role,)))
 
 
+def numpy_disagreement(seed):
+    """The disagreement level of a toy sample seed, from numpy's own substream."""
+    return float(numpy_stream(seed, _TOY_DISAGREEMENT).random())
+
+
 def toy_scored(source, counter):
     """``ToySource``'s pixel-free sample of one counter, one counter at a time
     through numpy's own seed sequences and generators."""
     from labelgen.formats import LabeledSample
 
     seed = numpy_sample_seed(source.seed, counter)
-    disagreement = float(numpy_stream(seed, _TOY_DISAGREEMENT).random())
+    disagreement = numpy_disagreement(seed)
     jitter = float(numpy_stream(seed, _TOY_CONFIDENCE).normal(0.0, 0.05))
     return LabeledSample(
         id=f"toy-{counter:012d}",

@@ -70,8 +70,10 @@ from .oracles import (
     flood_fill_components,
     hand_mask_stats,
     kid_triple_loop,
+    numpy_disagreement,
     pixel_iou,
     recursive_dp,
+    toy_scored,
     truncated_normal_variance,
 )
 
@@ -207,9 +209,9 @@ def test_criterion_4_end_to_end_toy_pipeline(tmp_path):
         uncertainties = np.empty(pool)
         levels = np.empty(pool)
         for counter in range(pool):
-            sample = source.generate(counter)
+            sample = toy_scored(source, counter)
             uncertainties[counter] = sample_uncertainty(source.ensemble(counter))
-            levels[counter] = source.injected_disagreement(counter)
+            levels[counter] = numpy_disagreement(sample.latent_seed)
             slim.append(
                 LabeledSample(id=sample.id, class_id=sample.class_id, provenance="toy",
                               confidence=sample.confidence,

@@ -19,7 +19,6 @@ from labelgen.geometry import (
     class_polygons,
     largest_component_polygon,
     shape_diversity_by_class,
-    simplify_chain,
     simplify_chains,
     simplify_dp,
     simplify_polygons,
@@ -81,7 +80,7 @@ def test_single_chain_and_polygon_forms_agree_with_the_batch():
     polys = [p for polys in _contours().values() for p in polys]
     batch = simplify_polygons(polys, 0.01)
     for poly, simplified in zip(polys, batch):
-        assert np.array_equal(simplify_chain(poly.points, 0.01), segment_dp(poly.points, 0.01))
+        assert np.array_equal(simplify_dp(poly.points, 0.01), segment_dp(poly.points, 0.01))
         single = simplify_dp(poly, 0.01)
         assert single.degenerate == simplified.degenerate
         assert np.array_equal(single.points, simplified.points)

@@ -158,6 +158,7 @@ REASONS = {
     ("synth", "--seed", "-1"): "seed must be >= 0, got -1",
     ("stream", "--count", "1"): "seed must be >= 0, got -3",  # LABELGEN_SEED=-3
     ("meanshapes", "--seed", "-1"): "seed must be >= 0, got -1",
+    ("synth", "--truncation", "1e-300"): "truncation_psi must be >= 0.01, got 1e-300",
 }
 
 
@@ -187,6 +188,7 @@ REASONS = {
     (["synth", "--n", "1", "--seed", "-1"], None, 2),
     (["stream", "--count", "1"], "-3", 2),                  # LABELGEN_SEED
     (["meanshapes", "--manifest", MANIFEST, "--seed", "-1"], None, 2),
+    (["synth", "--n", "2", "--truncation", "1e-300"], None, 2),  # would not finish
 ])
 def test_exit_codes(tmp_path, capsys, monkeypatch, argv, seed_env, code):
     # 1: the command line does not parse; 2: a parsed value is rejected

@@ -6,6 +6,8 @@ source can seed a whole counter range at once. Every value is compared by
 one to five 32-bit words and counters on both sides of 2**32, where numpy's
 spawn key grows from one word to two.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +27,13 @@ from labelgen.toygen import (
     toy_generate,
 )
 
-from .oracles import numpy_sample_seed, numpy_stream, toy_latent, toy_scored
+from .oracles import (
+    numpy_disagreement,
+    numpy_sample_seed,
+    numpy_stream,
+    toy_latent,
+    toy_scored,
+)
 
 ROOTS = st.one_of(st.integers(0, 2**64 - 1), st.integers(2**128, 2**140))
 COUNTERS = st.one_of(st.integers(0, 2**40), st.integers(2**32 - 3, 2**32 + 3))
@@ -56,14 +64,16 @@ def test_spawned_state_equals_numpy(root, key, n):
 @example(root=2**130 + 5, counter=2**32)
 def test_counter_stream_equals_numpy(root, counter):
     parent = spawn_parent(int_words(root))
-    seed, disagreement, latent_state = counter_stream(parent, counter, LATENT_STREAM)
+    seed, disagreement, latent_state, confidence_state = counter_stream(
+        parent, counter, LATENT_STREAM, CONFIDENCE_STREAM)
     assert seed == numpy_sample_seed(root, counter)
-    assert disagreement == numpy_stream(seed, 60).random()
+    assert disagreement == numpy_disagreement(seed)
     assert latent_state == _pcg_state(numpy_stream(seed, LATENT_STREAM))
     rng = np.random.Generator(np.random.PCG64(7))
     latent = truncated_normal(8, 0.9, set_stream(rng, latent_state))
     assert (latent == truncated_normal(8, 0.9, numpy_stream(seed, LATENT_STREAM))).all()
-    _, _, confidence_state = counter_stream(parent, counter, CONFIDENCE_STREAM)
+    assert counter_stream(parent, counter, CONFIDENCE_STREAM) == \
+        (seed, disagreement, confidence_state)
     jitter = set_stream(rng, confidence_state).normal(0.0, 0.05)
     assert jitter == numpy_stream(seed, CONFIDENCE_STREAM).normal(0.0, 0.05)
 
@@ -111,12 +121,11 @@ def test_rendered_sample_and_ensemble_use_numpy_streams(root, counter):
     spec = source.specs[counter % 16]
     seed = numpy_sample_seed(root, counter)
     latent = toy_latent(source, counter)
-    # no disagreement passed: toygen draws it from numpy's own substream
-    expected = toy_generate(spec, latent, seed, 64)
+    expected = toy_generate(spec, latent, seed, 64, disagreement=numpy_disagreement(seed))
     sample = source.generate(counter)
     assert (sample.image.data == expected.image.data).all()
     assert (sample.mask.labels == expected.gt_mask.labels).all()
-    assert sample.confidence == expected.confidence
+    assert replace(sample, image=None, mask=None) == toy_scored(source, counter)
     ensemble = source.ensemble(counter)
     assert (ensemble.index == expected.ensemble.index).all()
     assert (ensemble.probs == expected.ensemble.probs).all()

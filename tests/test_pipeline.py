@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelgen import pipeline, toygen
+from labelgen.cli import main
 from labelgen.formats import read_manifest, read_mask, read_image
 from labelgen.pipeline import (
     OnlineStream,
@@ -18,6 +19,8 @@ from labelgen.pipeline import (
     write_stream,
 )
 from labelgen.sampling import FilterConfig, truncated_normal
+
+from .oracles import numpy_disagreement, toy_scored
 
 NO_FILTERS = FilterConfig(rejection_rate=0.0, uncertainty_fraction=0.0)
 
@@ -37,7 +40,7 @@ def test_source_deterministic_per_counter():
     source = ToySource(num_classes=16, seed=0)
     a = source.generate(5)
     b = source.generate(5)
-    assert a.id == b.id and a.latent_seed == b.latent_seed
+    assert a.id == b.id and a.latent_seed == b.latent_seed and a.confidence == b.confidence
     np.testing.assert_array_equal(a.mask.labels, b.mask.labels)
     c = source.generate(6)
     assert c.id != a.id
@@ -59,7 +62,8 @@ def test_shape_only_ensemble_equals_generated_ensemble(counter, seed, res):
     source = ToySource(num_classes=16, seed=seed, resolution=res)
     sample_seed = source.scored_range(counter, counter + 1)[0].latent_seed
     z = truncated_normal(toygen.LATENT_DIM, 0.9, toygen.substream(sample_seed, 1))
-    generated = toygen.toy_generate(source.specs[counter % 16], z, sample_seed, res).ensemble
+    generated = toygen.toy_generate(source.specs[counter % 16], z, sample_seed, res,
+                                    disagreement=numpy_disagreement(sample_seed)).ensemble
     shape_only = source.ensemble(counter)
     assert shape_only.shape == generated.shape
     assert (shape_only.index == generated.index).all()
@@ -118,6 +122,15 @@ def test_offline_builds_ensembles_only_for_rejection_survivors(tmp_path, monkeyp
     assert len(backgrounds) == 10  # no image is painted for a candidate that is not written
 
 
+def test_synth_builds_numpy_streams_only_for_taxonomy_and_textures(tmp_path, monkeypatch, capsys):
+    # the source derives every per-sample stream itself; the renderer keys
+    # only the background texture by the seed
+    streams = _count_calls(monkeypatch, toygen, "substream")
+    assert main(["synth", "--n", "10", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len(streams) == 1 + 10
+
+
 def test_online_renders_only_accepted_samples(monkeypatch):
     calls = _count_renders(monkeypatch)
     stream = synth_online(PipelineSpec(mode="online", seed=0))
@@ -157,7 +170,7 @@ def test_offline_funnel_metadata(tmp_path):
     assert (md["pool"], md["after_rejection"], md["after_uncertainty"]) == ("112", "12", "10")
     # independent re-scoring: the 12th-highest confidence of the pool is the rejection cut
     source = ToySource(num_classes=16, seed=0)
-    ranked = sorted((source.generate(c).confidence for c in range(112)), reverse=True)
+    ranked = sorted((toy_scored(source, c).confidence for c in range(112)), reverse=True)
     assert md["confidence_cut"] == repr(ranked[11])
     assert md["uncertainty_cut"] == repr(max(e.uncertainty for e in manifest.entries))
     assert read_manifest(tmp_path / "manifest.txt").metadata == md

@@ -8,6 +8,7 @@ from scipy import stats
 
 from labelgen.formats import LabeledSample
 from labelgen.sampling import (
+    MIN_TRUNCATION_PSI,
     CategoricalDist,
     EnsemblePrediction,
     FilterConfig,
@@ -38,6 +39,10 @@ def test_filter_config_validation():
         FilterConfig(uncertainty_fraction=1.0)
     with pytest.raises(ValueError):
         FilterConfig(truncation_psi=-1.0)
+    for psi in (0.0099, 1e-300, float("nan")):
+        with pytest.raises(ValueError, match="truncation_psi must be >= 0.01"):
+            FilterConfig(truncation_psi=psi)
+    assert FilterConfig(truncation_psi=MIN_TRUNCATION_PSI).truncation_psi == 0.01
 
 
 def test_filter_config_file_roundtrip(tmp_path):
@@ -80,6 +85,14 @@ def test_truncated_normal_tight_bound_variance():
     rng = np.random.default_rng(2)
     z = truncated_normal(100_000, 0.9, rng)
     assert z.var() == pytest.approx(expected, abs=0.01)
+
+
+def test_truncated_normal_rejects_a_psi_that_would_not_finish():
+    for psi in (0.0099, 1e-300, 0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="psi must be >= 0.01"):
+            truncated_normal(8, psi, np.random.default_rng(0))
+    z = truncated_normal(8, MIN_TRUNCATION_PSI, np.random.default_rng(0))
+    assert np.abs(z).max() <= MIN_TRUNCATION_PSI
 
 
 def test_truncated_normal_reproducible():

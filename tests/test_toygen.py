@@ -10,12 +10,14 @@ from scipy.stats import spearmanr
 from labelgen.geometry import mask_stats
 from labelgen.sampling import sample_uncertainty, truncated_normal
 from labelgen.toygen import (
+    CONFIDENCE_STREAM,
     FAMILIES,
     NUM_HEADS,
     VALID_RESOLUTIONS,
     ToyClassSpec,
     _band,
     _rasterize,
+    jittered_confidence,
     substream,
     toy_ensemble,
     toy_generate,
@@ -25,6 +27,7 @@ from labelgen.toygen import (
 from .oracles import (
     dense_js_uncertainty,
     full_grid_rasterize,
+    numpy_disagreement,
     scipy_band,
     toy_band,
     toy_dense_ensemble,
@@ -82,17 +85,17 @@ def _dense_heads(ensemble, foreground):
 
 def test_generate_deterministic():
     spec, z = _spec_and_z()
-    a = toy_generate(spec, z, seed=7, res=64)
-    b = toy_generate(spec, z, seed=7, res=64)
+    level = numpy_disagreement(7)
+    a = toy_generate(spec, z, seed=7, res=64, disagreement=level)
+    b = toy_generate(spec, z, seed=7, res=64, disagreement=level)
     np.testing.assert_array_equal(a.image.data, b.image.data)
     np.testing.assert_array_equal(a.gt_mask.labels, b.gt_mask.labels)
     np.testing.assert_array_equal(a.ensemble.probs, b.ensemble.probs)
     np.testing.assert_array_equal(a.ensemble.index, b.ensemble.index)
-    assert a.confidence == b.confidence and a.disagreement == b.disagreement
     # the listed pixels are exactly the band, and the full grid equals the oracle's
     fg = a.gt_mask.foreground()
     np.testing.assert_array_equal(a.ensemble.index, np.flatnonzero(toy_band(fg)))
-    oracle = toy_dense_ensemble(fg, a.disagreement, NUM_HEADS)
+    oracle = toy_dense_ensemble(fg, level, NUM_HEADS)
     np.testing.assert_array_equal(_dense_heads(a.ensemble, fg), oracle[:, :, :, 1])
     np.testing.assert_array_equal(a.ensemble.probs[:, :, 0],
                                   oracle[:, :, :, 0].reshape(NUM_HEADS, -1)[:, a.ensemble.index])
@@ -101,7 +104,7 @@ def test_generate_deterministic():
 def test_generate_invalid_resolution():
     spec, z = _spec_and_z()
     with pytest.raises(ValueError):
-        toy_generate(spec, z, seed=0, res=100)
+        toy_generate(spec, z, seed=0, res=100, disagreement=numpy_disagreement(0))
 
 
 def test_zero_disagreement_one_hot_heads():
@@ -121,8 +124,9 @@ def test_band_uncertainty_matches_dense_oracle():
     for i in range(400):
         spec = specs[i % 16]
         z = truncated_normal(8, 0.9, substream(700 + i, 1))
-        out = toy_generate(spec, z, seed=700 + i, res=64)
-        heads = toy_dense_ensemble(out.gt_mask.foreground(), out.disagreement, NUM_HEADS)
+        level = numpy_disagreement(700 + i)
+        out = toy_generate(spec, z, seed=700 + i, res=64, disagreement=level)
+        heads = toy_dense_ensemble(out.gt_mask.foreground(), level, NUM_HEADS)
         banded.append(sample_uncertainty(out.ensemble))
         dense.append(dense_js_uncertainty(heads))
     banded, dense = np.array(banded), np.array(dense)
@@ -135,7 +139,8 @@ def test_uncertainty_equals_xlogy_sum_oracle():
     _, specs = toy_taxonomy(16, seed=0)
     for i in range(400):
         z = truncated_normal(8, 0.9, substream(900 + i, 1))
-        ensemble = toy_generate(specs[i % 16], z, seed=900 + i, res=64).ensemble
+        ensemble = toy_generate(specs[i % 16], z, seed=900 + i, res=64,
+                                disagreement=numpy_disagreement(900 + i)).ensemble
         assert sample_uncertainty(ensemble) == xlogy_uncertainty(ensemble)
 
 
@@ -168,7 +173,9 @@ def test_shift_band_equals_scipy_band(grid):
 def test_toy_ensemble_equals_generated_ensemble(index, seed, res, level):
     _, specs = toy_taxonomy(16, seed=0)
     z = truncated_normal(8, 0.9, substream(seed, 1))
-    shape_only = toy_ensemble(specs[index], z, seed, res, disagreement=level)
+    if level is None:
+        level = numpy_disagreement(seed)
+    shape_only = toy_ensemble(specs[index], z, res, disagreement=level)
     generated = toy_generate(specs[index], z, seed, res, disagreement=level).ensemble
     assert shape_only.shape == generated.shape
     assert (shape_only.index == generated.index).all()
@@ -183,10 +190,10 @@ def test_toy_ensemble_equals_generated_ensemble(index, seed, res, level):
 ])
 def test_toy_ensemble_checks_inputs_like_generate(kwargs, message):
     spec, z = _spec_and_z(index=1)
-    call = {"spec": spec, "z": z, "seed": 3, **kwargs}
-    for build in (toy_ensemble, toy_generate):
+    call = {"spec": spec, "z": z, "disagreement": numpy_disagreement(3), **kwargs}
+    for build, extra in ((toy_ensemble, {}), (toy_generate, {"seed": 3})):
         with pytest.raises(ValueError, match=message):
-            build(**call)
+            build(**call, **extra)
 
 
 def test_uncertainty_strictly_increasing_in_disagreement():
@@ -205,7 +212,7 @@ def test_uncertainty_strictly_increasing_in_disagreement():
 
 def test_mask_class_label_matches_spec():
     spec, z = _spec_and_z(index=5)
-    out = toy_generate(spec, z, seed=11, res=64)
+    out = toy_generate(spec, z, seed=11, res=64, disagreement=numpy_disagreement(11))
     labels = set(np.unique(out.gt_mask.labels).tolist())
     assert labels == {0, spec.class_id}
 
@@ -219,7 +226,8 @@ def test_foreground_fraction_in_analytic_range():
             continue
         for trial in range(10):
             z = truncated_normal(8, 0.9, rng)
-            out = toy_generate(spec, z, seed=int(rng.integers(1 << 32)), res=128)
+            seed = int(rng.integers(1 << 32))
+            out = toy_generate(spec, z, seed=seed, res=128, disagreement=numpy_disagreement(seed))
             mi = mask_stats(out.gt_mask).mask_over_image
             s_lo, s_hi = spec.size_range
             a_lo, a_hi = spec.aspect_range
@@ -233,10 +241,9 @@ def test_foreground_fraction_in_analytic_range():
 
 
 def test_confidence_decreases_with_disagreement():
-    spec, z = _spec_and_z()
-    low = toy_generate(spec, z, seed=21, res=64, disagreement=0.0)
-    high = toy_generate(spec, z, seed=21, res=64, disagreement=1.0)
-    assert high.confidence < low.confidence
+    low = jittered_confidence(0.0, substream(21, CONFIDENCE_STREAM))
+    high = jittered_confidence(1.0, substream(21, CONFIDENCE_STREAM))
+    assert high < low
 
 
 def test_uncertainty_ranks_track_injected_disagreement():
@@ -245,21 +252,21 @@ def test_uncertainty_ranks_track_injected_disagreement():
     for i in range(200):
         spec = specs[i % 16]
         z = truncated_normal(8, 0.9, substream(9000 + i, 1))
-        out = toy_generate(spec, z, seed=9000 + i, res=64)
+        levels.append(numpy_disagreement(9000 + i))
+        out = toy_generate(spec, z, seed=9000 + i, res=64, disagreement=levels[-1])
         uncertainties.append(sample_uncertainty(out.ensemble))
-        levels.append(out.disagreement)
     rho = spearmanr(uncertainties, levels).statistic
     assert rho > 0.95
 
 
 def test_without_ensemble_matches_with_ensemble():
     spec, z = _spec_and_z(index=2)
-    full = toy_generate(spec, z, seed=31, res=64, with_ensemble=True)
-    lean = toy_generate(spec, z, seed=31, res=64, with_ensemble=False)
+    level = numpy_disagreement(31)
+    full = toy_generate(spec, z, seed=31, res=64, disagreement=level, with_ensemble=True)
+    lean = toy_generate(spec, z, seed=31, res=64, disagreement=level, with_ensemble=False)
     assert lean.ensemble is None
     np.testing.assert_array_equal(full.image.data, lean.image.data)
     np.testing.assert_array_equal(full.gt_mask.labels, lean.gt_mask.labels)
-    assert full.confidence == lean.confidence
 
 
 def test_class_spec_validation():
