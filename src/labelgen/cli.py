@@ -25,6 +25,7 @@ from .formats import (
     read_mask,
     read_embeddings,
     read_taxonomy,
+    write_lines,
     write_polygons,
 )
 from .sampling import FilterConfig
@@ -35,10 +36,6 @@ def _load_masks(manifest: DatasetManifest, manifest_path):
     base_dir = Path(manifest_path).parent
     for entry in manifest.entries:
         yield entry.class_id, read_mask(base_dir / entry.mask_path)
-
-
-def _write_lines(path, lines) -> None:
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
 # --------------------------------------------------------------------------
@@ -142,7 +139,7 @@ def _cmd_meanshapes(args) -> int:
         for cluster, (values, size) in enumerate(zip(flat.tolist(),
                                                      shapes.cluster_sizes.tolist())):
             lines.append(f"{shapes.class_id}\t{cluster}\t{size}\t{row_format % tuple(values)}")
-    _write_lines(args.out, lines)
+    write_lines(lines, args.out)
     if skipped:
         print(f"skipped classes with fewer than k={args.k} masks: {skipped}", file=sys.stderr)
     print(f"wrote {len(lines)} mean-shape rows to {args.out}")
@@ -156,7 +153,7 @@ def _cmd_scatter(args) -> int:
     centers = geometry.center_scatter(
         mask for _, mask in _load_masks(manifest, args.manifest)
     )
-    _write_lines(args.out, [f"{cx:.6f}\t{cy:.6f}" for cx, cy in centers])
+    write_lines([f"{cx:.6f}\t{cy:.6f}" for cx, cy in centers], args.out)
     print(f"wrote {len(centers)} centers to {args.out}")
     return 0
 
@@ -231,9 +228,8 @@ def _cmd_bench(args) -> int:
     lines.append("top-5 worst")
     for label, iou in ranks.worst:
         lines.append(f"  {label}\t{_label_name(task, taxonomy, label)}\t{iou:.6f}")
-    text = "\n".join(lines) + "\n"
-    Path(args.report).write_text(text)
-    print(text, end="")
+    write_lines(lines, args.report)
+    print(*lines, sep="\n")
     return 0
 
 

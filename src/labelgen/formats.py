@@ -3,9 +3,10 @@
 Masks are binary PGM (P5, maxval 255): label 0 is background, 255 is the
 ignore label, 1..254 are foreground class ids. Images are binary PPM (P6).
 Embedding sets use a tiny binary container ("EMB1" magic, little-endian
-uint32 n and d, then n*d little-endian float32 values, row-major). Dataset
-manifests are UTF-8 text with a fixed tab-separated field order so they
-stream and diff cleanly.
+uint32 n and d, then n*d little-endian float32 values, row-major). Every
+text format is UTF-8; dataset manifests have a fixed tab-separated column
+order so they stream and diff cleanly. ``LabeledSample`` (in memory) and
+``ManifestEntry`` (on disk) share one ``SampleRecord`` of fields and checks.
 
 All types are immutable after construction; array payloads are marked
 read-only so instances can be shared freely between threads.
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from operator import attrgetter
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -156,15 +158,16 @@ class Image:
         return self.data.shape[1]
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """An image/mask pair with provenance and filter scores.
+# a base only, never built itself: each subclass makes its own __init__,
+# __repr__ and __eq__, so making them here too would only slow the import
+@dataclass(frozen=True, kw_only=True, init=False, repr=False, eq=False)
+class SampleRecord:
+    """The fields a sample carries in memory and on disk, checked once.
 
     ``confidence`` and ``uncertainty`` are optional scores attached by a
     classifier and an ensemble respectively; ``latent_seed`` records the
     generator input for synthetic provenance and may be absent for real data.
-    ``image`` and ``mask`` may be None when only metadata travels (the pixel
-    payloads then live behind manifest paths).
+    The id must read back as one manifest field that is not a metadata line.
     """
 
     id: str
@@ -173,22 +176,42 @@ class LabeledSample:
     latent_seed: int | None = None
     confidence: float | None = None
     uncertainty: float | None = None
-    image: Image | None = None
-    mask: Mask | None = None
 
     def __post_init__(self):
         if not self.id:
-            raise ValueError("sample id must be nonempty")
+            raise MissingFieldError("sample id is empty")
+        _check_text("sample id", self.id)
+        if self.id.startswith("#"):
+            raise FormatError(f"sample id {self.id!r} starts with '#', as metadata lines do")
         if not 1 <= self.class_id <= 1000:
             raise ValueError(f"class_id {self.class_id} outside 1..1000")
         if self.provenance not in PROVENANCE_TAGS:
             raise UnknownProvenanceError(f"unknown provenance {self.provenance!r}")
         if self.latent_seed is not None and not 0 <= self.latent_seed < 2**64:
-            raise ValueError("latent_seed must fit in 64 unsigned bits")
+            raise ValueError(f"latent_seed {self.latent_seed} must fit in 64 unsigned bits")
         if self.confidence is not None and not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
-        if self.uncertainty is not None and self.uncertainty < 0:
+        if self.uncertainty is not None and not self.uncertainty >= 0:
             raise ValueError(f"uncertainty {self.uncertainty} must be nonnegative")
+
+    def record_fields(self) -> dict:
+        """The ``SampleRecord`` fields by name, to build another record type."""
+        return {f.name: getattr(self, f.name) for f in fields(SampleRecord)}
+
+
+@dataclass(frozen=True, kw_only=True)
+class LabeledSample(SampleRecord):
+    """A sample record with its image/mask pair.
+
+    ``image`` and ``mask`` may be None when only metadata travels (the pixel
+    payloads then live behind manifest paths).
+    """
+
+    image: Image | None = None
+    mask: Mask | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.image is not None and self.mask is not None:
             if (self.image.height, self.image.width) != (self.mask.height, self.mask.width):
                 raise ValueError("mask dimensions must equal image dimensions")
@@ -223,32 +246,20 @@ class ClassTaxonomy:
                 )
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
-    """One dataset record: metadata plus relative paths to the pixel files."""
+@dataclass(frozen=True, kw_only=True)
+class ManifestEntry(SampleRecord):
+    """One dataset record: a sample record plus relative paths to its pixel files."""
 
-    id: str
-    class_id: int
     image_path: str
     mask_path: str
-    provenance: str
-    latent_seed: int | None = None
-    confidence: float | None = None
-    uncertainty: float | None = None
 
     def __post_init__(self):
-        for name in ("id", "image_path", "mask_path"):
-            if not getattr(self, name):
-                raise MissingFieldError(f"manifest entry field {name!r} is empty")
-            _check_text(f"manifest entry {name}", getattr(self, name))
-        if self.id.startswith("#"):
-            raise FormatError(f"sample id {self.id!r} starts with '#', as metadata lines do")
-        if not 1 <= self.class_id <= 1000:
-            raise ValueError(f"class_id {self.class_id} outside 1..1000")
-        if self.provenance not in PROVENANCE_TAGS:
-            raise UnknownProvenanceError(f"unknown provenance {self.provenance!r}")
+        super().__post_init__()
         for name in ("image_path", "mask_path"):
             path = getattr(self, name)
+            if not path:
+                raise MissingFieldError(f"manifest entry field {name!r} is empty")
+            _check_text(f"manifest entry {name}", path)
             if path.startswith("/") or ".." in path.split("/"):
                 raise FormatError(f"{name} must stay inside the manifest directory")
 
@@ -426,10 +437,25 @@ def write_embeddings(embeddings: EmbeddingSet, path) -> None:
 # manifests
 # --------------------------------------------------------------------------
 
-_MANIFEST_FIELDS = 8
+def _optional(parse):
+    return lambda text: None if text == "-" else parse(text)
 
 
-def _format_optional(value) -> str:
+# the columns of an entry line, in order, each with the parser of its text;
+# an absent optional value is written and read as "-"
+_MANIFEST_COLUMNS = (
+    ("id", str),
+    ("class_id", int),
+    ("image_path", str),
+    ("mask_path", str),
+    ("provenance", str),
+    ("latent_seed", _optional(int)),
+    ("confidence", _optional(float)),
+    ("uncertainty", _optional(float)),
+)
+
+
+def _format_field(value) -> str:
     if value is None:
         return "-"
     if isinstance(value, float):
@@ -441,21 +467,9 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
     lines = [f"{MANIFEST_MAGIC} {manifest.name}"]
     for key, value in manifest.metadata.items():
         lines.append(f"#{key}={value}")
+    columns = attrgetter(*(name for name, _ in _MANIFEST_COLUMNS))
     for e in manifest.entries:
-        lines.append(
-            "\t".join(
-                (
-                    e.id,
-                    str(e.class_id),
-                    e.image_path,
-                    e.mask_path,
-                    e.provenance,
-                    _format_optional(e.latent_seed),
-                    _format_optional(e.confidence),
-                    _format_optional(e.uncertainty),
-                )
-            )
-        )
+        lines.append("\t".join(map(_format_field, columns(e))))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -478,26 +492,16 @@ def read_manifest(path) -> DatasetManifest:
                 raise FormatError(f"{path}:{lineno}: metadata line must be #key=value")
             metadata[key] = value
             continue
-        fields = line.split("\t")
-        if len(fields) != _MANIFEST_FIELDS:
-            raise MissingFieldError(
-                f"{path}:{lineno}: expected {_MANIFEST_FIELDS} tab-separated fields, got {len(fields)}"
-            )
-        sid, class_id, image_path, mask_path, provenance, seed, conf, unc = fields
-        if sid in seen:
-            raise DuplicateIdError(f"{path}:{lineno}: duplicate sample id {sid!r}")
-        seen.add(sid)
+        texts = line.split("\t")
+        if len(texts) != len(_MANIFEST_COLUMNS):
+            raise MissingFieldError(f"{path}:{lineno}: expected {len(_MANIFEST_COLUMNS)} "
+                                    f"tab-separated fields, got {len(texts)}")
+        if texts[0] in seen:
+            raise DuplicateIdError(f"{path}:{lineno}: duplicate sample id {texts[0]!r}")
+        seen.add(texts[0])
         try:
-            entry = ManifestEntry(
-                id=sid,
-                class_id=int(class_id),
-                image_path=image_path,
-                mask_path=mask_path,
-                provenance=provenance,
-                latent_seed=None if seed == "-" else int(seed),
-                confidence=None if conf == "-" else float(conf),
-                uncertainty=None if unc == "-" else float(unc),
-            )
+            entry = ManifestEntry(**{name: parse(text) for (name, parse), text
+                                     in zip(_MANIFEST_COLUMNS, texts)})
         except FormatError as exc:
             raise type(exc)(f"{path}:{lineno}: {exc}") from None
         except ValueError as exc:
@@ -547,6 +551,11 @@ def read_taxonomy(path) -> ClassTaxonomy:
 # polygons as text
 # --------------------------------------------------------------------------
 
+def write_lines(lines, path) -> None:
+    """Write each line with a trailing newline; no lines make an empty file."""
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
 def write_polygons(polys_by_class: dict[int, list[np.ndarray]], path) -> None:
     """One polygon per line: class_id<TAB>x1,y1;x2,y2;... with 6 decimals."""
     lines = []
@@ -555,7 +564,7 @@ def write_polygons(polys_by_class: dict[int, list[np.ndarray]], path) -> None:
             pts = np.asarray(getattr(poly, "points", poly), dtype=float)
             body = ";".join(f"{x:.6f},{y:.6f}" for x, y in pts.tolist())
             lines.append(f"{cid}\t{body}")
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_lines(lines, path)
 
 
 def read_polygons(path) -> dict[int, list[np.ndarray]]:

@@ -215,7 +215,7 @@ def compare(layers, d_reduce: int = DEFAULT_D_REDUCE,
 def read_layers(path) -> list[LayerSpec]:
     """Parse 'name<TAB>resolution<TAB>channels' lines."""
     layers = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line or line.startswith("#"):
             continue
         fields = line.split("\t")
@@ -230,4 +230,4 @@ def read_layers(path) -> list[LayerSpec]:
 
 def write_layers(layers, path) -> None:
     lines = [f"{l.name}\t{l.resolution}\t{l.channels}" for l in layers]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

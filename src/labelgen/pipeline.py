@@ -264,18 +264,8 @@ def _write_dataset(spec: PipelineSpec, samples, taxonomy: ClassTaxonomy,
         mask_path = f"masks/{sample.id}.pgm"
         write_image(sample.image, out_dir / image_path)
         write_mask(sample.mask, out_dir / mask_path)
-        entries.append(
-            ManifestEntry(
-                id=sample.id,
-                class_id=sample.class_id,
-                image_path=image_path,
-                mask_path=mask_path,
-                provenance=sample.provenance,
-                latent_seed=sample.latent_seed,
-                confidence=sample.confidence,
-                uncertainty=sample.uncertainty,
-            )
-        )
+        entries.append(ManifestEntry(**sample.record_fields(),
+                                     image_path=image_path, mask_path=mask_path))
     manifest = DatasetManifest(
         name=spec.name,
         entries=tuple(entries),

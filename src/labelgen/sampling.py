@@ -48,7 +48,7 @@ class FilterConfig:
         """Load key=value lines; unknown keys are rejected."""
         kwargs = {}
         known = {f.name for f in fields(cls)}
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -61,7 +61,7 @@ class FilterConfig:
 
     def to_file(self, path) -> None:
         lines = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)]
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def override(self, **kwargs) -> "FilterConfig":
         updates = {k: v for k, v in kwargs.items() if v is not None}
@@ -250,6 +250,18 @@ def filtered_count(n: int, rate: float, fraction: float) -> int:
     return kept - _uncertainty_drop(kept, fraction)
 
 
+def _ranked_cut(samples: list, attr: str, keep: int, sign: int) -> list:
+    """The ``keep`` samples that rank first by ``sign * score``, in input order:
+    ``sign`` -1 keeps the highest ``attr`` scores, 1 the lowest. Tied scores
+    keep the smaller id; of samples tied in id too, the earlier is kept when
+    the highest scores are, the later when the lowest are."""
+    scores = _require_scores(samples, attr)
+    order = sorted(range(len(samples)),
+                   key=lambda i: (sign * scores[i], samples[i].id, -sign * i))
+    kept = set(order[:keep])
+    return [s for i, s in enumerate(samples) if i in kept]
+
+
 def uncertainty_filter(samples, fraction: float = 0.10):
     """Drop the ceil(fraction*n) most uncertain samples.
 
@@ -259,14 +271,8 @@ def uncertainty_filter(samples, fraction: float = 0.10):
     if not 0.0 <= fraction < 1.0:
         raise ValueError("fraction must be in [0, 1)")
     samples = list(samples)
-    scores = _require_scores(samples, "uncertainty")
-    drop = _uncertainty_drop(len(samples), fraction)
-    if drop == 0:
-        return samples
-    order = sorted(range(len(samples)), key=lambda i: samples[i].id, reverse=True)
-    order.sort(key=lambda i: -scores[i])  # stable: equal scores stay id-descending
-    dropped = set(order[:drop])
-    return [s for i, s in enumerate(samples) if i not in dropped]
+    return _ranked_cut(samples, "uncertainty",
+                       len(samples) - _uncertainty_drop(len(samples), fraction), 1)
 
 
 def confidence_rejection(samples, rate: float = 0.9):
@@ -278,9 +284,4 @@ def confidence_rejection(samples, rate: float = 0.9):
     if not 0.0 <= rate < 1.0:
         raise ValueError("rate must be in [0, 1)")
     samples = list(samples)
-    scores = _require_scores(samples, "confidence")
-    keep = _rejection_keep(len(samples), rate)
-    order = sorted(range(len(samples)), key=lambda i: samples[i].id)
-    order.sort(key=lambda i: -scores[i])  # stable: equal scores stay id-ascending
-    kept = set(order[:keep])
-    return [s for i, s in enumerate(samples) if i in kept]
+    return _ranked_cut(samples, "confidence", _rejection_keep(len(samples), rate), -1)

@@ -452,3 +452,29 @@ def stream_oracle(source, count, rate, warmup_base, warmup_size):
             accepted += 1
         candidates += 1
     return candidates, accepted, threshold
+
+
+def two_sort_uncertainty_filter(samples, fraction):
+    """``uncertainty_filter`` as first written: sort by id descending, then
+    stably by falling uncertainty, and drop the ceil(fraction*n) first."""
+    samples = list(samples)
+    scores = [float(s.uncertainty) for s in samples]
+    drop = math.ceil(fraction * len(samples))
+    if drop == 0:
+        return samples
+    order = sorted(range(len(samples)), key=lambda i: samples[i].id, reverse=True)
+    order.sort(key=lambda i: -scores[i])  # stable: equal scores stay id-descending
+    dropped = set(order[:drop])
+    return [s for i, s in enumerate(samples) if i not in dropped]
+
+
+def two_sort_confidence_rejection(samples, rate):
+    """``confidence_rejection`` as first written: sort by id ascending, then
+    stably by falling confidence, and keep the ceil((1-rate)*n) first."""
+    samples = list(samples)
+    scores = [float(s.confidence) for s in samples]
+    keep = math.ceil((1.0 - rate) * len(samples))
+    order = sorted(range(len(samples)), key=lambda i: samples[i].id)
+    order.sort(key=lambda i: -scores[i])  # stable: equal scores stay id-ascending
+    kept = set(order[:keep])
+    return [s for i, s in enumerate(samples) if i in kept]

@@ -8,6 +8,7 @@ import pytest
 
 from labelgen.cli import main
 from labelgen.formats import (
+    ClassTaxonomy,
     DatasetManifest,
     EmbeddingSet,
     ManifestEntry,
@@ -133,13 +134,23 @@ def test_no_subcommand_exits_one(capsys):
 MANIFEST = "<manifest>"  # stands for a readable one-mask manifest
 
 
-def _one_mask_manifest(directory: Path) -> Path:
+# stand for the one-mask manifest with these latent seed, confidence and
+# uncertainty columns, each of which the sample record checks reject
+BAD_SCORES = {
+    "<confidence 5.0>": "-\t5.0\t-",
+    "<uncertainty -1.0>": "-\t-\t-1.0",
+    "<uncertainty nan>": "-\t-\tnan",
+    "<latent seed -3>": "-3\t-\t-",
+}
+
+
+def _one_mask_manifest(directory: Path, scores: str = "-\t-\t-") -> Path:
     grid = np.zeros((16, 16), dtype=np.uint8)
     grid[2:12, 3:9] = 1
     (directory / "masks").mkdir()
     write_mask(Mask(grid), directory / "masks" / "a.pgm")
     manifest = directory / "manifest.txt"
-    manifest.write_text("LGKITv1 x\na\t1\timages/a.ppm\tmasks/a.pgm\ttoy\t-\t-\t-\n")
+    manifest.write_text(f"LGKITv1 x\na\t1\timages/a.ppm\tmasks/a.pgm\ttoy\t{scores}\n")
     return manifest
 
 
@@ -159,6 +170,14 @@ REASONS = {
     ("stream", "--count", "1"): "seed must be >= 0, got -3",  # LABELGEN_SEED=-3
     ("meanshapes", "--seed", "-1"): "seed must be >= 0, got -1",
     ("synth", "--truncation", "1e-300"): "truncation_psi must be >= 0.01, got 1e-300",
+    # MANIFEST stands for the manifest's path here
+    ("analyze", "--manifest", "<confidence 5.0>"): f"{MANIFEST}:2: confidence 5.0 outside [0, 1]",
+    ("analyze", "--manifest", "<uncertainty -1.0>"):
+        f"{MANIFEST}:2: uncertainty -1.0 must be nonnegative",
+    ("analyze", "--manifest", "<uncertainty nan>"):
+        f"{MANIFEST}:2: uncertainty nan must be nonnegative",
+    ("analyze", "--manifest", "<latent seed -3>"):
+        f"{MANIFEST}:2: latent_seed -3 must fit in 64 unsigned bits",
 }
 
 
@@ -189,6 +208,10 @@ REASONS = {
     (["stream", "--count", "1"], "-3", 2),                  # LABELGEN_SEED
     (["meanshapes", "--manifest", MANIFEST, "--seed", "-1"], None, 2),
     (["synth", "--n", "2", "--truncation", "1e-300"], None, 2),  # would not finish
+    (["analyze", "--manifest", "<confidence 5.0>"], None, 2),
+    (["analyze", "--manifest", "<uncertainty -1.0>"], None, 2),
+    (["analyze", "--manifest", "<uncertainty nan>"], None, 2),
+    (["analyze", "--manifest", "<latent seed -3>"], None, 2),
 ])
 def test_exit_codes(tmp_path, capsys, monkeypatch, argv, seed_env, code):
     # 1: the command line does not parse; 2: a parsed value is rejected
@@ -196,7 +219,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, argv, seed_env, code):
         monkeypatch.setenv("LABELGEN_SEED", seed_env)
     reason = REASONS.get((argv[0], *argv[-2:]))
     out = tmp_path / "out"
-    argv = [str(_one_mask_manifest(tmp_path)) if arg == MANIFEST else arg for arg in argv]
+    argv = [str(_one_mask_manifest(tmp_path, BAD_SCORES.get(arg, "-\t-\t-")))
+            if arg == MANIFEST or arg in BAD_SCORES else arg for arg in argv]
     if argv[0] not in ("analyze", "distmetrics"):  # these print and take no --out
         argv += ["--out", str(out)]
     assert main(argv) == code
@@ -206,6 +230,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, argv, seed_env, code):
     assert "Traceback" not in err
     assert err.startswith("usage:" if code == 1 else "labelgen: data error:")
     if reason is not None:
+        reason = reason.replace(MANIFEST, str(tmp_path / "manifest.txt"))
         assert err == f"labelgen: data error: {reason}\n"
     assert not out.exists()
 
@@ -483,3 +508,61 @@ def test_scatter_count(toy_dataset, tmp_path, capsys):
                  "--out", str(out_file)]) == 0
     assert f"wrote 12 centers to {out_file}" in capsys.readouterr().out
     assert len(out_file.read_text().splitlines()) == 12
+
+
+# ------------------------------------------------------------------ text encoding
+
+def _run_in_ascii_locale(args, cwd, **env):
+    """Run python with ``args`` in a fresh interpreter whose locale encoding is
+    ASCII, so any text file read or written in the locale's encoding fails."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0", **env)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, timeout=120)
+
+
+def test_plan_reads_utf8_layers_in_any_locale(tmp_path):
+    (tmp_path / "layers.tsv").write_bytes("café\t8\t4\nb\t64\t4\n".encode("utf-8"))
+    result = _run_in_ascii_locale(["-m", "labelgen", "plan", "--layers", "layers.tsv"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert b"peak" in result.stdout
+
+
+def test_synth_reads_utf8_config_in_any_locale(tmp_path):
+    (tmp_path / "filters.cfg").write_bytes("# réglage\nrejection_rate=0.5\n".encode("utf-8"))
+    result = _run_in_ascii_locale(["-m", "labelgen", "synth", "--n", "2", "--uncertainty", "0",
+                                   "--config", "filters.cfg", "--out", "out"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert read_manifest(tmp_path / "out" / "manifest.txt").metadata["rejection_rate"] == "0.5"
+
+
+def test_bench_writes_utf8_report_in_any_locale(tmp_path):
+    taxonomy = ClassTaxonomy(classes={1: "café_001", 2: "b"}, groups={"family": {1: 1, 2: 2}})
+    write_taxonomy(taxonomy, tmp_path / "tax.txt")
+    (tmp_path / "masks").mkdir()
+    entries = []
+    for cid in (1, 2):
+        grid = np.zeros((8, 8), dtype=np.uint8)
+        grid[2:6, 2:6] = cid
+        write_mask(Mask(grid), tmp_path / f"masks/{cid}.pgm")
+        entries.append(ManifestEntry(id=f"s{cid}", class_id=cid, image_path=f"masks/{cid}.pgm",
+                                     mask_path=f"masks/{cid}.pgm", provenance="toy"))
+    write_manifest(DatasetManifest("gt", tuple(entries)), tmp_path / "manifest.txt")
+    # stdout is UTF-8, so only the report file can fail to encode
+    result = _run_in_ascii_locale(["-m", "labelgen", "bench", "--task", "family",
+                                   "--taxonomy", "tax.txt", "--pred-manifest", "manifest.txt",
+                                   "--gt-manifest", "manifest.txt", "--report", "report.txt"],
+                                  tmp_path, PYTHONIOENCODING="utf-8")
+    assert result.returncode == 0, result.stderr
+    report = (tmp_path / "report.txt").read_bytes()
+    assert "1\tcafé_001\t1.000000\n".encode("utf-8") in report
+    assert report == result.stdout
+
+
+def test_layers_are_written_as_utf8_in_any_locale(tmp_path):
+    code = ("from labelgen.fusion import LayerSpec, write_layers\n"
+            "write_layers([LayerSpec('caf\\u00e9', 8, 4)], 'layers.tsv')\n")
+    result = _run_in_ascii_locale(["-c", code], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "layers.tsv").read_bytes() == "café\t8\t4\n".encode("utf-8")

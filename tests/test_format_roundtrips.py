@@ -20,6 +20,7 @@ from labelgen.formats import (
     EmbeddingSet,
     FormatError,
     Image,
+    LabeledSample,
     ManifestEntry,
     Mask,
     TruncatedPayloadError,
@@ -170,6 +171,27 @@ def test_manifest_round_trip(tmp_path, name, entries, metadata):
                                      tmp_path / "manifest.txt")
     assert back == manifest
     assert again == first
+
+
+_SAMPLE = st.builds(
+    LabeledSample,
+    id=_ID,
+    class_id=st.integers(1, 1000),
+    provenance=st.sampled_from(PROVENANCE_TAGS),
+    latent_seed=st.none() | st.integers(0, 2**64 - 1),
+    confidence=st.none() | st.floats(0.0, 1.0),
+    uncertainty=st.none() | st.floats(min_value=0.0, allow_nan=False),
+)
+
+
+@PROPERTY
+@given(samples=st.lists(_SAMPLE, max_size=6, unique_by=lambda s: s.id))
+def test_sample_record_fields_round_trip_through_a_manifest(tmp_path, samples):
+    entries = tuple(ManifestEntry(**s.record_fields(), image_path="i.ppm", mask_path="m.pgm")
+                    for s in samples)
+    write_manifest(DatasetManifest("d", entries), tmp_path / "manifest.txt")
+    back = read_manifest(tmp_path / "manifest.txt").entries
+    assert [e.record_fields() for e in back] == [s.record_fields() for s in samples]
 
 
 # ------------------------------------------------------------------ taxonomies

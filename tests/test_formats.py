@@ -276,6 +276,20 @@ def test_labeled_sample_validation():
     image = Image(np.zeros((3, 2, 3), np.uint8))
     with pytest.raises(ValueError, match="dimensions"):
         LabeledSample(id="a", class_id=1, provenance="toy", image=image, mask=mask)
+    # the checks of a manifest entry: a sample it could not hold is rejected when built
+    with pytest.raises(ValueError, match="uncertainty nan"):
+        LabeledSample(id="a", class_id=1, provenance="toy", uncertainty=float("nan"))
+    with pytest.raises(FormatError, match="would not read back"):
+        LabeledSample(id="a\tb", class_id=1, provenance="toy")
+    with pytest.raises(FormatError, match="starts with '#'"):
+        LabeledSample(id="#a", class_id=1, provenance="toy")
+
+
+def test_records_are_built_by_keyword_only():
+    with pytest.raises(TypeError):
+        LabeledSample("a", 1, "toy")
+    with pytest.raises(TypeError):
+        ManifestEntry("a", 1, "i.ppm", "m.pgm", "toy")
 
 
 def test_taxonomy_roundtrip(tmp_path):

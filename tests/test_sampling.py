@@ -22,7 +22,11 @@ from labelgen.sampling import (
     uncertainty_filter,
 )
 
-from .oracles import truncated_normal_variance
+from .oracles import (
+    truncated_normal_variance,
+    two_sort_confidence_rejection,
+    two_sort_uncertainty_filter,
+)
 
 
 # ------------------------------------------------------------------ config
@@ -437,3 +441,17 @@ def test_filtered_count_equals_filter_stack(n, rate, fraction, seed):
                       uncertainty=rng.random(n).tolist())
     kept = uncertainty_filter(confidence_rejection(samples, rate), fraction)
     assert filtered_count(n, rate, fraction) == len(kept)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(st.sampled_from(["a", "b", "c"]),
+                                st.sampled_from([0.0, -0.0, 0.25, 1.0])), max_size=12),
+       rate=_RATES)
+def test_filters_equal_the_two_sort_rule_on_tied_scores_and_repeated_ids(pairs, rate):
+    # repeated ids with equal scores tell apart which of two equal samples is kept
+    for attr, keep, oracle in (("confidence", confidence_rejection, two_sort_confidence_rejection),
+                               ("uncertainty", uncertainty_filter, two_sort_uncertainty_filter)):
+        samples = [LabeledSample(id=sid, class_id=1, provenance="toy", **{attr: score})
+                   for sid, score in pairs]
+        kept, expected = keep(samples, rate), oracle(samples, rate)
+        assert [id(s) for s in kept] == [id(s) for s in expected]
