@@ -4,21 +4,22 @@ Synthesizing a filtered labeled dataset
 
 Generate candidates from the procedural toy source, apply the default
 filter stack (latent truncation, confidence rejection, ensemble-uncertainty
-filtering) and write the surviving samples to disk.
+filtering) and write the surviving samples to disk. Then write the same
+spec as an online stream, which applies confidence rejection only.
 """
 import tempfile
 from pathlib import Path
 
 from labelgen.formats import read_mask
-from labelgen.pipeline import PipelineSpec, synth_offline
+from labelgen.pipeline import PipelineSpec, synth_offline, write_stream
 from labelgen.sampling import FilterConfig
 
 out_dir = Path(tempfile.mkdtemp(prefix="labelgen-demo-"))
 
 # defaults: truncation 0.9, rejection 0.9, uncertainty fraction 0.10
-spec = PipelineSpec(mode="offline", n=50, out_dir=out_dir, seed=0,
-                    filters=FilterConfig())
-manifest = synth_offline(spec)
+# the spec says what to sample; synth_offline takes how many and where
+spec = PipelineSpec(filters=FilterConfig(), seed=0)
+manifest = synth_offline(spec, 50, out_dir)
 
 print(f"wrote {len(manifest)} samples to {out_dir}")
 print(f"candidate pool: {manifest.metadata['pool']}")
@@ -36,7 +37,13 @@ print(f"mask {mask.width}x{mask.height}, foreground px: {int(mask.foreground().s
 
 # reruns with the same seed are byte-identical
 rerun_dir = Path(tempfile.mkdtemp(prefix="labelgen-demo-rerun-"))
-synth_offline(PipelineSpec(mode="offline", n=50, out_dir=rerun_dir, seed=0,
-                           filters=FilterConfig()))
+synth_offline(spec, 50, rerun_dir)
 same = (out_dir / "manifest.txt").read_bytes() == (rerun_dir / "manifest.txt").read_bytes()
 print(f"\nrerun byte-identical: {same}")
+
+# the same spec as a never-repeating stream: no ensemble-uncertainty stage
+# runs, so its manifest records uncertainty_fraction 0.0
+stream_dir = Path(tempfile.mkdtemp(prefix="labelgen-demo-stream-"))
+streamed = write_stream(spec, 20, stream_dir)
+print(f"\nstreamed {len(streamed)} of {streamed.metadata['candidates']} candidates, "
+      f"uncertainty_fraction={streamed.metadata['uncertainty_fraction']}")

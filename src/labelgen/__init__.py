@@ -34,7 +34,7 @@ from .sampling import (
     uncertainty_filter,
 )
 from .toygen import ToyClassSpec, ToyOutput, toy_generate, toy_taxonomy
-from .pipeline import OnlineStream, PipelineSpec, ToySource, synth_offline, synth_online
+from .pipeline import OnlineStream, PipelineSpec, ToySource, synth_offline
 
 # The analysis modules load scipy.ndimage and scipy.spatial, which synthesis
 # never needs; their names are imported on first use (PEP 562).

@@ -62,35 +62,27 @@ def _filters_from(args) -> FilterConfig:
     )
 
 
-def _cmd_synth(args) -> int:
-    spec = pipeline.PipelineSpec(
-        source=args.source,
+def _spec_from(args) -> pipeline.PipelineSpec:
+    """The run spec of a ``synth`` or ``stream`` command line."""
+    if args.source != "toy":
+        raise ValueError(f"unknown source {args.source!r}; the only source is 'toy'")
+    return pipeline.PipelineSpec(
         filters=_filters_from(args),
-        mode="offline",
-        n=args.n,
-        out_dir=Path(args.out),
         seed=_resolve_seed(args),
         resolution=args.res,
         num_classes=args.classes,
         name=args.name,
     )
-    manifest = pipeline.synth_offline(spec)
+
+
+def _cmd_synth(args) -> int:
+    manifest = pipeline.synth_offline(_spec_from(args), args.n, args.out)
     print(f"wrote {len(manifest)} samples to {args.out}")
     return 0
 
 
 def _cmd_stream(args) -> int:
-    spec = pipeline.PipelineSpec(
-        source=args.source,
-        filters=_filters_from(args).override(uncertainty_fraction=0.0),
-        mode="online",
-        out_dir=Path(args.out),
-        seed=_resolve_seed(args),
-        resolution=args.res,
-        num_classes=args.classes,
-        name=args.name,
-    )
-    manifest = pipeline.write_stream(spec, args.count)
+    manifest = pipeline.write_stream(_spec_from(args), args.count, args.out)
     print(f"streamed {len(manifest)} samples to {args.out}")
     return 0
 
@@ -250,16 +242,31 @@ def _add_seed(parser):
 
 
 def _add_source_args(parser):
-    parser.add_argument("--source", default="toy", help="sample source id")
-    parser.add_argument("--res", type=int, default=64, help="sample resolution")
-    parser.add_argument("--classes", type=int, default=16, help="number of classes, 4..254")
-    parser.add_argument("--name", default="dataset", help="dataset name")
+    parser.add_argument("--source", default="toy",
+                        help="sample source; toy is the only one (default toy)")
+    parser.add_argument("--res", type=int, default=64,
+                        help="sample resolution, 64, 128 or 256 (default 64)")
+    parser.add_argument("--classes", type=int, default=16,
+                        help="number of classes, 4..254 (default 16)")
+    parser.add_argument("--name", default="dataset", help="dataset name (default dataset)")
     parser.add_argument("--config", default=None, help="key=value filter config file")
     parser.add_argument("--truncation", type=float, default=None,
                         help="latent truncation, at least 0.01 (default 0.9)")
     parser.add_argument("--rejection", type=float, default=None,
                         help="confidence rejection rate (default 0.9)")
     _add_seed(parser)
+
+
+def _add_manifest(parser):
+    parser.add_argument("--manifest", required=True, help="dataset manifest to read")
+
+
+def _add_polygon_args(parser):
+    _add_manifest(parser)
+    parser.add_argument("--min-pixels", type=int, default=100,
+                        help="smallest component used for polygon metrics (default 100)")
+    parser.add_argument("--epsilon", type=float, default=0.01,
+                        help="polygon simplification tolerance (default 0.01)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,34 +292,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze",
                        help="dataset statistics and shape metrics")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--min-pixels", type=int, default=100,
-                   help="smallest component used for polygon metrics (default 100)")
-    p.add_argument("--epsilon", type=float, default=0.01,
-                   help="polygon simplification tolerance (default 0.01)")
+    _add_polygon_args(p)
     p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("geometry",
                        help="extract simplified normalized polygons")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--min-pixels", type=int, default=100)
-    p.add_argument("--epsilon", type=float, default=0.01,
-                   help="polygon simplification tolerance (default 0.01)")
+    _add_polygon_args(p)
+    p.add_argument("--out", required=True, help="output polygon file")
     p.set_defaults(handler=_cmd_geometry)
 
     p = sub.add_parser("meanshapes",
                        help="k-means mean shapes per class")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
+    _add_manifest(p)
+    p.add_argument("--out", required=True, help="output mean-shape file")
     p.add_argument("--k", type=int, default=5, help="clusters per class (default 5)")
     _add_seed(p)
     p.set_defaults(handler=_cmd_meanshapes)
 
     p = sub.add_parser("scatter",
                        help="normalized bbox-center scatter data")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
+    _add_manifest(p)
+    p.add_argument("--out", required=True, help="output scatter file")
     p.set_defaults(handler=_cmd_scatter)
 
     p = sub.add_parser("distmetrics",
@@ -328,14 +328,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", required=True, help="name<TAB>res<TAB>channels file")
     p.add_argument("--d-reduce", type=int, default=128,
                    help="1x1 reduction width (default 128)")
-    p.add_argument("--final-res", type=int, default=512)
+    p.add_argument("--final-res", type=int, default=512,
+                   help="output resolution the baseline resizes every layer to (default 512)")
     p.set_defaults(handler=_cmd_plan)
 
     p = sub.add_parser("bench",
                        help="mIoU benchmark over prediction/ground-truth manifests")
     p.add_argument("--task", required=True, help="task name, e.g. FG/BG")
-    p.add_argument("--pred-manifest", required=True)
-    p.add_argument("--gt-manifest", required=True)
+    p.add_argument("--pred-manifest", required=True,
+                   help="manifest of predicted masks, holding task labels")
+    p.add_argument("--gt-manifest", required=True,
+                   help="manifest of ground-truth masks, holding class ids")
     p.add_argument("--report", required=True, help="output report file")
     p.add_argument("--taxonomy", default=None, help="taxonomy file with group tables")
     p.set_defaults(handler=_cmd_bench)

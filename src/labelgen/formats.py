@@ -458,8 +458,8 @@ _MANIFEST_COLUMNS = (
 def _format_field(value) -> str:
     if value is None:
         return "-"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))  # a numpy scalar's own repr names its type
     return str(value)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import ndimage
@@ -735,25 +735,11 @@ class AnalysisReport:
     label_kid: float | None = None
 
     def machine_lines(self) -> list[str]:
-        pairs = [
-            ("dataset", self.name),
-            ("size", self.size),
-            ("instances_per_image", self.instances_per_image),
-            ("mask_image_ratio", self.mask_image_ratio),
-            ("bbox_image_ratio", self.bbox_image_ratio),
-            ("mask_bbox_ratio", self.mask_bbox_ratio),
-            ("mask_image_ratio_pooled", self.mask_image_ratio_pooled),
-            ("bbox_image_ratio_pooled", self.bbox_image_ratio_pooled),
-            ("mask_bbox_ratio_pooled", self.mask_bbox_ratio_pooled),
-            ("polygon_length", self.polygon_length),
-            ("polygon_points", self.polygon_points),
-            ("shape_diversity", self.shape_diversity),
-            ("image_fid", self.image_fid),
-            ("image_kid", self.image_kid),
-            ("label_fid", self.label_fid),
-            ("label_kid", self.label_kid),
-        ]
-        return [f"{key}\t{_fmt(value)}" for key, value in pairs]
+        """One ``key<TAB>value`` line per field, in field order; ``name`` is
+        keyed ``dataset``."""
+        names = [f.name for f in fields(self)]
+        keys = ["dataset", *names[1:]]
+        return [f"{key}\t{_fmt(getattr(self, name))}" for key, name in zip(keys, names)]
 
     def format_table(self) -> str:
         headers = ["dataset", "size", "inst", "mask/img", "bbox/img", "mask/bbox",

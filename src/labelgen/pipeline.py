@@ -1,17 +1,24 @@
 """Dataset synthesis: a sample source composed with filter stages.
 
-Offline mode sizes a candidate pool so the batch filters leave the requested
-number of samples, applies confidence rejection then uncertainty filtering,
-and writes images, masks and a manifest. Confidence comes from a sample's
-seed alone, so rejected candidates are never rendered or ensemble-scored.
-Uncertainty needs only a sample's shape, so each rejection survivor gets an
-ensemble built from its rasterized shape (``ToySource.ensemble``) and no
-image; only the final survivors are rendered, once, by the writer. Between
-stages only pixel-free records are kept, never images, masks or ensembles. Online
-mode is a never-repeating stream that applies only cheap per-sample filters:
-the confidence threshold is calibrated once from a warmup batch, only
-accepted counters are rendered, and the expensive ensemble-uncertainty stage
-is not used.
+A ``PipelineSpec`` says what to sample: the filter stages, the seed, the
+resolution, the number of classes and the dataset name. Each entry point
+takes what only it reads. ``synth_offline(spec, n, out_dir)`` sizes a
+candidate pool so the batch filters leave n samples, applies confidence
+rejection then uncertainty filtering, and writes images, masks and a
+manifest to ``out_dir``. Confidence comes from a sample's seed alone, so
+rejected candidates are never rendered or ensemble-scored. Uncertainty
+needs only a sample's shape, so each rejection survivor gets an ensemble
+built from its rasterized shape (``ToySource.ensemble``) and no image; only
+the final survivors are rendered, once, by the writer. Between stages only
+pixel-free records are kept, never images, masks or ensembles.
+``OnlineStream(spec)`` is a never-repeating stream that applies only cheap
+per-sample filters: the confidence threshold is calibrated once from a
+warmup batch, only accepted counters are rendered, and the expensive
+ensemble-uncertainty stage is not used. ``write_stream(spec, count,
+out_dir)`` writes the stream's first ``count`` samples; its manifest
+records ``uncertainty_fraction`` 0.0 whatever the spec's filters say, since
+that stage never runs. The manifest's ``#mode`` names the writer:
+``offline`` for ``synth_offline``, ``online`` for ``write_stream``.
 
 A source is a deterministic function of a 64-bit seed counter, so any run
 is reproducible and candidate generation can be distributed over disjoint
@@ -25,7 +32,7 @@ chunks of ``STREAM_CHUNK`` counters. ``ToySource`` derives each counter's
 sample seed, disagreement level, confidence and latent, once per stage and
 in bulk for a range, bit-exact with numpy's ``SeedSequence`` and ``PCG64``
 (see ``toygen``), and hands them to the renderer. ``ToySource`` is the one
-source; a spec naming any other is rejected.
+source, and every manifest records ``#source=toy``.
 """
 from __future__ import annotations
 
@@ -82,25 +89,16 @@ _WARMUP_BASE = 1 << 56
 
 @dataclass(frozen=True)
 class PipelineSpec:
-    """Source, filter stages and output mode of one synthesis run."""
+    """What one synthesis run samples: filter stages, seed, resolution,
+    number of classes and dataset name."""
 
-    source: str = "toy"
     filters: FilterConfig = field(default_factory=FilterConfig)
-    mode: str = "offline"
-    n: int = 0
-    out_dir: Path | None = None
     seed: int = 0
     resolution: int = 64
     num_classes: int = 16
     name: str = "dataset"
 
     def __post_init__(self):
-        if self.source != "toy":
-            raise ValueError(f"unknown source {self.source!r}; the only source is 'toy'")
-        if self.mode not in ("offline", "online"):
-            raise ValueError(f"mode must be offline or online, got {self.mode!r}")
-        if self.mode == "offline" and self.n < 1:
-            raise ValueError("offline mode needs n >= 1")
         DatasetManifest(self.name, ())  # the name must be one a manifest can hold
 
 
@@ -189,8 +187,8 @@ def candidate_pool_size(n: int, rejection_rate: float, uncertainty_fraction: flo
     return math.ceil(n / ((1.0 - rejection_rate) * (1.0 - uncertainty_fraction)))
 
 
-def synth_offline(spec: PipelineSpec) -> DatasetManifest:
-    """Generate, filter and write an offline dataset of exactly spec.n samples.
+def synth_offline(spec: PipelineSpec, n: int, out_dir) -> DatasetManifest:
+    """Generate, filter and write an offline dataset of exactly n samples to out_dir.
 
     The manifest metadata records the filter funnel: ``pool`` candidates,
     ``after_rejection`` and ``after_uncertainty`` kept after each stage, the
@@ -198,16 +196,14 @@ def synth_offline(spec: PipelineSpec) -> DatasetManifest:
     uncertainty the uncertainty filter kept (``uncertainty_cut``); a stage
     that is off has cut ``-``.
     """
-    if spec.mode != "offline":
-        raise ValueError("synth_offline needs an offline-mode spec")
-    if spec.out_dir is None:
-        raise ValueError("offline synthesis needs an output directory")
+    if n < 1:
+        raise ValueError("offline mode needs n >= 1")
     source = ToySource.from_spec(spec)
     rate = spec.filters.rejection_rate
     fraction = spec.filters.uncertainty_fraction
 
-    pool = candidate_pool_size(spec.n, rate, fraction)
-    while filtered_count(pool, rate, fraction) < spec.n:
+    pool = candidate_pool_size(n, rate, fraction)
+    while filtered_count(pool, rate, fraction) < n:
         pool += math.ceil(0.1 * pool)
 
     candidates = source.scored_range(0, pool)
@@ -229,24 +225,26 @@ def synth_offline(spec: PipelineSpec) -> DatasetManifest:
 
     full_survivors = (
         replace(source.generate(counter_of[slim.id]), uncertainty=slim.uncertainty)
-        for slim in kept[: spec.n]
+        for slim in kept[:n]
     )
-    return _write_dataset(spec, full_survivors, source.taxonomy, lambda: funnel)
+    return _write_dataset(spec, "offline", out_dir, full_survivors, source.taxonomy,
+                          lambda: funnel)
 
 
-def _write_dataset(spec: PipelineSpec, samples, taxonomy: ClassTaxonomy,
+def _write_dataset(spec: PipelineSpec, mode: str, out_dir, samples, taxonomy: ClassTaxonomy,
                    run_stats) -> DatasetManifest:
     """Write each sample's image and mask, the taxonomy, then the manifest.
 
     ``samples`` yields LabeledSamples with pixel payloads; ``run_stats()``
-    is called once they are written and returns extra metadata. An earlier
+    is called once they are written and returns extra metadata; ``mode``
+    is the metadata's ``mode`` value. An earlier
     run's manifest is removed before the first file is written, together
     with the images and masks it names, and the new one is renamed into
     place last, so a failed run leaves no manifest that names files it did
     not write and no earlier run's files. A file that no readable manifest
     names is never removed.
     """
-    out_dir = Path(spec.out_dir)
+    out_dir = Path(out_dir)
     manifest_path = out_dir / "manifest.txt"
     try:
         previous = read_manifest(manifest_path).entries
@@ -269,7 +267,7 @@ def _write_dataset(spec: PipelineSpec, samples, taxonomy: ClassTaxonomy,
     manifest = DatasetManifest(
         name=spec.name,
         entries=tuple(entries),
-        metadata=_run_metadata(spec, **run_stats()),
+        metadata=_run_metadata(spec, mode, **run_stats()),
     )
     write_taxonomy(taxonomy, out_dir / "taxonomy.txt")
     staged = out_dir / "manifest.txt.tmp"
@@ -278,11 +276,11 @@ def _write_dataset(spec: PipelineSpec, samples, taxonomy: ClassTaxonomy,
     return manifest
 
 
-def _run_metadata(spec: PipelineSpec, **extra) -> dict[str, str]:
+def _run_metadata(spec: PipelineSpec, mode: str, **extra) -> dict[str, str]:
     f = spec.filters
     metadata = {
-        "source": spec.source,
-        "mode": spec.mode,
+        "source": "toy",
+        "mode": mode,
         "seed": str(spec.seed),
         "resolution": str(spec.resolution),
         "num_classes": str(spec.num_classes),
@@ -308,8 +306,6 @@ class OnlineStream:
     """
 
     def __init__(self, spec: PipelineSpec):
-        if spec.mode != "online":
-            raise ValueError("OnlineStream needs an online-mode spec")
         self.spec = spec
         self.source = ToySource.from_spec(spec)
         self.counter = 0
@@ -346,19 +342,18 @@ class OnlineStream:
         return self._chunk[counter - self._chunk_lo]
 
 
-def synth_online(spec: PipelineSpec) -> OnlineStream:
-    """Open a filtered online sample stream (see OnlineStream)."""
-    return OnlineStream(spec)
+def write_stream(spec: PipelineSpec, count: int, out_dir) -> DatasetManifest:
+    """Materialize the first ``count`` samples of an online stream to out_dir.
 
-
-def write_stream(spec: PipelineSpec, count: int) -> DatasetManifest:
-    """Materialize the first ``count`` samples of an online stream to disk."""
+    The manifest records ``uncertainty_fraction`` 0.0: a stream applies no
+    uncertainty stage, whatever the spec's filters say.
+    """
     if count < 0:
         raise ValueError(f"stream count must be >= 0, got {count}")
-    if spec.out_dir is None:
-        raise ValueError("writing a stream needs an output directory")
-    stream = synth_online(spec)
-    return _write_dataset(spec, islice(stream, count), stream.source.taxonomy,
+    spec = replace(spec, filters=spec.filters.override(uncertainty_fraction=0.0))
+    stream = OnlineStream(spec)
+    return _write_dataset(spec, "online", out_dir, islice(stream, count),
+                          stream.source.taxonomy,
                           lambda: {"candidates": stream.candidates,
                                    "accepted": stream.accepted,
                                    "threshold": "-" if stream.threshold is None

@@ -53,7 +53,7 @@ from labelgen.formats import (
 from labelgen.formats import LabeledSample
 from labelgen.fusion import compare, plan_baseline, read_layers
 from labelgen.geometry import chamfer, connected_components, mask_stats, simplify_dp
-from labelgen.pipeline import PipelineSpec, ToySource, synth_offline, synth_online
+from labelgen.pipeline import OnlineStream, PipelineSpec, ToySource, synth_offline
 from labelgen.sampling import (
     FilterConfig,
     confidence_rejection,
@@ -192,10 +192,10 @@ def test_criterion_4_end_to_end_toy_pipeline(tmp_path):
                       "disagreement (Spearman > 0.95), byte-identical rerun, <5min"):
         spec = PipelineSpec(
             filters=FilterConfig(),  # 0.9 / 0.9 / 0.10 defaults
-            mode="offline", n=1000, out_dir=tmp_path / "run1", seed=0,
+            seed=0,
         )
         started = time.monotonic()
-        manifest = synth_offline(spec)
+        manifest = synth_offline(spec, 1000, tmp_path / "run1")
         elapsed = time.monotonic() - started
         assert elapsed < 300
         assert len(manifest) == 1000
@@ -230,11 +230,8 @@ def test_criterion_4_end_to_end_toy_pipeline(tmp_path):
         cut = sorted((s.uncertainty for s in confident), reverse=True)[len(dropped) - 1]
         assert all(s.uncertainty >= cut for s in confident if s.id in dropped)
 
-        spec_rerun = PipelineSpec(
-            filters=FilterConfig(), mode="offline", n=1000,
-            out_dir=tmp_path / "run2", seed=0,
-        )
-        synth_offline(spec_rerun)
+        spec_rerun = PipelineSpec(filters=FilterConfig(), seed=0)
+        synth_offline(spec_rerun, 1000, tmp_path / "run2")
         a = (tmp_path / "run1" / "manifest.txt").read_bytes()
         b = (tmp_path / "run2" / "manifest.txt").read_bytes()
         assert a == b
@@ -249,11 +246,8 @@ def test_criterion_5_online_offline_parity(tmp_path):
     with criterion(5, "online stream equals offline dataset for n=500 without filters; "
                       "no id repeats over 10^4 pulls"):
         no_filters = FilterConfig(rejection_rate=0.0, uncertainty_fraction=0.0)
-        offline = synth_offline(
-            PipelineSpec(filters=no_filters, mode="offline", n=500,
-                         out_dir=tmp_path, seed=0)
-        )
-        stream = synth_online(PipelineSpec(filters=no_filters, mode="online", seed=0))
+        offline = synth_offline(PipelineSpec(filters=no_filters, seed=0), 500, tmp_path)
+        stream = OnlineStream(PipelineSpec(filters=no_filters, seed=0))
         online = [next(stream) for _ in range(500)]
         assert [s.id for s in online] == [e.id for e in offline.entries]
         for sample, entry in zip(online, offline.entries):

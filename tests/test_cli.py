@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from labelgen.cli import main
+from labelgen.cli import build_parser, main
 from labelgen.formats import (
     ClassTaxonomy,
     DatasetManifest,
@@ -117,6 +118,16 @@ def test_subcommand_help_documents_defaults(capsys):
     assert "0.01" in text and "100" in text
     assert main(["meanshapes", "--help"]) == 0
     assert "5" in capsys.readouterr().out
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if "-h" in action.option_strings:
+                continue
+            flag = f"{command} {action.option_strings[0]}"
+            assert action.help, f"{flag} has no help text"
+            if action.default is not None:
+                assert str(action.default) in action.help, f"{flag} hides its default"
 
 
 def test_unknown_subcommand_exits_one(capsys):

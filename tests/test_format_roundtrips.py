@@ -173,14 +173,20 @@ def test_manifest_round_trip(tmp_path, name, entries, metadata):
     assert again == first
 
 
+def _scores(**bounds):
+    """An absent score, or one held as a float or a numpy float64 or float32."""
+    return (st.none() | st.floats(**bounds) | st.floats(**bounds).map(np.float64)
+            | st.floats(width=32, **bounds).map(np.float32))
+
+
 _SAMPLE = st.builds(
     LabeledSample,
     id=_ID,
     class_id=st.integers(1, 1000),
     provenance=st.sampled_from(PROVENANCE_TAGS),
     latent_seed=st.none() | st.integers(0, 2**64 - 1),
-    confidence=st.none() | st.floats(0.0, 1.0),
-    uncertainty=st.none() | st.floats(min_value=0.0, allow_nan=False),
+    confidence=_scores(min_value=0.0, max_value=1.0),
+    uncertainty=_scores(min_value=0.0, allow_nan=False),
 )
 
 

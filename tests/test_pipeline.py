@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelgen import pipeline, toygen
-from labelgen.cli import main
+from labelgen.cli import _spec_from, build_parser, main
 from labelgen.formats import read_manifest, read_mask, read_image
 from labelgen.pipeline import (
     OnlineStream,
@@ -15,7 +15,6 @@ from labelgen.pipeline import (
     ToySource,
     candidate_pool_size,
     synth_offline,
-    synth_online,
     write_stream,
 )
 from labelgen.sampling import FilterConfig, truncated_normal
@@ -71,12 +70,11 @@ def test_shape_only_ensemble_equals_generated_ensemble(counter, seed, res):
 
 
 def test_bad_resolution_rerun_leaves_previous_dataset(tmp_path):
-    synth_offline(PipelineSpec(filters=NO_FILTERS, mode="offline", n=2, out_dir=tmp_path, seed=0))
+    synth_offline(PipelineSpec(filters=NO_FILTERS, seed=0), 2, tmp_path)
     before = _listing(tmp_path)
     # without an uncertainty stage nothing is rendered before the writer starts
     with pytest.raises(ValueError, match="resolution"):
-        synth_offline(PipelineSpec(filters=NO_FILTERS, mode="offline", n=2, out_dir=tmp_path,
-                                   seed=1, resolution=100))
+        synth_offline(PipelineSpec(filters=NO_FILTERS, seed=1, resolution=100), 2, tmp_path)
     assert _listing(tmp_path) == before
     assert len(read_manifest(tmp_path / "manifest.txt")) == 2
 
@@ -113,9 +111,8 @@ def test_offline_builds_ensembles_only_for_rejection_survivors(tmp_path, monkeyp
     renders = _count_renders(monkeypatch)
     ensembles = _count_calls(monkeypatch, pipeline, "toy_ensemble")
     backgrounds = _count_calls(monkeypatch, toygen, "_background")
-    spec = PipelineSpec(filters=FilterConfig(uncertainty_fraction=fraction), mode="offline",
-                        n=10, out_dir=tmp_path, seed=0)
-    manifest = synth_offline(spec)
+    spec = PipelineSpec(filters=FilterConfig(uncertainty_fraction=fraction), seed=0)
+    manifest = synth_offline(spec, 10, tmp_path)
     pool = int(manifest.metadata["pool"])
     assert len(ensembles) == (math.ceil(0.1 * pool) if fraction else 0)
     assert len(renders) == 10 and not any(renders)  # the survivors, rendered for writing
@@ -133,7 +130,7 @@ def test_synth_builds_numpy_streams_only_for_taxonomy_and_textures(tmp_path, mon
 
 def test_online_renders_only_accepted_samples(monkeypatch):
     calls = _count_renders(monkeypatch)
-    stream = synth_online(PipelineSpec(mode="online", seed=0))
+    stream = OnlineStream(PipelineSpec(seed=0))
     for _ in range(20):
         next(stream)
     assert stream.candidates > 100
@@ -142,20 +139,21 @@ def test_online_renders_only_accepted_samples(monkeypatch):
 
 
 def test_unknown_source_rejected():
+    args = build_parser().parse_args(["synth", "--source", "biggan", "--n", "1", "--out", "x"])
     with pytest.raises(ValueError, match="unknown source"):
-        PipelineSpec(source="biggan", mode="offline", n=1)
+        _spec_from(args)
 
 
 def test_offline_no_filters_first_n_counters(tmp_path):
-    spec = PipelineSpec(filters=NO_FILTERS, mode="offline", n=10, out_dir=tmp_path, seed=0)
-    manifest = synth_offline(spec)
+    spec = PipelineSpec(filters=NO_FILTERS, seed=0)
+    manifest = synth_offline(spec, 10, tmp_path)
     assert [e.id for e in manifest.entries] == [f"toy-{i:012d}" for i in range(10)]
     assert manifest.metadata["pool"] == "10"
 
 
 def test_offline_defaults_pool_and_count(tmp_path):
-    spec = PipelineSpec(mode="offline", n=10, out_dir=tmp_path, seed=0)
-    manifest = synth_offline(spec)
+    spec = PipelineSpec(seed=0)
+    manifest = synth_offline(spec, 10, tmp_path)
     assert len(manifest) == 10
     assert manifest.metadata["pool"] == "112"
     assert manifest.metadata["rejection_rate"] == "0.9"
@@ -165,7 +163,7 @@ def test_offline_defaults_pool_and_count(tmp_path):
 
 
 def test_offline_funnel_metadata(tmp_path):
-    manifest = synth_offline(PipelineSpec(mode="offline", n=10, out_dir=tmp_path, seed=0))
+    manifest = synth_offline(PipelineSpec(seed=0), 10, tmp_path)
     md = manifest.metadata
     assert (md["pool"], md["after_rejection"], md["after_uncertainty"]) == ("112", "12", "10")
     # independent re-scoring: the 12th-highest confidence of the pool is the rejection cut
@@ -177,17 +175,15 @@ def test_offline_funnel_metadata(tmp_path):
 
 
 def test_offline_funnel_metadata_without_filters(tmp_path):
-    spec = PipelineSpec(filters=NO_FILTERS, mode="offline", n=5, out_dir=tmp_path, seed=0)
-    md = synth_offline(spec).metadata
+    spec = PipelineSpec(filters=NO_FILTERS, seed=0)
+    md = synth_offline(spec, 5, tmp_path).metadata
     assert [md[k] for k in ("pool", "after_rejection", "confidence_cut", "after_uncertainty",
                             "uncertainty_cut")] == ["5", "5", "-", "5", "-"]
 
 
 def test_offline_rerun_byte_identical(tmp_path):
-    spec_a = PipelineSpec(mode="offline", n=8, out_dir=tmp_path / "a", seed=3)
-    spec_b = PipelineSpec(mode="offline", n=8, out_dir=tmp_path / "b", seed=3)
-    synth_offline(spec_a)
-    synth_offline(spec_b)
+    synth_offline(PipelineSpec(seed=3), 8, tmp_path / "a")
+    synth_offline(PipelineSpec(seed=3), 8, tmp_path / "b")
     manifest_a = (tmp_path / "a" / "manifest.txt").read_bytes()
     manifest_b = (tmp_path / "b" / "manifest.txt").read_bytes()
     assert manifest_a == manifest_b
@@ -197,8 +193,8 @@ def test_offline_rerun_byte_identical(tmp_path):
 
 
 def test_offline_writes_readable_files(tmp_path):
-    spec = PipelineSpec(filters=NO_FILTERS, mode="offline", n=4, out_dir=tmp_path, seed=1)
-    manifest = synth_offline(spec)
+    spec = PipelineSpec(filters=NO_FILTERS, seed=1)
+    manifest = synth_offline(spec, 4, tmp_path)
     for entry in manifest.entries:
         mask = read_mask(tmp_path / entry.mask_path)
         image = read_image(tmp_path / entry.image_path)
@@ -207,9 +203,9 @@ def test_offline_writes_readable_files(tmp_path):
 
 
 def test_online_offline_parity_without_filters(tmp_path):
-    spec = PipelineSpec(filters=NO_FILTERS, mode="offline", n=50, out_dir=tmp_path, seed=0)
-    offline = synth_offline(spec)
-    stream = synth_online(PipelineSpec(filters=NO_FILTERS, mode="online", seed=0))
+    spec = PipelineSpec(filters=NO_FILTERS, seed=0)
+    offline = synth_offline(spec, 50, tmp_path)
+    stream = OnlineStream(spec)
     online = [next(stream) for _ in range(50)]
     assert [s.id for s in online] == [e.id for e in offline.entries]
     for sample, entry in zip(online, offline.entries):
@@ -222,15 +218,15 @@ def test_online_offline_parity_without_filters(tmp_path):
 
 
 def test_online_never_repeats_ids():
-    stream = synth_online(PipelineSpec(filters=NO_FILTERS, mode="online", seed=0))
+    stream = OnlineStream(PipelineSpec(filters=NO_FILTERS, seed=0))
     ids = [next(stream).id for _ in range(2000)]
     assert len(set(ids)) == len(ids)
 
 
 def test_online_two_streams_identical():
-    spec = PipelineSpec(mode="online", seed=4)
-    a = synth_online(spec)
-    b = synth_online(spec)
+    spec = PipelineSpec(seed=4)
+    a = OnlineStream(spec)
+    b = OnlineStream(spec)
     for _ in range(20):
         sa, sb = next(a), next(b)
         assert sa.id == sb.id and sa.confidence == sb.confidence
@@ -239,10 +235,9 @@ def test_online_two_streams_identical():
 def test_online_calibrated_acceptance_rate():
     spec = PipelineSpec(
         filters=FilterConfig(rejection_rate=0.9, uncertainty_fraction=0.0),
-        mode="online",
         seed=0,
     )
-    stream = synth_online(spec)
+    stream = OnlineStream(spec)
     while stream.candidates < 10_000:
         next(stream)
     rate = stream.accepted / stream.candidates
@@ -250,7 +245,7 @@ def test_online_calibrated_acceptance_rate():
 
 
 def test_online_stream_applies_no_uncertainty_stage():
-    stream = OnlineStream(PipelineSpec(mode="online", seed=0))
+    stream = OnlineStream(PipelineSpec(seed=0))
     sample = next(stream)
     assert sample.uncertainty is None
 
@@ -258,11 +253,9 @@ def test_online_stream_applies_no_uncertainty_stage():
 def test_write_stream(tmp_path):
     spec = PipelineSpec(
         filters=FilterConfig(rejection_rate=0.5, uncertainty_fraction=0.0),
-        mode="online",
-        out_dir=tmp_path,
         seed=2,
     )
-    manifest = write_stream(spec, 12)
+    manifest = write_stream(spec, 12, tmp_path)
     assert len(manifest) == 12
     back = read_manifest(tmp_path / "manifest.txt")
     assert [e.id for e in back.entries] == [e.id for e in manifest.entries]
@@ -273,13 +266,21 @@ def test_write_stream(tmp_path):
 
 
 def test_write_stream_without_rejection_has_no_threshold(tmp_path):
-    spec = PipelineSpec(filters=NO_FILTERS, mode="online", out_dir=tmp_path, seed=2)
-    md = write_stream(spec, 3).metadata
+    spec = PipelineSpec(filters=NO_FILTERS, seed=2)
+    md = write_stream(spec, 3, tmp_path).metadata
     assert (md["candidates"], md["accepted"], md["threshold"]) == ("3", "3", "-")
 
 
+def test_write_stream_records_no_uncertainty_stage(tmp_path):
+    # the default filters hold uncertainty_fraction 0.1; a stream never applies it
+    assert PipelineSpec().filters.uncertainty_fraction == 0.1
+    manifest = write_stream(PipelineSpec(seed=0), 2, tmp_path)
+    assert manifest.metadata["uncertainty_fraction"] == "0.0"
+    assert read_manifest(tmp_path / "manifest.txt").metadata == manifest.metadata
+
+
 def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
-    synth_offline(PipelineSpec(filters=NO_FILTERS, mode="offline", n=4, out_dir=tmp_path, seed=0))
+    synth_offline(PipelineSpec(filters=NO_FILTERS, seed=0), 4, tmp_path)
     assert (tmp_path / "manifest.txt").exists()
     real_write_mask = pipeline.write_mask
     calls = []
@@ -292,8 +293,7 @@ def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "write_mask", failing_write_mask)
     with pytest.raises(OSError, match="disk full"):
-        synth_offline(PipelineSpec(filters=NO_FILTERS, mode="offline", n=4, out_dir=tmp_path,
-                                   seed=1))
+        synth_offline(PipelineSpec(filters=NO_FILTERS, seed=1), 4, tmp_path)
     # the first run's manifest would name images the rerun has overwritten
     assert not (tmp_path / "manifest.txt").exists()
     # the first run's files are gone; only what the rerun wrote before failing is left
@@ -302,10 +302,9 @@ def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
 
 
 def test_rerun_removes_files_the_previous_manifest_named(tmp_path):
-    synth_offline(PipelineSpec(filters=NO_FILTERS, mode="offline", n=4, out_dir=tmp_path, seed=0))
+    synth_offline(PipelineSpec(filters=NO_FILTERS, seed=0), 4, tmp_path)
     (tmp_path / "images" / "unlisted.ppm").write_bytes(b"not ours")
-    manifest = synth_offline(PipelineSpec(filters=NO_FILTERS, mode="offline", n=2,
-                                          out_dir=tmp_path, seed=1))
+    manifest = synth_offline(PipelineSpec(filters=NO_FILTERS, seed=1), 2, tmp_path)
     assert _listing(tmp_path) == (
         ["toy-000000000000.ppm", "toy-000000000001.ppm", "unlisted.ppm"],
         ["toy-000000000000.pgm", "toy-000000000001.pgm"])
@@ -313,9 +312,9 @@ def test_rerun_removes_files_the_previous_manifest_named(tmp_path):
 
 
 def test_rerun_over_unreadable_manifest_removes_no_pixel_files(tmp_path):
-    synth_offline(PipelineSpec(filters=NO_FILTERS, mode="offline", n=4, out_dir=tmp_path, seed=0))
+    synth_offline(PipelineSpec(filters=NO_FILTERS, seed=0), 4, tmp_path)
     (tmp_path / "manifest.txt").write_text("not a manifest\n")
-    synth_offline(PipelineSpec(filters=NO_FILTERS, mode="offline", n=2, out_dir=tmp_path, seed=1))
+    synth_offline(PipelineSpec(filters=NO_FILTERS, seed=1), 2, tmp_path)
     assert _listing(tmp_path) == ([f"toy-{i:012d}.ppm" for i in range(4)],
                                   [f"toy-{i:012d}.pgm" for i in range(4)])
     assert len(read_manifest(tmp_path / "manifest.txt")) == 2
@@ -323,17 +322,16 @@ def test_rerun_over_unreadable_manifest_removes_no_pixel_files(tmp_path):
 
 @pytest.mark.parametrize("mode", ["offline", "online"])
 def test_clean_run_leaves_only_dataset_files(tmp_path, mode):
-    spec = PipelineSpec(filters=NO_FILTERS, mode=mode, n=3, out_dir=tmp_path, seed=0)
+    spec = PipelineSpec(filters=NO_FILTERS, seed=0)
     if mode == "offline":
-        synth_offline(spec)
+        synth_offline(spec, 3, tmp_path)
     else:
-        write_stream(spec, 3)
+        write_stream(spec, 3, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "images", "manifest.txt", "masks", "taxonomy.txt"]
 
 
-def test_spec_validation():
+def test_spec_validation(tmp_path):
     with pytest.raises(ValueError):
-        PipelineSpec(mode="offline", n=0)
-    with pytest.raises(ValueError):
-        PipelineSpec(mode="sideways")
+        synth_offline(PipelineSpec(), 0, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
