@@ -2,20 +2,19 @@
 Segmentation benchmark scoring
 ==============================
 
-Task construction from a taxonomy, confusion-matrix accumulation, per-class
-IoU and best/worst ranking, plus the reference split-size accounting.
+Task construction from a taxonomy, scoring of (prediction, ground truth)
+mask pairs into per-class IoU, best/worst ranking, plus the reference
+split-size accounting.
 """
 import numpy as np
 
 from labelgen.benchmark import (
     SPLIT_SIZES,
-    ConfusionMatrix,
-    accumulate,
     build_task,
-    miou,
     rank_classes,
     reference_manifest,
     reference_taxonomy,
+    score,
     task_split_sizes,
 )
 from labelgen.formats import Mask
@@ -28,16 +27,16 @@ print(f"task {task.name}: {task.num_task_labels} labels, "
       f"background {'included' if task.include_background else 'excluded'}")
 
 rng = np.random.default_rng(0)
-cm = ConfusionMatrix.for_task(task)
+pairs = []
 for class_id in (1, 2, 3, 4):
     gt = np.zeros((32, 32), dtype=np.uint8)
     gt[8:24, 8:24] = class_id
     pred = np.where(gt > 0, task.class_map[class_id], 0)
     flip = rng.random(pred.shape) < 0.07  # 7% label noise
     pred = np.where(flip, rng.integers(0, 5, pred.shape), pred)
-    accumulate(cm, pred, Mask(gt), task)
+    pairs.append((pred, Mask(gt)))
 
-result = miou(cm)
+result = score(task, pairs)
 for label, iou in sorted(result.per_class.items()):
     print(f"  label {label}: IoU {iou:.4f}")
 print(f"mIoU: {result.mean:.4f}")

@@ -1,11 +1,11 @@
-"""Segmentation benchmark machinery: tasks, confusion matrices and mIoU.
+"""Segmentation benchmark machinery: tasks, mIoU scoring and its report.
 
 Tasks map dataset class ids onto contiguous task labels 1..K; background
 stays 0 and anything unmapped (or labeled 255) is ignored. Binary tasks
 (K == 1) include background as a scored class, multi-class tasks exclude
-it; both behaviors can be overridden. Per-class IoU uses the usual
-intersection-over-union of the confusion matrix, with zero-union classes
-left out of the mean.
+it; ``TaskSpec`` sets this per task and ``ConfusionMatrix`` carries it to
+``miou``. Per-class IoU uses the usual intersection-over-union of the
+confusion matrix, with zero-union classes left out of the mean.
 """
 from __future__ import annotations
 
@@ -135,13 +135,11 @@ class IouResult:
     mean: float
 
 
-def miou(cm: ConfusionMatrix, include_background: bool | None = None) -> IouResult:
+def miou(cm: ConfusionMatrix) -> IouResult:
     """Per-class IoU and its mean; classes with zero union are excluded."""
     if cm.counts.sum() == 0:
         raise ValueError("confusion matrix has no counted pixels")
-    if include_background is None:
-        include_background = cm.include_background
-    start = 0 if include_background else 1
+    start = 0 if cm.include_background else 1
     per_class: dict[int, float] = {}
     diag = np.diag(cm.counts)
     rows = cm.counts.sum(axis=1)
@@ -168,6 +166,41 @@ def rank_classes(per_class_iou: dict[int, float], n: int = 5) -> RankResult:
     best = sorted(per_class_iou.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
     worst = sorted(per_class_iou.items(), key=lambda kv: (kv[1], kv[0]))[:n]
     return RankResult(best=tuple(best), worst=tuple(worst))
+
+
+def score(task: TaskSpec, pairs) -> IouResult:
+    """mIoU over the matched (prediction, ground truth) mask pairs; none is an error."""
+    cm = ConfusionMatrix.for_task(task)
+    matched = 0
+    for matched, (pred, gt) in enumerate(pairs, 1):
+        accumulate(cm, pred, gt, task)
+    if matched == 0:
+        raise ValueError("no prediction ids matched the ground-truth manifest")
+    return miou(cm)
+
+
+def _label_name(task: TaskSpec, taxonomy: ClassTaxonomy | None, label: int) -> str:
+    if label == 0:
+        return "background"
+    members = [cid for cid, l in task.class_map.items() if l == label]
+    if len(members) == 1 and taxonomy is not None:
+        return taxonomy.classes.get(members[0], f"label_{label}")
+    if task.num_task_labels == 1:
+        return "foreground"
+    return f"group_{label}"
+
+
+def report_lines(result: IouResult, task: TaskSpec, taxonomy: ClassTaxonomy | None) -> list[str]:
+    """Each scored label's IoU row, the mean, then the five best and worst labels."""
+    def row(label: int, iou: float) -> str:
+        return f"{label}\t{_label_name(task, taxonomy, label)}\t{iou:.6f}"
+    lines = [row(label, result.per_class[label]) for label in sorted(result.per_class)]
+    lines.append(f"mIoU\t{result.mean:.6f}")
+    ranks = rank_classes(result.per_class, n=min(5, len(result.per_class)))
+    for heading, ranked in (("top-5 best", ranks.best), ("top-5 worst", ranks.worst)):
+        lines.append(heading)
+        lines.extend(f"  {row(label, iou)}" for label, iou in ranked)
+    return lines
 
 
 def task_split_sizes(task: TaskSpec, manifest: DatasetManifest) -> int:

@@ -173,17 +173,6 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _label_name(task, taxonomy, label: int) -> str:
-    if label == 0:
-        return "background"
-    members = [cid for cid, l in task.class_map.items() if l == label]
-    if len(members) == 1 and taxonomy is not None:
-        return taxonomy.classes.get(members[0], f"label_{label}")
-    if task.num_task_labels == 1:
-        return "foreground"
-    return f"group_{label}"
-
-
 def _cmd_bench(args) -> int:
     from . import benchmark
 
@@ -191,35 +180,12 @@ def _cmd_bench(args) -> int:
     gt_manifest = read_manifest(args.gt_manifest)
     taxonomy = read_taxonomy(args.taxonomy) if args.taxonomy else None
     task = benchmark.build_task(taxonomy, args.task, {e.class_id for e in gt_manifest.entries})
-    preds = {e.id: e for e in pred_manifest.entries}
+    pred_paths = {e.id: e.mask_path for e in pred_manifest.entries}
     pred_dir = Path(args.pred_manifest).parent
     gt_dir = Path(args.gt_manifest).parent
-    cm = benchmark.ConfusionMatrix.for_task(task)
-    matched = 0
-    for entry in gt_manifest.entries:
-        pred_entry = preds.get(entry.id)
-        if pred_entry is None:
-            continue
-        pred_mask = read_mask(pred_dir / pred_entry.mask_path)
-        gt_mask = read_mask(gt_dir / entry.mask_path)
-        benchmark.accumulate(cm, pred_mask, gt_mask, task)
-        matched += 1
-    if matched == 0:
-        raise ValueError("no prediction ids matched the ground-truth manifest")
-    result = benchmark.miou(cm)
-    lines = []
-    for label in sorted(result.per_class):
-        name = _label_name(task, taxonomy, label)
-        lines.append(f"{label}\t{name}\t{result.per_class[label]:.6f}")
-    lines.append(f"mIoU\t{result.mean:.6f}")
-    n = min(5, len(result.per_class))
-    ranks = benchmark.rank_classes(result.per_class, n=n)
-    lines.append("top-5 best")
-    for label, iou in ranks.best:
-        lines.append(f"  {label}\t{_label_name(task, taxonomy, label)}\t{iou:.6f}")
-    lines.append("top-5 worst")
-    for label, iou in ranks.worst:
-        lines.append(f"  {label}\t{_label_name(task, taxonomy, label)}\t{iou:.6f}")
+    pairs = ((read_mask(pred_dir / pred_paths[e.id]), read_mask(gt_dir / e.mask_path))
+             for e in gt_manifest.entries if e.id in pred_paths)
+    lines = benchmark.report_lines(benchmark.score(task, pairs), task, taxonomy)
     write_lines(lines, args.report)
     print(*lines, sep="\n")
     return 0
@@ -329,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-reduce", type=int, default=128,
                    help="1x1 reduction width (default 128)")
     p.add_argument("--final-res", type=int, default=512,
-                   help="output resolution the baseline resizes every layer to (default 512)")
+                   help="output resolution the baseline resizes every layer to, "
+                        "a power of two in 8..512 (default 512)")
     p.set_defaults(handler=_cmd_plan)
 
     p = sub.add_parser("bench",

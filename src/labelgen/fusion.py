@@ -22,7 +22,12 @@ GROUP_BANDS = (("high", 8, 32), ("mid", 64, 128), ("low", 256, 512))
 
 DEFAULT_D_REDUCE = 128
 DEFAULT_FINAL_RES = 512
-DEFAULT_OUT_CHANNELS = 2
+OUT_CHANNELS = 2
+
+
+def _check_resolution(res: int) -> None:
+    if res < 8 or res > 512 or res & (res - 1):
+        raise ValueError(f"resolution {res} must be a power of two in [8, 512]")
 
 
 @dataclass(frozen=True)
@@ -34,9 +39,7 @@ class LayerSpec:
     channels: int
 
     def __post_init__(self):
-        res = self.resolution
-        if res < 8 or res > 512 or res & (res - 1):
-            raise ValueError(f"resolution {res} must be a power of two in [8, 512]")
+        _check_resolution(self.resolution)
         if self.channels < 1:
             raise ValueError("channels must be >= 1")
 
@@ -79,8 +82,7 @@ def _band_of(resolution: int) -> tuple[str, int]:
 
 
 def plan_grouped(layers, d_reduce: int = DEFAULT_D_REDUCE,
-                 final_res: int = DEFAULT_FINAL_RES,
-                 out_channels: int = DEFAULT_OUT_CHANNELS) -> FusionPlan:
+                 final_res: int = DEFAULT_FINAL_RES) -> FusionPlan:
     """Build the grouped fusion plan and its stage-by-stage memory profile.
 
     Each occupied band works at min(band top resolution, final_res). The 1x1
@@ -92,6 +94,7 @@ def plan_grouped(layers, d_reduce: int = DEFAULT_D_REDUCE,
         raise ValueError("need at least one layer")
     if d_reduce < 1:
         raise ValueError("d_reduce must be >= 1")
+    _check_resolution(final_res)
     grouped: dict[str, list[LayerSpec]] = {}
     for layer in layers:
         if layer.resolution > final_res:
@@ -159,14 +162,14 @@ def plan_grouped(layers, d_reduce: int = DEFAULT_D_REDUCE,
         PlanStage(
             name="head:logits1x1",
             inputs=(current,),
-            outputs=((out_channels, current[1]),),
-            macs=current[0] * out_channels * current[1] ** 2,
+            outputs=((OUT_CHANNELS, current[1]),),
+            macs=current[0] * OUT_CHANNELS * current[1] ** 2,
         )
     )
     return FusionPlan(
         groups=tuple(groups_out),
         stages=tuple(stages),
-        output_shape=(out_channels, current[1]),
+        output_shape=(OUT_CHANNELS, current[1]),
         peak_elements=max(s.live_elements for s in stages),
         total_macs=sum(s.macs for s in stages),
     )
@@ -177,6 +180,7 @@ def plan_baseline(layers, final_res: int = DEFAULT_FINAL_RES) -> int:
     layers = list(layers)
     if not layers:
         raise ValueError("need at least one layer")
+    _check_resolution(final_res)
     return sum(layer.channels for layer in layers) * final_res * final_res
 
 
@@ -199,10 +203,9 @@ class CompareReport:
 
 
 def compare(layers, d_reduce: int = DEFAULT_D_REDUCE,
-            final_res: int = DEFAULT_FINAL_RES,
-            out_channels: int = DEFAULT_OUT_CHANNELS) -> CompareReport:
+            final_res: int = DEFAULT_FINAL_RES) -> CompareReport:
     """Baseline versus grouped peak memory for one layer configuration."""
-    plan = plan_grouped(layers, d_reduce, final_res, out_channels)
+    plan = plan_grouped(layers, d_reduce, final_res)
     baseline = plan_baseline(layers, final_res)
     return CompareReport(
         baseline_elements=baseline,

@@ -547,15 +547,16 @@ def _box_weights(n_in: int, n_out: int) -> np.ndarray:
     return weights
 
 
-def crop_resize_shape(mask, res: int = MEAN_SHAPE_RES) -> np.ndarray:
-    """Crop the foreground to its tight bbox and box-average to res x res."""
+def crop_resize_shape(mask) -> np.ndarray:
+    """Crop the foreground to its tight bbox and box-average to
+    MEAN_SHAPE_RES x MEAN_SHAPE_RES."""
     fg = foreground_grid(mask)
     if not fg.any():
         raise ValueError("cannot crop an empty mask")
     top, bottom, left, right = _bbox(fg)
     crop = fg[top : bottom + 1, left : right + 1].astype(np.float64)
-    wr = _box_weights(crop.shape[0], res)
-    wc = _box_weights(crop.shape[1], res)
+    wr = _box_weights(crop.shape[0], MEAN_SHAPE_RES)
+    wc = _box_weights(crop.shape[1], MEAN_SHAPE_RES)
     return wr @ crop @ wc.T
 
 

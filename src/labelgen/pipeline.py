@@ -308,7 +308,6 @@ class OnlineStream:
     def __init__(self, spec: PipelineSpec):
         self.spec = spec
         self.source = ToySource.from_spec(spec)
-        self.counter = 0
         self.candidates = 0
         self.accepted = 0
         self.threshold: float | None = None
@@ -325,8 +324,7 @@ class OnlineStream:
     def __next__(self) -> LabeledSample:
         """Test each counter's confidence first; render only an accepted one."""
         while True:
-            counter = self.counter
-            self.counter += 1
+            counter = self.candidates
             self.candidates += 1
             if self.threshold is None or self._confidence(counter) > self.threshold:
                 self.accepted += 1

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from labelgen.benchmark import (
     SPLIT_SIZES,
     TASK_NAMES,
     ConfusionMatrix,
+    IouResult,
     TaskSpec,
     accumulate,
     build_task,
@@ -12,9 +16,11 @@ from labelgen.benchmark import (
     rank_classes,
     reference_manifest,
     reference_taxonomy,
+    report_lines,
+    score,
     task_split_sizes,
 )
-from labelgen.formats import Mask
+from labelgen.formats import ClassTaxonomy, Mask
 from labelgen.toygen import toy_taxonomy
 
 from .oracles import pixel_iou
@@ -227,6 +233,68 @@ def test_rank_classes_distinct_fixture():
     ranks = rank_classes(scores, n=5)
     assert [cid for cid, _ in ranks.best] == [10, 9, 8, 7, 6]
     assert [cid for cid, _ in ranks.worst] == [1, 2, 3, 4, 5]
+
+
+@st.composite
+def _task_and_pairs(draw):
+    """A task of 1..3 labels over class ids 1..4 and 1..4 in-memory mask pairs
+    of any sizes; ground truths hold unmapped ids and 255 as well."""
+    k = draw(st.integers(1, 3))
+    class_map = {cid: (cid - 1) % k + 1 for cid in range(1, draw(st.integers(k, 4)) + 1)}
+    task = TaskSpec(name="t", class_map=class_map, num_task_labels=k,
+                    include_background=draw(st.booleans()))
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+        gt = draw(arrays(np.uint8, shape, elements=st.sampled_from([0, 1, 2, 3, 4, 255])))
+        pred = draw(arrays(np.int64, shape, elements=st.integers(0, k)))
+        pairs.append((pred, Mask(gt)))
+    return task, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_task_and_pairs())
+def test_score_matches_pixel_oracle_over_pairs(task_and_pairs):
+    # pixel IoU over several pairs is the IoU over their pixels pooled
+    task, pairs = task_and_pairs
+    pred = np.concatenate([p.ravel() for p, _ in pairs])
+    gt = np.concatenate([g.labels.ravel() for _, g in pairs])
+    expected = pixel_iou(pred, gt, task.class_map, task.num_task_labels,
+                         task.include_background)
+    if not expected:
+        with pytest.raises(ValueError):
+            score(task, iter(pairs))
+        return
+    result = score(task, iter(pairs))
+    assert result.per_class == expected
+    assert result.mean == np.mean(list(expected.values()))
+
+
+def test_score_without_pairs_raises():
+    task = build_task(None, "FG/BG", {1, 2})
+    with pytest.raises(ValueError, match="no prediction ids matched the ground-truth manifest"):
+        score(task, [])
+
+
+def test_report_lines_of_the_pinned_fgbg_report():
+    # the two-label report test_cli pins for bench --task FG/BG
+    task = build_task(None, "FG/BG", {1, 2, 3, 4})
+    result = IouResult(per_class={0: 0.961288, 1: 0.782637}, mean=0.871962)
+    assert report_lines(result, task, None) == [
+        "0\tbackground\t0.961288", "1\tforeground\t0.782637", "mIoU\t0.871962",
+        "top-5 best", "  0\tbackground\t0.961288", "  1\tforeground\t0.782637",
+        "top-5 worst", "  1\tforeground\t0.782637", "  0\tbackground\t0.961288",
+    ]
+
+
+def test_report_lines_names_a_two_member_label_as_a_group():
+    taxonomy = ClassTaxonomy(classes={1: "cat", 2: "lynx", 3: "dog"},
+                             groups={"pets": {1: 1, 2: 1, 3: 2}})
+    task = build_task(taxonomy, "pets")
+    result = IouResult(per_class={1: 0.5, 2: 0.25}, mean=0.375)
+    assert report_lines(result, task, taxonomy)[:3] == [
+        "1\tgroup_1\t0.500000", "2\tdog\t0.250000", "mIoU\t0.375000",
+    ]
 
 
 def test_reference_split_sizes_match_published_table():

@@ -143,6 +143,8 @@ def test_no_subcommand_exits_one(capsys):
 
 
 MANIFEST = "<manifest>"  # stands for a readable one-mask manifest
+OTHER_IDS = "<other ids>"  # stands for a one-mask manifest sharing no id with it
+LAYERS = str(Path(__file__).resolve().parents[1] / "configs" / "biggan512.tsv")
 
 
 # stand for the one-mask manifest with these latent seed, confidence and
@@ -155,13 +157,14 @@ BAD_SCORES = {
 }
 
 
-def _one_mask_manifest(directory: Path, scores: str = "-\t-\t-") -> Path:
+def _one_mask_manifest(directory: Path, scores: str = "-\t-\t-", sid: str = "a") -> Path:
     grid = np.zeros((16, 16), dtype=np.uint8)
     grid[2:12, 3:9] = 1
-    (directory / "masks").mkdir()
-    write_mask(Mask(grid), directory / "masks" / "a.pgm")
+    (directory / "masks").mkdir(parents=True)
+    write_mask(Mask(grid), directory / "masks" / f"{sid}.pgm")
     manifest = directory / "manifest.txt"
-    manifest.write_text(f"LGKITv1 x\na\t1\timages/a.ppm\tmasks/a.pgm\ttoy\t{scores}\n")
+    manifest.write_text(
+        f"LGKITv1 x\n{sid}\t1\timages/{sid}.ppm\tmasks/{sid}.pgm\ttoy\t{scores}\n")
     return manifest
 
 
@@ -189,6 +192,9 @@ REASONS = {
         f"{MANIFEST}:2: uncertainty nan must be nonnegative",
     ("analyze", "--manifest", "<latent seed -3>"):
         f"{MANIFEST}:2: latent_seed -3 must fit in 64 unsigned bits",
+    ("plan", "--final-res", "1000"): "resolution 1000 must be a power of two in [8, 512]",
+    ("bench", "--pred-manifest", OTHER_IDS):
+        "no prediction ids matched the ground-truth manifest",
 }
 
 
@@ -223,6 +229,10 @@ REASONS = {
     (["analyze", "--manifest", "<uncertainty -1.0>"], None, 2),
     (["analyze", "--manifest", "<uncertainty nan>"], None, 2),
     (["analyze", "--manifest", "<latent seed -3>"], None, 2),
+    # no band works above 512, so the plan's output could not be at 1000
+    (["plan", "--layers", LAYERS, "--final-res", "1000"], None, 2),
+    (["bench", "--task", "FG/BG", "--gt-manifest", MANIFEST,
+      "--pred-manifest", OTHER_IDS], None, 2),
 ])
 def test_exit_codes(tmp_path, capsys, monkeypatch, argv, seed_env, code):
     # 1: the command line does not parse; 2: a parsed value is rejected
@@ -231,8 +241,12 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, argv, seed_env, code):
     reason = REASONS.get((argv[0], *argv[-2:]))
     out = tmp_path / "out"
     argv = [str(_one_mask_manifest(tmp_path, BAD_SCORES.get(arg, "-\t-\t-")))
-            if arg == MANIFEST or arg in BAD_SCORES else arg for arg in argv]
-    if argv[0] not in ("analyze", "distmetrics"):  # these print and take no --out
+            if arg == MANIFEST or arg in BAD_SCORES
+            else str(_one_mask_manifest(tmp_path / "pred", sid="b")) if arg == OTHER_IDS
+            else arg for arg in argv]
+    if argv[0] == "bench":  # its output is the report
+        argv += ["--report", str(out)]
+    elif argv[0] not in ("analyze", "distmetrics", "plan"):  # these print and take no --out
         argv += ["--out", str(out)]
     assert main(argv) == code
     captured = capsys.readouterr()

@@ -96,6 +96,17 @@ def test_layer_above_final_res_rejected():
         plan_grouped([LayerSpec("res512", 512, 8)], d_reduce=128, final_res=256)
 
 
+@pytest.mark.parametrize("final_res", [1000, 1024, 96, 4, 0])
+def test_final_res_outside_the_layer_rule_rejected(final_res):
+    # above 512 no band works, so the grouped plan stays at 512 while the
+    # baseline would be charged at final_res^2
+    layers = [LayerSpec("res8", 8, 64)]
+    message = f"resolution {final_res} must be a power of two in \\[8, 512\\]"
+    for plan in (plan_grouped, plan_baseline, compare):
+        with pytest.raises(ValueError, match=message):
+            plan(layers, final_res=final_res)
+
+
 def test_plan_shapes_consistent_random_configs():
     rng = np.random.default_rng(0)
     resolutions = [8, 16, 32, 64, 128, 256, 512]
