@@ -9,7 +9,8 @@ flag, a missing required flag, a non-integer --n); 2 when a parsed value or
 an input file is rejected (--n 0, --res 100, a --truncation below 0.01,
 a negative --count, a negative or NaN --epsilon, --k 0, a non-integer
 LABELGEN_SEED, a negative --seed or LABELGEN_SEED, a malformed manifest).
-Errors print one line to stderr, never a traceback.
+Errors print one line to stderr, never a traceback. A reader that closes
+standard output early (``| head``) gives exit 1 and prints nothing.
 """
 from __future__ import annotations
 
@@ -328,7 +329,14 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); as Python's signal docs
+        # advise, point stdout at devnull so the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:  # FormatError is a ValueError
         print(f"labelgen: data error: {exc}", file=sys.stderr)
         return 2

@@ -134,11 +134,12 @@ def _class_sum(t: np.ndarray) -> np.ndarray:
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:
-    # imported here: scipy.special is most of a cold start, and most
-    # commands never compute an entropy
-    from scipy.special import xlogy
-
-    return -_class_sum(xlogy(p, p))
+    """Entropy over the last axis. p*log(p) is taken once per distinct value,
+    with libm's log (``math.log``, which ``scipy.special.xlogy`` uses too;
+    ``np.log`` rounds some values differently), and is 0 at 0."""
+    values, inverse = np.unique(p.ravel(), return_inverse=True)
+    plogp = np.array([v * math.log(v) if v else 0.0 for v in values.tolist()])
+    return -_class_sum(plogp[inverse].reshape(p.shape))
 
 
 def _js(p: np.ndarray) -> np.ndarray:
@@ -165,16 +166,20 @@ def js_divergence(dists) -> float:
 class EnsemblePrediction:
     """Class probabilities from K heads over an (H, W) pixel grid.
 
-    ``probs`` has shape (K, m, C): the heads' distributions at the m pixels
-    whose row-major flat indices are listed, strictly increasing, in
-    ``index``. Every pixel not listed has all heads equal, so it adds exactly
-    0 to the heads' disagreement and need not be stored. The arrays are
-    owned, read-only copies.
+    ``index`` lists, strictly increasing, the row-major flat indices of m
+    pixels. ``probs`` has shape (K, u, C): the heads' distributions for u
+    pixel kinds, and ``kinds`` (m,) gives the kind of each listed pixel, in
+    ``index`` order, so pixels whose heads agree on every distribution share
+    one column. ``kinds=None`` makes each listed pixel its own kind (u = m).
+    Every pixel not listed has all heads equal, so it adds exactly 0 to the
+    heads' disagreement and need not be stored. The arrays are owned,
+    read-only copies.
     """
 
     probs: np.ndarray
     index: np.ndarray
     shape: tuple[int, int]
+    kinds: np.ndarray | None = None
 
     def __post_init__(self):
         # owned copies: the arrays are frozen below, and the caller's stay writable
@@ -187,8 +192,15 @@ class EnsemblePrediction:
         index = np.array(self.index)
         if index.ndim != 1 or index.dtype.kind not in "iu":
             raise ValueError("index must be a 1-D integer array")
-        if index.size != arr.shape[1]:
-            raise ValueError(f"index lists {index.size} pixels, probs {arr.shape[1]}")
+        kinds = np.arange(arr.shape[1]) if self.kinds is None else np.array(self.kinds)
+        if kinds.ndim != 1 or kinds.dtype.kind not in "iu":
+            raise ValueError("kinds must be a 1-D integer array")
+        if kinds.size != index.size:
+            counted = "probs" if self.kinds is None else "kinds"
+            raise ValueError(f"index lists {index.size} pixels, {counted} {kinds.size}")
+        num_kinds = arr.shape[1]
+        if kinds.size and (kinds.min() < 0 or kinds.max() >= num_kinds):
+            raise ValueError(f"kinds must be in [0, {num_kinds}): probs holds {num_kinds} kinds")
         if index.size and (index[0] < 0 or index[-1] >= h * w
                            or (np.diff(index) <= 0).any()):
             raise ValueError(f"index must be strictly increasing within the {h}x{w} grid")
@@ -199,11 +211,12 @@ class EnsemblePrediction:
                 raise ValueError("probabilities must be nonnegative")
             if np.abs(_class_sum(arr) - 1.0).max() > 1e-6:
                 raise ValueError("per-pixel probabilities must sum to 1 within 1e-6")
-        arr.flags.writeable = False
-        index.flags.writeable = False
+        for owned in (arr, index, kinds):
+            owned.flags.writeable = False
         object.__setattr__(self, "probs", arr)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "shape", (h, w))
+        object.__setattr__(self, "kinds", kinds)
 
     @property
     def num_heads(self) -> int:
@@ -213,10 +226,11 @@ class EnsemblePrediction:
 def sample_uncertainty(pred: EnsemblePrediction) -> float:
     """Mean over the grid of the per-pixel JS divergence across ensemble heads.
 
-    Unlisted pixels add exactly 0, so the sum runs over the listed pixels
-    only and is divided by H*W.
+    The divergence is computed once per pixel kind and gathered by
+    ``pred.kinds``. Unlisted pixels add exactly 0, so the sum runs over the
+    listed pixels only and is divided by H*W.
     """
-    per_pixel = np.maximum(_js(pred.probs), 0.0)
+    per_pixel = np.maximum(_js(pred.probs), 0.0)[pred.kinds]
     h, w = pred.shape
     return float(per_pixel.sum() / (h * w))
 

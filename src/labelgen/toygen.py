@@ -11,8 +11,10 @@ toward its own fixed probability target (targets are spread evenly over (0,
 across heads grows strictly with the level and the per-sample uncertainty
 score carries no sampling noise. Outside the band every head equals the
 one-hot ground truth, so the ensemble is emitted in its listed-pixel form:
-the band's flat pixel indices and the (16, m, 2) head probabilities there,
-never a dense (16, H, W, 2) tensor. Classifier confidence
+the band's flat pixel indices, never a dense (16, H, W, 2) tensor. A band
+pixel's heads depend only on whether it is foreground, so the ensemble
+holds (16, 2, 2) head probabilities for the two pixel kinds, background and
+foreground, and each band pixel's kind. Classifier confidence
 (``jittered_confidence``) decreases with the disagreement plus a small
 jitter drawn from the sample's confidence stream, so rejection filtering
 has a meaningful signal; it reads no pixel, so a sample can be scored
@@ -413,12 +415,13 @@ def _band(fg: np.ndarray) -> np.ndarray:
 
 
 def _band_ensemble(fg: np.ndarray, disagreement: float) -> EnsemblePrediction:
+    """The band's heads for its two pixel kinds, background (0) and foreground (1)."""
     index = np.flatnonzero(_band(fg))
-    fg_prob = fg.ravel()[index].astype(np.float64)
     targets = (2.0 * np.arange(NUM_HEADS) + 1.0) / (2.0 * NUM_HEADS)
+    fg_prob = np.array([0.0, 1.0])
     head_fg = (1.0 - disagreement) * fg_prob[None, :] + disagreement * targets[:, None]
     heads = np.stack([1.0 - head_fg, head_fg], axis=-1)
-    return EnsemblePrediction(heads, index, fg.shape)
+    return EnsemblePrediction(heads, index, fg.shape, fg.ravel()[index].view(np.uint8))
 
 
 def toy_ensemble(spec: ToyClassSpec, z: np.ndarray, res: int = 64, *,

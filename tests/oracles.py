@@ -373,6 +373,25 @@ def scipy_band(foreground):
         fg, structure, iterations=2)
 
 
+def per_pixel_band_heads(foreground, disagreement, num_heads=16):
+    """The toy band's heads with one column per band pixel: (K, m, 2)
+    probabilities and the m band pixels' flat indices, built as the library
+    built them before it stored one column per pixel kind."""
+    fg = np.asarray(foreground, dtype=bool)
+    index = np.flatnonzero(toy_band(fg))
+    fg_prob = fg.ravel()[index].astype(np.float64)
+    targets = (2.0 * np.arange(num_heads) + 1.0) / (2.0 * num_heads)
+    head_fg = (1.0 - disagreement) * fg_prob[None, :] + disagreement * targets[:, None]
+    return np.stack([1.0 - head_fg, head_fg], axis=-1), index
+
+
+def expanded_probs(pred):
+    """An ensemble's (K, m, C) heads at its m listed pixels, one column per
+    pixel: its per-kind columns gathered by ``kinds``, in C order (numpy lays
+    a gather along axis 1 out pixel-major, which changes reduction order)."""
+    return np.ascontiguousarray(pred.probs[:, pred.kinds])
+
+
 def xlogy_uncertainty(pred):
     """Listed-pixel JS uncertainty with entropies summed by ``.sum(-1)``."""
     from scipy.special import xlogy
@@ -380,7 +399,7 @@ def xlogy_uncertainty(pred):
     def entropy(p):
         return -xlogy(p, p).sum(axis=-1)
 
-    probs = pred.probs
+    probs = expanded_probs(pred)
     per_pixel = np.maximum(entropy(probs.mean(axis=0)) - entropy(probs).mean(axis=0), 0.0)
     h, w = pred.shape
     return float(per_pixel.sum() / (h * w))

@@ -68,18 +68,37 @@ def test_cli_import_leaves_analysis_scipy_unloaded():
     assert result.returncode == 0, result.stderr
 
 
-def test_cli_import_leaves_scipy_special_unloaded_until_an_entropy():
+def test_synth_and_entropy_leave_scipy_special_unloaded(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys, labelgen.cli\n"
         "assert 'scipy.special' not in sys.modules\n"
+        f"assert labelgen.cli.main(['synth', '--n', '20', '--out', {str(tmp_path)!r}]) == 0\n"
         "from labelgen.sampling import js_divergence\n"
         "assert abs(js_divergence([[1.0, 0.0], [0.0, 1.0]]) - 0.6931471805599453) < 1e-12\n"
-        "assert 'scipy.special' in sys.modules\n"
+        "assert 'scipy.special' not in sys.modules\n"
     )
     result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+    assert (tmp_path / "manifest.txt").exists()
+
+
+def test_closed_stdout_exits_quietly():
+    # the read end is closed before the command starts, so every write to
+    # stdout fails with EPIPE, as when `| head -1` has read its line
+    src = Path(__file__).resolve().parents[1] / "src"
+    layers = Path(__file__).resolve().parents[1] / "configs" / "biggan512.tsv"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "labelgen", "plan", "--layers", str(layers)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, "")
 
 
 def test_unknown_package_attribute_raises():

@@ -128,6 +128,7 @@ def test_rendered_sample_and_ensemble_use_numpy_streams(root, counter):
     assert replace(sample, image=None, mask=None) == toy_scored(source, counter)
     ensemble = source.ensemble(counter)
     assert (ensemble.index == expected.ensemble.index).all()
+    assert (ensemble.kinds == expected.ensemble.kinds).all()
     assert (ensemble.probs == expected.ensemble.probs).all()
 
 

@@ -17,9 +17,20 @@ from labelgen.pipeline import (
     synth_offline,
     write_stream,
 )
-from labelgen.sampling import FilterConfig, truncated_normal
+from labelgen.sampling import (
+    EnsemblePrediction,
+    FilterConfig,
+    sample_uncertainty,
+    truncated_normal,
+)
 
-from .oracles import numpy_disagreement, toy_scored
+from .oracles import (
+    expanded_probs,
+    numpy_disagreement,
+    per_pixel_band_heads,
+    toy_scored,
+    xlogy_uncertainty,
+)
 
 NO_FILTERS = FilterConfig(rejection_rate=0.0, uncertainty_fraction=0.0)
 
@@ -66,7 +77,25 @@ def test_shape_only_ensemble_equals_generated_ensemble(counter, seed, res):
     shape_only = source.ensemble(counter)
     assert shape_only.shape == generated.shape
     assert (shape_only.index == generated.index).all()
+    assert (shape_only.kinds == generated.kinds).all()
     assert (shape_only.probs == generated.probs).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(counter=st.integers(0, 2**40), seed=st.integers(0, 2**32 - 1),
+       res=st.sampled_from([64, 128, 256]))
+def test_kind_ensemble_equals_per_pixel_oracle(counter, seed, res):
+    source = ToySource(num_classes=16, seed=seed, resolution=res)
+    ensemble = source.ensemble(counter)
+    sample_seed = source.scored_range(counter, counter + 1)[0].latent_seed
+    fg = source.generate(counter).mask.foreground()
+    heads, index = per_pixel_band_heads(fg, numpy_disagreement(sample_seed))
+    assert ensemble.probs.shape == (16, 2, 2)
+    assert (ensemble.index == index).all()
+    assert (expanded_probs(ensemble) == heads).all()
+    oracle = EnsemblePrediction(heads, index, fg.shape)
+    assert sample_uncertainty(ensemble) == xlogy_uncertainty(oracle)
+    assert sample_uncertainty(ensemble) == sample_uncertainty(oracle)
 
 
 def test_bad_resolution_rerun_leaves_previous_dataset(tmp_path):

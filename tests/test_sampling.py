@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import xlogy
 
 from labelgen.formats import LabeledSample
 from labelgen.sampling import (
@@ -12,6 +13,7 @@ from labelgen.sampling import (
     CategoricalDist,
     EnsemblePrediction,
     FilterConfig,
+    _entropy,
     confidence_rejection,
     filtered_count,
     js_divergence,
@@ -23,6 +25,7 @@ from labelgen.sampling import (
 )
 
 from .oracles import (
+    expanded_probs,
     truncated_normal_variance,
     two_sort_confidence_rejection,
     two_sort_uncertainty_filter,
@@ -305,6 +308,48 @@ def test_listed_uncertainty_equals_agreeing_dense_padding(k, c, h, w, data):
     padded = sample_uncertainty(_every_pixel(dense.reshape(k, h, w, c)))
     # identical heads can leave a rounding residue of ~1e-16 per padded pixel
     assert banded == pytest.approx(padded, rel=1e-12, abs=1e-14)
+
+
+def test_entropy_equals_scipy_xlogy_bitwise():
+    rng = np.random.default_rng(11)
+    values = np.concatenate([rng.random(100_000), rng.random(1000) * 1e-300,
+                             [0.0, 5e-324, 0.5, 1.0]])
+    # one-class rows: the entropy of each row is -p*log(p) of its one value
+    got = _entropy(values[:, None])
+    assert got.view(np.uint64).tolist() == (-xlogy(values, values)).view(np.uint64).tolist()
+    pairs = rng.dirichlet(np.ones(2), size=5000)
+    assert (_entropy(pairs) == -xlogy(pairs, pairs).sum(axis=-1)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 5), u=st.integers(1, 4), c=st.integers(2, 4), m=st.integers(0, 30),
+       data=st.data())
+def test_kinds_uncertainty_equals_expanded_heads(k, u, c, m, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    probs = rng.dirichlet(np.ones(c), size=(k, u))
+    kinds = rng.integers(0, u, size=m)
+    index = np.sort(rng.choice(64, size=m, replace=False))
+    pred = EnsemblePrediction(probs, index, (8, 8), kinds)
+    per_pixel = EnsemblePrediction(expanded_probs(pred), index, (8, 8))
+    assert sample_uncertainty(pred) == sample_uncertainty(per_pixel)
+    with pytest.raises(ValueError):
+        pred.kinds[...] = 0
+
+
+@pytest.mark.parametrize("kinds, message", [
+    (np.zeros((3, 1), dtype=int), "1-D integer"),
+    (np.zeros(3), "1-D integer"),                   # float
+    (np.zeros(3, dtype=bool), "1-D integer"),
+    (np.zeros(2, dtype=int), "kinds 2"),            # one entry per listed pixel
+    (np.zeros(4, dtype=int), "kinds 4"),
+    (np.array([0, -1, 1]), r"\[0, 2\)"),
+    (np.array([0, 2, 1]), r"\[0, 2\)"),
+    (np.array([0, 1, 2], dtype=np.uint8), r"\[0, 2\)"),
+])
+def test_bad_kinds_rejected(kinds, message):
+    probs = np.full((2, 2, 2), 0.5)
+    with pytest.raises(ValueError, match=message):
+        EnsemblePrediction(probs, np.arange(3), (2, 2), kinds)
 
 
 # ------------------------------------------------------------------ filters

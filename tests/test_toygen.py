@@ -26,6 +26,7 @@ from labelgen.toygen import (
 
 from .oracles import (
     dense_js_uncertainty,
+    expanded_probs,
     full_grid_rasterize,
     numpy_disagreement,
     scipy_band,
@@ -79,7 +80,7 @@ def _dense_heads(ensemble, foreground):
     """(K, H, W) foreground probabilities: listed pixels from the ensemble,
     every other pixel the one-hot ground truth all heads agree on."""
     fg_prob = np.repeat(foreground.astype(np.float64).ravel()[None], ensemble.num_heads, 0)
-    fg_prob[:, ensemble.index] = ensemble.probs[:, :, 1]
+    fg_prob[:, ensemble.index] = expanded_probs(ensemble)[:, :, 1]
     return fg_prob.reshape((ensemble.num_heads,) + ensemble.shape)
 
 
@@ -97,7 +98,7 @@ def test_generate_deterministic():
     np.testing.assert_array_equal(a.ensemble.index, np.flatnonzero(toy_band(fg)))
     oracle = toy_dense_ensemble(fg, level, NUM_HEADS)
     np.testing.assert_array_equal(_dense_heads(a.ensemble, fg), oracle[:, :, :, 1])
-    np.testing.assert_array_equal(a.ensemble.probs[:, :, 0],
+    np.testing.assert_array_equal(expanded_probs(a.ensemble)[:, :, 0],
                                   oracle[:, :, :, 0].reshape(NUM_HEADS, -1)[:, a.ensemble.index])
 
 
@@ -179,6 +180,7 @@ def test_toy_ensemble_equals_generated_ensemble(index, seed, res, level):
     generated = toy_generate(specs[index], z, seed, res, disagreement=level).ensemble
     assert shape_only.shape == generated.shape
     assert (shape_only.index == generated.index).all()
+    assert (shape_only.kinds == generated.kinds).all()
     assert (shape_only.probs == generated.probs).all()
 
 
