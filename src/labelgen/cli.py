@@ -21,7 +21,6 @@ from pathlib import Path
 
 from . import pipeline
 from .formats import (
-    DatasetManifest,
     read_manifest,
     read_mask,
     read_embeddings,
@@ -32,11 +31,13 @@ from .formats import (
 from .sampling import FilterConfig
 
 
-def _load_masks(manifest: DatasetManifest, manifest_path):
-    """(class_id, Mask) for each manifest entry, read in manifest order."""
+def _load_masks(manifest_path):
+    """The manifest at manifest_path and its (class_id, Mask) pairs, each mask
+    read when its pair is reached, in manifest order."""
+    manifest = read_manifest(manifest_path)
     base_dir = Path(manifest_path).parent
-    for entry in manifest.entries:
-        yield entry.class_id, read_mask(base_dir / entry.mask_path)
+    return manifest, ((entry.class_id, read_mask(base_dir / entry.mask_path))
+                      for entry in manifest.entries)
 
 
 # --------------------------------------------------------------------------
@@ -91,11 +92,9 @@ def _cmd_stream(args) -> int:
 def _cmd_analyze(args) -> int:
     from . import geometry
 
-    manifest = read_manifest(args.manifest)
-    report = geometry.analyze_masks(
-        manifest.name, _load_masks(manifest, args.manifest),
-        min_pixels=args.min_pixels, epsilon=args.epsilon,
-    )
+    manifest, pairs = _load_masks(args.manifest)
+    report = geometry.analyze_masks(manifest.name, pairs, min_pixels=args.min_pixels,
+                                    epsilon=args.epsilon)
     print(report.format_table())
     print()
     for line in report.machine_lines():
@@ -106,11 +105,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_geometry(args) -> int:
     from . import geometry
 
-    manifest = read_manifest(args.manifest)
-    polys = geometry.class_polygons(
-        _load_masks(manifest, args.manifest),
-        min_pixels=args.min_pixels, epsilon=args.epsilon,
-    )
+    _, pairs = _load_masks(args.manifest)
+    polys = geometry.class_polygons(pairs, min_pixels=args.min_pixels, epsilon=args.epsilon)
     write_polygons(polys, args.out)
     total = sum(len(v) for v in polys.values())
     print(f"wrote {total} polygons to {args.out}")
@@ -120,11 +116,8 @@ def _cmd_geometry(args) -> int:
 def _cmd_meanshapes(args) -> int:
     from . import geometry
 
-    manifest = read_manifest(args.manifest)
-    shape_sets, skipped = geometry.class_mean_shapes(
-        _load_masks(manifest, args.manifest),
-        k=args.k, seed=_resolve_seed(args),
-    )
+    _, pairs = _load_masks(args.manifest)
+    shape_sets, skipped = geometry.class_mean_shapes(pairs, k=args.k, seed=_resolve_seed(args))
     lines = []
     for shapes in shape_sets:
         flat = shapes.shapes.reshape(len(shapes.shapes), -1)
@@ -142,10 +135,8 @@ def _cmd_meanshapes(args) -> int:
 def _cmd_scatter(args) -> int:
     from . import geometry
 
-    manifest = read_manifest(args.manifest)
-    centers = geometry.center_scatter(
-        mask for _, mask in _load_masks(manifest, args.manifest)
-    )
+    _, pairs = _load_masks(args.manifest)
+    centers = geometry.center_scatter(mask for _, mask in pairs)
     write_lines([f"{cx:.6f}\t{cy:.6f}" for cx, cy in centers], args.out)
     print(f"wrote {len(centers)} centers to {args.out}")
     return 0
@@ -196,13 +187,6 @@ def _cmd_bench(args) -> int:
 # parser
 # --------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def _add_seed(parser):
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed (default: $LABELGEN_SEED or 0)")
@@ -237,9 +221,9 @@ def _add_polygon_args(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="labelgen", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    parser = argparse.ArgumentParser(prog="labelgen", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("synth",
                        help="synthesize an offline labeled dataset")

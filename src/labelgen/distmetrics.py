@@ -46,7 +46,7 @@ def _rows(embeddings) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianFit:
     """Sample mean and unbiased (n-1) covariance, symmetrized."""
 

@@ -92,7 +92,7 @@ def _frozen_array(obj, name, value):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mask:
     """Per-pixel label grid; shape (height, width), dtype uint8."""
 
@@ -133,7 +133,7 @@ def validate_mask_labels(mask: Mask, num_classes: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Image:
     """8-bit RGB image; data shape (height, width, 3)."""
 
@@ -295,7 +295,7 @@ class DatasetManifest:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingSet:
     """n x d matrix of per-image embeddings, n >= 2, all values finite."""
 

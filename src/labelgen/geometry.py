@@ -11,15 +11,18 @@ with module-level tables of moves, so each step is a few list and bytes
 lookups rather than numpy indexing. Perimeter, point count and pairwise
 Chamfer distance are computed on the simplified polygons. The dataset passes at the end
 (analyze_masks, class_polygons, class_mean_shapes) take (class_id, Mask)
-pairs, so callers decide how masks are read. They simplify outlines in
-batches and compute Chamfer distances block-wise, with results bit-equal to
-one outline or pair at a time.
+pairs, so callers decide how masks are read. class_polygons is the one
+outline pass: it traces each mask as it arrives and simplifies outlines in
+batches; analyze_masks runs it and takes each mask's statistics on the way.
+Chamfer distances are computed block-wise. Results are bit-equal to one
+outline or pair at a time.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass, fields
+from itertools import islice
 
 import numpy as np
 from scipy import ndimage
@@ -140,7 +143,7 @@ def center_scatter(masks) -> np.ndarray:
 # contour extraction
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polygon:
     """Ordered (x, y) vertex list of a closed outline.
 
@@ -600,7 +603,7 @@ def _lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int = 100):
     return centers, assign
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeanShapeSet:
     """k cluster-centroid shapes (res x res grids in [0, 1]) and their sizes."""
 
@@ -640,49 +643,29 @@ def mean_shapes(masks, k: int = 5, seed: int = 0, class_id: int | None = None) -
 # dataset passes over (class_id, Mask) pairs
 # --------------------------------------------------------------------------
 
-class _Outlines:
-    """Simplified largest-component outlines grouped by class id, in mask order.
-
-    Outlines are traced as masks arrive and simplified in batches of
-    ``_SIMPLIFY_BATCH``, so memory stays flat however many masks stream in.
-    Outlines below min_pixels or degenerate after simplification are left out.
-    """
-
-    def __init__(self, min_pixels: int, epsilon: float):
-        if min_pixels < 0:
-            raise ValueError(f"min_pixels must be >= 0, got {min_pixels}")
-        if not epsilon >= 0:  # also rejects NaN, which would keep every point
-            raise ValueError(f"epsilon must be a number >= 0, got {epsilon}")
-        self.min_pixels = min_pixels
-        self.epsilon = epsilon
-        self.by_class: dict[int, list[Polygon]] = {}
-        self._pending: list[tuple[int, Polygon]] = []
-
-    def add(self, class_id: int, mask) -> None:
-        poly = largest_component_polygon(mask, min_pixels=self.min_pixels)
-        if poly is not None and not poly.degenerate:
-            self._pending.append((class_id, poly))
-            if len(self._pending) == _SIMPLIFY_BATCH:
-                self._flush()
-
-    def _flush(self) -> None:
-        simplified = simplify_polygons([poly for _, poly in self._pending], self.epsilon)
-        for (class_id, _), poly in zip(self._pending, simplified):
-            if not poly.degenerate:
-                self.by_class.setdefault(class_id, []).append(poly)
-        self._pending.clear()
-
-    def result(self) -> dict[int, list[Polygon]]:
-        self._flush()
-        return self.by_class
-
-
 def class_polygons(pairs, min_pixels: int = 100, epsilon: float = 0.01) -> dict:
-    """Simplified normalized outlines grouped by class id, in mask order."""
-    outlines = _Outlines(min_pixels, epsilon)
-    for class_id, mask in pairs:
-        outlines.add(class_id, mask)
-    return outlines.result()
+    """Simplified normalized outlines grouped by class id, in mask order.
+
+    The one outline pass: min_pixels and epsilon are checked before any pair
+    is read, each mask's largest component is traced as its pair arrives, and
+    the outlines are simplified in batches of ``_SIMPLIFY_BATCH``, so memory
+    stays flat however many masks stream in. Outlines below min_pixels or
+    degenerate after simplification are left out.
+    """
+    if min_pixels < 0:
+        raise ValueError(f"min_pixels must be >= 0, got {min_pixels}")
+    if not epsilon >= 0:  # also rejects NaN, which would keep every point
+        raise ValueError(f"epsilon must be a number >= 0, got {epsilon}")
+    traced = ((class_id, poly) for class_id, mask in pairs
+              if (poly := largest_component_polygon(mask, min_pixels=min_pixels))
+              is not None and not poly.degenerate)
+    by_class: dict[int, list[Polygon]] = {}
+    while batch := list(islice(traced, _SIMPLIFY_BATCH)):
+        simplified = simplify_polygons([poly for _, poly in batch], epsilon)
+        for (class_id, _), poly in zip(batch, simplified):
+            if not poly.degenerate:
+                by_class.setdefault(class_id, []).append(poly)
+    return by_class
 
 
 def class_mean_shapes(pairs, k: int = 5, seed: int = 0) -> tuple[list, list]:
@@ -758,38 +741,41 @@ class AnalysisReport:
 
 def analyze_masks(name: str, pairs, min_pixels: int = 100,
                   epsilon: float = 0.01) -> AnalysisReport:
-    """Aggregate per-mask statistics and polygon metrics in one pass."""
-    instance_counts = []
-    mi, bi, mb = [], [], []
-    fg_total = bbox_total = pixel_total = 0
-    outlines = _Outlines(min_pixels, epsilon)
-    for class_id, mask in pairs:
-        stats = mask_stats(mask)
-        instance_counts.append(stats.instance_count)
-        if stats.instance_count > 0:
-            mi.append(stats.mask_over_image)
-            bi.append(stats.bbox_over_image)
-            mb.append(stats.mask_over_bbox)
-        pixels = mask.width * mask.height
-        pixel_total += pixels
-        fg_total += round(stats.mask_over_image * pixels)
-        bbox_total += round(stats.bbox_over_image * pixels)
-        outlines.add(class_id, mask)
-    if not instance_counts:
+    """Aggregate per-mask statistics and polygon metrics in one pass.
+
+    The pass is ``class_polygons``; each mask's statistics are taken as it
+    reads the mask.
+    """
+    measured = []  # (MaskStats, pixel count) of each mask, in mask order
+
+    def measure():
+        for class_id, mask in pairs:
+            measured.append((mask_stats(mask), mask.width * mask.height))
+            yield class_id, mask
+
+    polys_by_class = class_polygons(measure(), min_pixels=min_pixels, epsilon=epsilon)
+    if not measured:
         raise ValueError("empty dataset")
-    polys_by_class = outlines.result()
     if polys_by_class:
         report = geometry_report(polys_by_class)
         pl, sc, sd = report.polygon_length, report.shape_complexity, report.shape_diversity
     else:
         pl = sc = sd = None
+    found = [stats for stats, _ in measured if stats.instance_count > 0]
+    fg_total = sum(round(stats.mask_over_image * pixels) for stats, pixels in measured)
+    bbox_total = sum(round(stats.bbox_over_image * pixels) for stats, pixels in measured)
+    pixel_total = sum(pixels for _, pixels in measured)
+
+    def mean(values):
+        return float(np.mean(values)) if values else 0.0
+
     return AnalysisReport(
         name=name,
-        size=len(instance_counts),
-        instances_per_image=float(np.mean(instance_counts)),
-        mask_image_ratio=float(np.mean(mi)) if mi else 0.0,
-        bbox_image_ratio=float(np.mean(bi)) if bi else 0.0,
-        mask_bbox_ratio=float(np.mean(mb)) if mb else 0.0,
+        size=len(measured),
+        instances_per_image=mean([stats.instance_count for stats, _ in measured]),
+        mask_image_ratio=mean([stats.mask_over_image for stats in found]),
+        bbox_image_ratio=mean([stats.bbox_over_image for stats in found]),
+        mask_bbox_ratio=mean([stats.mask_over_bbox for stats in found]),
         mask_image_ratio_pooled=fg_total / pixel_total,
         bbox_image_ratio_pooled=bbox_total / pixel_total,
         mask_bbox_ratio_pooled=fg_total / bbox_total if bbox_total else 0.0,

@@ -53,11 +53,18 @@ class FilterConfig:
             if not line or line.startswith("#"):
                 continue
             key, sep, value = line.partition("=")
-            key = key.strip()
+            key, value = key.strip(), value.strip()
             if not sep or key not in known:
                 raise ValueError(f"{path}:{lineno}: expected <known key>=<value>")
-            kwargs[key] = float(value.strip())
-        return cls(**kwargs)
+            try:
+                kwargs[key] = float(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} must be a number, "
+                                 f"got {value!r}") from None
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def to_file(self, path) -> None:
         lines = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)]
@@ -79,7 +86,7 @@ def _as_dist(probs) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CategoricalDist:
     """A validated probability vector."""
 
@@ -162,7 +169,7 @@ def js_divergence(dists) -> float:
     return float(max(_js(np.stack(stack)), 0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsemblePrediction:
     """Class probabilities from K heads over an (H, W) pixel grid.
 

@@ -228,7 +228,7 @@ class ToyClassSpec:
             raise ValueError(f"size range {self.size_range} outside (0, 0.9]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ToyOutput:
     image: Image
     gt_mask: Mask

@@ -176,6 +176,20 @@ BAD_SCORES = {
 }
 
 
+CONFIG = "<config>"  # stands for the filter config file's path in a reason
+# stand for a filter config file holding this text
+BAD_CONFIGS = {
+    "<config rejection_rate=abc>": "rejection_rate=abc\n",
+    "<config rejection_rate=1.5>": "# a comment\nrejection_rate=1.5\n",
+}
+
+
+def _config(directory: Path, text: str) -> Path:
+    path = directory / "filters.cfg"
+    path.write_text(text)
+    return path
+
+
 def _one_mask_manifest(directory: Path, scores: str = "-\t-\t-", sid: str = "a") -> Path:
     grid = np.zeros((16, 16), dtype=np.uint8)
     grid[2:12, 3:9] = 1
@@ -214,6 +228,10 @@ REASONS = {
     ("plan", "--final-res", "1000"): "resolution 1000 must be a power of two in [8, 512]",
     ("bench", "--pred-manifest", OTHER_IDS):
         "no prediction ids matched the ground-truth manifest",
+    ("synth", "--config", "<config rejection_rate=abc>"):
+        f"{CONFIG}:1: rejection_rate must be a number, got 'abc'",
+    ("synth", "--config", "<config rejection_rate=1.5>"):
+        f"{CONFIG}: rejection_rate must be in [0, 1)",
 }
 
 
@@ -252,6 +270,8 @@ REASONS = {
     (["plan", "--layers", LAYERS, "--final-res", "1000"], None, 2),
     (["bench", "--task", "FG/BG", "--gt-manifest", MANIFEST,
       "--pred-manifest", OTHER_IDS], None, 2),
+    (["synth", "--n", "1", "--config", "<config rejection_rate=abc>"], None, 2),
+    (["synth", "--n", "1", "--config", "<config rejection_rate=1.5>"], None, 2),
 ])
 def test_exit_codes(tmp_path, capsys, monkeypatch, argv, seed_env, code):
     # 1: the command line does not parse; 2: a parsed value is rejected
@@ -262,6 +282,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, argv, seed_env, code):
     argv = [str(_one_mask_manifest(tmp_path, BAD_SCORES.get(arg, "-\t-\t-")))
             if arg == MANIFEST or arg in BAD_SCORES
             else str(_one_mask_manifest(tmp_path / "pred", sid="b")) if arg == OTHER_IDS
+            else str(_config(tmp_path, BAD_CONFIGS[arg])) if arg in BAD_CONFIGS
             else arg for arg in argv]
     if argv[0] == "bench":  # its output is the report
         argv += ["--report", str(out)]
@@ -275,6 +296,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, argv, seed_env, code):
     assert err.startswith("usage:" if code == 1 else "labelgen: data error:")
     if reason is not None:
         reason = reason.replace(MANIFEST, str(tmp_path / "manifest.txt"))
+        reason = reason.replace(CONFIG, str(tmp_path / "filters.cfg"))
         assert err == f"labelgen: data error: {reason}\n"
     assert not out.exists()
 

@@ -38,6 +38,11 @@ from labelgen.formats import (
     write_taxonomy,
 )
 
+from labelgen.distmetrics import GaussianFit
+from labelgen.geometry import MeanShapeSet, Polygon
+from labelgen.sampling import CategoricalDist, EnsemblePrediction
+from labelgen.toygen import ToyOutput
+
 from .oracles import manifest_path_escapes
 
 
@@ -290,6 +295,37 @@ def test_records_are_built_by_keyword_only():
         LabeledSample("a", 1, "toy")
     with pytest.raises(TypeError):
         ManifestEntry("a", 1, "i.ppm", "m.pgm", "toy")
+
+
+# each builds a fresh value holding arrays, equal to the one the last call built
+ARRAY_VALUES = {
+    "Mask": lambda: Mask(np.ones((2, 2), np.uint8)),
+    "Image": lambda: Image(np.zeros((2, 2, 3), np.uint8)),
+    "EmbeddingSet": lambda: EmbeddingSet(np.eye(2)),
+    "CategoricalDist": lambda: CategoricalDist(np.array([0.5, 0.5])),
+    "EnsemblePrediction": lambda: EnsemblePrediction(np.full((2, 1, 2), 0.5), np.array([0]),
+                                                     (1, 2)),
+    "ToyOutput": lambda: ToyOutput(ARRAY_VALUES["Image"](), ARRAY_VALUES["Mask"](), None),
+    "Polygon": lambda: Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
+    "GaussianFit": lambda: GaussianFit(np.zeros(2), np.eye(2)),
+    "MeanShapeSet": lambda: MeanShapeSet(np.zeros((1, 2, 2)), np.array([3])),
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_VALUES.values(), ids=ARRAY_VALUES.keys())
+def test_values_holding_arrays_compare_and_hash_by_identity(build):
+    a, b = build(), build()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+
+def test_labeled_samples_with_pixels_compare_without_raising():
+    fields = {"id": "a", "class_id": 1, "provenance": "toy"}
+    image, mask = ARRAY_VALUES["Image"](), ARRAY_VALUES["Mask"]()
+    sample = LabeledSample(**fields, image=image, mask=mask)
+    assert sample == LabeledSample(**fields, image=image, mask=mask)
+    assert sample != LabeledSample(**fields, image=ARRAY_VALUES["Image"](), mask=mask)
+    assert LabeledSample(**fields) == LabeledSample(**fields)
 
 
 def test_taxonomy_roundtrip(tmp_path):

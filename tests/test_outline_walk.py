@@ -224,3 +224,20 @@ def test_analysis_passes_call_traced_names_once_per_mask(monkeypatch):
     del stats[:], outlines[:]
     class_polygons(pairs)
     assert (len(stats), len(outlines)) == (0, len(pairs))
+
+
+def _unread_pairs():
+    raise AssertionError("a pair was read before the arguments were checked")
+    yield
+
+
+@pytest.mark.parametrize("pass_", [
+    class_polygons, functools.partial(analyze_masks, "toy")], ids=["class_polygons", "analyze"])
+@pytest.mark.parametrize("kwargs, message", [
+    ({"epsilon": -1}, "epsilon must be a number >= 0, got -1"),
+    ({"min_pixels": -1}, "min_pixels must be >= 0, got -1"),
+])
+def test_outline_pass_checks_arguments_before_reading_a_pair(pass_, kwargs, message):
+    with pytest.raises(ValueError) as info:
+        pass_(_unread_pairs(), **kwargs)
+    assert str(info.value) == message
