@@ -64,6 +64,8 @@ def build_task(taxonomy: ClassTaxonomy | None, name: str, class_ids=()) -> TaskS
         raise ValueError(f"task {name!r} needs a taxonomy")
     else:
         raise ValueError(f"taxonomy has no group table for task {name!r}")
+    if not class_map:
+        raise ValueError(f"task {name!r} maps no class")
     num_labels = max(class_map.values())
     return TaskSpec(
         name=name,

@@ -25,6 +25,8 @@ import numpy as np
 
 from .formats import EmbeddingSet, Image, Mask
 
+# rounding tolerance of eigenvalue and distance checks, relative to the
+# matrix's scale (its largest eigenvalue, or the traces) where that exceeds 1
 _EIG_TOL = 1e-6
 
 
@@ -77,8 +79,9 @@ def fit_gaussian(embeddings) -> GaussianFit:
 
 def _psd_sqrt(matrix: np.ndarray, what: str) -> np.ndarray:
     values, vectors = np.linalg.eigh(matrix)
-    if values.min() < -_EIG_TOL:
-        raise ValueError(f"{what} is not PSD: eigenvalue {values.min():.3e} < -{_EIG_TOL}")
+    tol = _EIG_TOL * max(1.0, values.max())
+    if values.min() < -tol:
+        raise ValueError(f"{what} is not PSD: eigenvalue {values.min():.3e} < -{tol:g}")
     values = np.clip(values, 0.0, None)
     return (vectors * np.sqrt(values)) @ vectors.T
 
@@ -94,11 +97,11 @@ def fid(a, b) -> float:
     inner = root_a @ gb.cov @ root_a
     inner = (inner + inner.T) / 2
     values = np.linalg.eigvalsh(inner)
-    if values.min() < -_EIG_TOL:
+    if values.min() < -_EIG_TOL * max(1.0, values.max()):
         raise ValueError(f"covariance product not PSD: eigenvalue {values.min():.3e}")
     trace_sqrt = np.sqrt(np.clip(values, 0.0, None)).sum()
     value = float(delta @ delta + np.trace(ga.cov) + np.trace(gb.cov) - 2 * trace_sqrt)
-    if value < -_EIG_TOL:
+    if value < -_EIG_TOL * max(1.0, np.trace(ga.cov) + np.trace(gb.cov)):
         raise ValueError(f"negative distance {value:.3e} beyond tolerance")
     return max(value, 0.0)
 

@@ -8,12 +8,16 @@ text format is UTF-8; dataset manifests have a fixed tab-separated column
 order so they stream and diff cleanly. ``LabeledSample`` (in memory) and
 ``ManifestEntry`` (on disk) share one ``SampleRecord`` of fields and checks.
 
+Masks and images are read and written by ``_read_netpbm`` and ``_write_netpbm``,
+every text file by ``read_lines`` and ``write_lines``; read errors name the file.
+
 All types are immutable after construction; array payloads are marked
 read-only so instances can be shared freely between threads.
 """
 from __future__ import annotations
 
 import math
+import re
 import struct
 from operator import attrgetter
 from dataclasses import dataclass, field, fields
@@ -123,16 +127,6 @@ class Mask:
         return (self.labels != 0) & (self.labels != IGNORE_LABEL)
 
 
-def validate_mask_labels(mask: Mask, num_classes: int) -> None:
-    """Reject any label outside {0, 255} and 1..num_classes."""
-    bad = (mask.labels > num_classes) & (mask.labels != IGNORE_LABEL)
-    if bad.any():
-        value = int(mask.labels[bad][0])
-        raise ValueError(
-            f"mask label {value} outside 1..{num_classes} (0=background, 255=ignore)"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class Image:
     """8-bit RGB image; data shape (height, width, 3)."""
@@ -229,6 +223,8 @@ class ClassTaxonomy:
     groups: dict[str, dict[int, int]] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not self.classes:
+            raise ValueError("taxonomy has no classes")
         for cid, name in self.classes.items():
             _check_text(f"class {cid} name", name)
         for task, table in self.groups.items():
@@ -297,18 +293,18 @@ class DatasetManifest:
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingSet:
-    """n x d matrix of per-image embeddings, n >= 2, all values finite."""
+    """n x d matrix of per-image embeddings, n >= 2, all values finite (else FormatError)."""
 
     rows: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.rows, dtype=np.float64)
         if arr.ndim != 2:
-            raise ValueError(f"embeddings must be 2-D, got shape {arr.shape}")
+            raise FormatError(f"embeddings must be 2-D, got shape {arr.shape}")
         if arr.shape[0] < 2:
-            raise ValueError(f"embedding set needs n >= 2 rows, got {arr.shape[0]}")
+            raise FormatError(f"embedding set needs n >= 2 rows, got {arr.shape[0]}")
         if arr.shape[1] < 1:
-            raise ValueError("embedding dimension must be >= 1")
+            raise FormatError("embedding dimension must be >= 1")
         if not np.isfinite(arr).all():
             raise NonFiniteError("embedding set contains non-finite values")
         _frozen_array(self, "rows", arr)
@@ -326,53 +322,51 @@ class EmbeddingSet:
 # netpbm (PGM P5 / PPM P6)
 # --------------------------------------------------------------------------
 
-def _parse_netpbm(data: bytes, magic: bytes, path) -> tuple[int, int, bytes]:
-    """Parse a binary netpbm header, returning (width, height, payload)."""
+# after the magic: width, height and maxval, each led by whitespace and '#'
+# comment lines; width and height end at whitespace, maxval's is checked apart
+_FIELD = rb"(?:\s|#.*\n)*([^\s#]\S*)"
+_NETPBM_HEADER = re.compile(_FIELD + rb"\s" + _FIELD + rb"\s" + _FIELD)
+
+
+def _parse_netpbm(data: bytes, magic: bytes, path) -> tuple[int, int, int]:
+    """Parse a binary netpbm header, returning (width, height, payload offset)."""
     if not data.startswith(magic):
         raise MalformedHeaderError(f"{path}: expected {magic.decode()} magic")
-    pos = len(magic)
-    tokens = []
-    while len(tokens) < 3:
-        if pos >= len(data):
-            raise MalformedHeaderError(f"{path}: header ended early")
-        ch = data[pos : pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            nl = data.find(b"\n", pos)
-            if nl < 0:
-                raise MalformedHeaderError(f"{path}: unterminated comment")
-            pos = nl + 1
-        else:
-            end = pos
-            while end < len(data) and not data[end : end + 1].isspace():
-                end += 1
-            tokens.append(data[pos:end])
-            pos = end
+    header = _NETPBM_HEADER.match(data, len(magic))
+    if header is None:
+        raise MalformedHeaderError(f"{path}: header ended early")
     try:
-        width, height, maxval = (int(t) for t in tokens)
+        width, height, maxval = map(int, header.groups())
     except ValueError:
         raise MalformedHeaderError(f"{path}: non-integer header field") from None
     if width < 1 or height < 1:
         raise MalformedHeaderError(f"{path}: dimensions must be >= 1")
     if maxval != 255:
         raise MaxvalError(f"{path}: maxval must be 255, got {maxval}")
-    if pos >= len(data) or not data[pos : pos + 1].isspace():
+    end = header.end()
+    if not data[end : end + 1].isspace():
         raise MalformedHeaderError(f"{path}: missing whitespace after maxval")
-    return width, height, data[pos + 1 :]
+    return width, height, end + 1
 
 
 def _read_netpbm(path, magic: bytes, *channels: int) -> np.ndarray:
-    """The (height, width, *channels) uint8 payload of a binary netpbm file."""
-    width, height, payload = _parse_netpbm(Path(path).read_bytes(), magic, path)
+    """The (height, width, *channels) uint8 payload of a binary netpbm file,
+    a read-only view of the bytes read."""
+    data = Path(path).read_bytes()
+    width, height, offset = _parse_netpbm(data, magic, path)
     expected = width * height * math.prod(channels)
-    if len(payload) < expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload has {len(payload)} bytes, expected {expected}"
-        )
-    if len(payload) > expected:
-        raise FormatError(f"{path}: {len(payload) - expected} trailing bytes")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, *channels)
+    size = len(data) - offset
+    if size < expected:
+        raise TruncatedPayloadError(f"{path}: payload has {size} bytes, expected {expected}")
+    if size > expected:
+        raise FormatError(f"{path}: {size - expected} trailing bytes")
+    return np.frombuffer(data, np.uint8, offset=offset).reshape(height, width, *channels)
+
+
+def _write_netpbm(path, magic: bytes, pixels: np.ndarray) -> None:
+    """Write a binary netpbm file of maxval 255 holding ``pixels`` row-major."""
+    height, width = pixels.shape[:2]
+    Path(path).write_bytes(b"%s\n%d %d\n255\n" % (magic, width, height) + pixels.tobytes())
 
 
 def read_mask(path) -> Mask:
@@ -381,8 +375,7 @@ def read_mask(path) -> Mask:
 
 
 def write_mask(mask: Mask, path) -> None:
-    header = f"P5\n{mask.width} {mask.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + mask.labels.tobytes())
+    _write_netpbm(path, b"P5", mask.labels)
 
 
 def read_image(path) -> Image:
@@ -391,8 +384,7 @@ def read_image(path) -> Image:
 
 
 def write_image(image: Image, path) -> None:
-    header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + image.data.tobytes())
+    _write_netpbm(path, b"P6", image.data)
 
 
 # --------------------------------------------------------------------------
@@ -406,19 +398,14 @@ def read_embeddings(path) -> EmbeddingSet:
         raise BadMagicError(f"{path}: bad magic {data[:4]!r}")
     if len(data) < 12:
         raise TruncatedPayloadError(f"{path}: header needs 12 bytes")
-    n, d = struct.unpack("<II", data[4:12])
-    payload = data[12:]
-    expected = 4 * n * d
-    if len(payload) != expected:
-        raise SizeMismatchError(
-            f"{path}: declared {n}x{d} needs {expected} payload bytes, got {len(payload)}"
-        )
-    values = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(n, d)
-    if not np.isfinite(values).all():
-        raise NonFiniteError(f"{path}: embedding payload contains non-finite values")
-    if n < 2:
-        raise FormatError(f"{path}: embedding set needs n >= 2 rows, got {n}")
-    return EmbeddingSet(values)
+    n, d = struct.unpack_from("<II", data, 4)
+    if len(data) - 12 != 4 * n * d:
+        raise SizeMismatchError(f"{path}: declared {n}x{d} needs {4 * n * d} payload bytes, "
+                                f"got {len(data) - 12}")
+    try:
+        return EmbeddingSet(np.frombuffer(data, "<f4", offset=12).reshape(n, d))
+    except FormatError as exc:  # the set's own checks, led by the file's path
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def write_embeddings(embeddings: EmbeddingSet, path) -> None:
@@ -428,14 +415,25 @@ def write_embeddings(embeddings: EmbeddingSet, path) -> None:
         rows = embeddings.rows.astype("<f4")
     if not np.isfinite(rows).all():
         raise NonFiniteError("embedding values exceed the float32 range of EMB1")
-    header = EMBEDDING_MAGIC + struct.pack("<II", embeddings.count, embeddings.dim)
-    payload = rows.tobytes()
-    Path(path).write_bytes(header + payload)
+    Path(path).write_bytes(EMBEDDING_MAGIC + struct.pack("<II", *rows.shape) + rows.tobytes())
 
 
 # --------------------------------------------------------------------------
-# manifests
+# text lines and manifests
 # --------------------------------------------------------------------------
+
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, without their line breaks."""
+    try:
+        return Path(path).read_bytes().decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: cannot decode byte {exc.start} as UTF-8") from None
+
+
+def write_lines(lines, path) -> None:
+    """Write each line with a trailing newline; no lines make an empty file."""
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
 
 def _optional(parse):
     return lambda text: None if text == "-" else parse(text)
@@ -470,13 +468,12 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
     columns = attrgetter(*(name for name, _ in _MANIFEST_COLUMNS))
     for e in manifest.entries:
         lines.append("\t".join(map(_format_field, columns(e))))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(lines, path)
 
 
 def read_manifest(path) -> DatasetManifest:
     """Parse a manifest; errors carry the file name and 1-based line number."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = read_lines(path)
     if not lines or not lines[0].startswith(MANIFEST_MAGIC + " "):
         raise MalformedHeaderError(f"{path}:1: first line must be '{MANIFEST_MAGIC} <name>'")
     name = lines[0][len(MANIFEST_MAGIC) + 1 :]
@@ -516,19 +513,16 @@ def read_manifest(path) -> DatasetManifest:
 
 def write_taxonomy(taxonomy: ClassTaxonomy, path) -> None:
     """Serialize as 'class<TAB>id<TAB>name' and 'group<TAB>task<TAB>id<TAB>label' lines."""
-    lines = []
-    for cid in sorted(taxonomy.classes):
-        lines.append(f"class\t{cid}\t{taxonomy.classes[cid]}")
-    for task in sorted(taxonomy.groups):
-        for cid in sorted(taxonomy.groups[task]):
-            lines.append(f"group\t{task}\t{cid}\t{taxonomy.groups[task][cid]}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = [f"class\t{cid}\t{taxonomy.classes[cid]}" for cid in sorted(taxonomy.classes)]
+    lines += [f"group\t{task}\t{cid}\t{table[cid]}"
+              for task, table in sorted(taxonomy.groups.items()) for cid in sorted(table)]
+    write_lines(lines, path)
 
 
 def read_taxonomy(path) -> ClassTaxonomy:
     classes: dict[int, str] = {}
     groups: dict[str, dict[int, int]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         if not line or line.startswith("#"):
             continue
         fields = line.split("\t")
@@ -548,13 +542,8 @@ def read_taxonomy(path) -> ClassTaxonomy:
 
 
 # --------------------------------------------------------------------------
-# polygons as text
+# polygons
 # --------------------------------------------------------------------------
-
-def write_lines(lines, path) -> None:
-    """Write each line with a trailing newline; no lines make an empty file."""
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-
 
 def write_polygons(polys_by_class: dict[int, list[np.ndarray]], path) -> None:
     """One polygon per line: class_id<TAB>x1,y1;x2,y2;... with 6 decimals."""
@@ -569,7 +558,7 @@ def write_polygons(polys_by_class: dict[int, list[np.ndarray]], path) -> None:
 
 def read_polygons(path) -> dict[int, list[np.ndarray]]:
     out: dict[int, list[np.ndarray]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         if not line:
             continue
         try:

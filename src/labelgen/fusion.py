@@ -16,7 +16,8 @@ resolution before concatenating, which is what grouping avoids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
+
+from .formats import read_lines, write_lines
 
 GROUP_BANDS = (("high", 8, 32), ("mid", 64, 128), ("low", 256, 512))
 
@@ -218,7 +219,7 @@ def compare(layers, d_reduce: int = DEFAULT_D_REDUCE,
 def read_layers(path) -> list[LayerSpec]:
     """Parse 'name<TAB>resolution<TAB>channels' lines."""
     layers = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         if not line or line.startswith("#"):
             continue
         fields = line.split("\t")
@@ -232,5 +233,4 @@ def read_layers(path) -> list[LayerSpec]:
 
 
 def write_layers(layers, path) -> None:
-    lines = [f"{l.name}\t{l.resolution}\t{l.channels}" for l in layers]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines((f"{l.name}\t{l.resolution}\t{l.channels}" for l in layers), path)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 
 import numpy as np
+
+from .formats import read_lines, write_lines
 
 _DIST_TOL = 1e-9
 # smallest truncation accepted: rejection sampling takes about 1.25 / psi
@@ -48,7 +49,7 @@ class FilterConfig:
         """Load key=value lines; unknown keys are rejected."""
         kwargs = {}
         known = {f.name for f in fields(cls)}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(read_lines(path), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -67,8 +68,7 @@ class FilterConfig:
             raise ValueError(f"{path}: {exc}") from None
 
     def to_file(self, path) -> None:
-        lines = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines((f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)), path)
 
     def override(self, **kwargs) -> "FilterConfig":
         updates = {k: v for k, v in kwargs.items() if v is not None}

@@ -184,6 +184,21 @@ BAD_CONFIGS = {
 }
 
 
+# stand for a file of this name holding these bytes, in a row and in a reason
+BAD_FILES = {
+    "<EMB1 d=0>": ("zero.emb", b"EMB1\x02\x00\x00\x00\x00\x00\x00\x00"),
+    "<empty taxonomy>": ("taxonomy.txt", b"# no classes\n"),
+    "<empty manifest>": ("empty.txt", b"LGKITv1 empty\n"),
+}
+
+
+def _bad_file(directory: Path, placeholder: str) -> Path:
+    name, data = BAD_FILES[placeholder]
+    path = directory / name
+    path.write_bytes(data)
+    return path
+
+
 def _config(directory: Path, text: str) -> Path:
     path = directory / "filters.cfg"
     path.write_text(text)
@@ -232,6 +247,9 @@ REASONS = {
         f"{CONFIG}:1: rejection_rate must be a number, got 'abc'",
     ("synth", "--config", "<config rejection_rate=1.5>"):
         f"{CONFIG}: rejection_rate must be in [0, 1)",
+    ("distmetrics", "--b", "<EMB1 d=0>"): "<EMB1 d=0>: embedding dimension must be >= 1",
+    ("bench", "--taxonomy", "<empty taxonomy>"): "<empty taxonomy>: taxonomy has no classes",
+    ("bench", "--gt-manifest", "<empty manifest>"): "task 'fgbg' maps no class",
 }
 
 
@@ -272,6 +290,12 @@ REASONS = {
       "--pred-manifest", OTHER_IDS], None, 2),
     (["synth", "--n", "1", "--config", "<config rejection_rate=abc>"], None, 2),
     (["synth", "--n", "1", "--config", "<config rejection_rate=1.5>"], None, 2),
+    (["distmetrics", "--a", "<EMB1 d=0>", "--b", "<EMB1 d=0>"], None, 2),
+    (["bench", "--task", "fgbg", "--gt-manifest", MANIFEST, "--pred-manifest", OTHER_IDS,
+      "--taxonomy", "<empty taxonomy>"], None, 2),
+    # no taxonomy, and the ground truth names no class
+    (["bench", "--task", "fgbg", "--pred-manifest", OTHER_IDS,
+      "--gt-manifest", "<empty manifest>"], None, 2),
 ])
 def test_exit_codes(tmp_path, capsys, monkeypatch, argv, seed_env, code):
     # 1: the command line does not parse; 2: a parsed value is rejected
@@ -283,6 +307,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, argv, seed_env, code):
             if arg == MANIFEST or arg in BAD_SCORES
             else str(_one_mask_manifest(tmp_path / "pred", sid="b")) if arg == OTHER_IDS
             else str(_config(tmp_path, BAD_CONFIGS[arg])) if arg in BAD_CONFIGS
+            else str(_bad_file(tmp_path, arg)) if arg in BAD_FILES
             else arg for arg in argv]
     if argv[0] == "bench":  # its output is the report
         argv += ["--report", str(out)]
@@ -297,6 +322,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, argv, seed_env, code):
     if reason is not None:
         reason = reason.replace(MANIFEST, str(tmp_path / "manifest.txt"))
         reason = reason.replace(CONFIG, str(tmp_path / "filters.cfg"))
+        for placeholder, (name, _) in BAD_FILES.items():
+            reason = reason.replace(placeholder, str(tmp_path / name))
         assert err == f"labelgen: data error: {reason}\n"
     assert not out.exists()
 
@@ -396,6 +423,19 @@ def test_geometry_polygons_file(toy_dataset, tmp_path):
         for pts in group:
             assert pts.min() >= 0.0 and pts.max() <= 1.0
             assert len(pts) >= 3
+
+
+def test_geometry_epsilon_beyond_the_unit_square_keeps_extremal_triangles(toy_dataset,
+                                                                            tmp_path, capsys):
+    # outlines live in the unit square, so at epsilon 2 every chain keeps only
+    # its end points and each polygon falls back to its extremal triangle
+    out_file = tmp_path / "polys.txt"
+    assert main(["geometry", "--manifest", str(toy_dataset / "manifest.txt"),
+                 "--out", str(out_file), "--epsilon", "2"]) == 0
+    assert capsys.readouterr().out == f"wrote 12 polygons to {out_file}\n"
+    for group in read_polygons(out_file).values():
+        for pts in group:
+            assert len(np.unique(pts, axis=0)) == len(pts) == 3
 
 
 def test_meanshapes_output(toy_dataset, tmp_path):

@@ -4,8 +4,9 @@ Each kind of file the CLI reads -- a manifest, a PGM mask, a taxonomy, a
 layer file, a filter config and an EMB1 file -- starts valid, has a few
 bytes replaced, inserted or deleted or its tail cut off, and goes through
 ``cli.main``. The command must exit 0 with nothing on stderr, or exit 2 with
-exactly one ``labelgen: data error:`` line. Any other exception, exit code,
-warning or stderr output fails the test.
+exactly one ``labelgen: data error:`` line, which names the mutant when it
+reports bytes that do not decode. Any other exception, exit code, warning or
+stderr output fails the test.
 """
 import contextlib
 import io
@@ -152,3 +153,5 @@ def test_mutated_input_exits_zero_or_one_data_error_line(inputs, kind, data):
         assert err == ""
     else:
         assert err.startswith("labelgen: data error:") and err.count("\n") == 1, err
+        if "decode" in err:
+            assert str(mutant) in err, err

@@ -152,6 +152,23 @@ def test_fid_dimension_mismatch():
         fid(EmbeddingSet(rng.normal(size=(5, 2))), EmbeddingSet(rng.normal(size=(5, 3))))
 
 
+def test_fid_accepts_float32_sets_holding_large_values():
+    # rounding error in the covariances grows with their scale; an absolute
+    # tolerance rejected 85 of these 300 pairs as not PSD
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal((2, 6, 3))
+        a[0, 0] = b[0, 0] = 1e8
+        value = fid(EmbeddingSet(a.astype(np.float32)), EmbeddingSet(b.astype(np.float32)))
+        assert np.isfinite(value) and value >= 0
+
+
+@pytest.mark.parametrize("values", [[1.0, -0.5], [1e8, -1e3], [0.0, -2e-6]])
+def test_psd_sqrt_rejects_an_indefinite_matrix(values):
+    with pytest.raises(ValueError, match="not PSD"):
+        distmetrics._psd_sqrt(np.diag(values), "covariance")
+
+
 # ------------------------------------------------------------------ kid
 
 def test_kid_constant_point_zero():

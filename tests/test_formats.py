@@ -1,3 +1,5 @@
+import re
+import struct
 import warnings
 
 import numpy as np
@@ -29,7 +31,6 @@ from labelgen.formats import (
     read_mask,
     read_polygons,
     read_taxonomy,
-    validate_mask_labels,
     write_embeddings,
     write_image,
     write_manifest,
@@ -39,8 +40,9 @@ from labelgen.formats import (
 )
 
 from labelgen.distmetrics import GaussianFit
+from labelgen.fusion import read_layers
 from labelgen.geometry import MeanShapeSet, Polygon
-from labelgen.sampling import CategoricalDist, EnsemblePrediction
+from labelgen.sampling import CategoricalDist, EnsemblePrediction, FilterConfig
 from labelgen.toygen import ToyOutput
 
 from .oracles import manifest_path_escapes
@@ -103,6 +105,37 @@ def test_pgm_header_comments_allowed(tmp_path):
     assert read_mask(path).width == 2
 
 
+# each header with the (width, height, labels) it reads as, or the error it raises
+@pytest.mark.parametrize("data, outcome", [
+    (b"P5#m\n2\n#w\n1\n#h\n255\n\x01\x02", (2, 1, [[1, 2]])),  # a comment between tokens
+    (b"P5\t1 \x0b 1\r\x0c255\t\x07", (1, 1, [[7]])),            # any whitespace separates
+    (b"P5\n1 1\n255\n\n", (1, 1, [[10]])),       # one whitespace byte ends the header
+    (b"P52 1\n255\n\x03\x04", (2, 1, [[3, 4]])),  # a token glued to the magic
+    (b"P5\n+1 01\n255\n\x05", (1, 1, [[5]])),     # what int() reads
+    (b"P5\n2#x 2\n255\n" + bytes(4), MalformedHeaderError),  # '#' inside a token
+    (b"P5\n2 2 # no newline", MalformedHeaderError),           # an unterminated comment
+    (b"P5\n2 2\n", MalformedHeaderError),                      # ended early
+    (b"P5\n2", MalformedHeaderError),
+    (b"P5", MalformedHeaderError),
+    (b"P6\n1 1\n255\n\x00", MalformedHeaderError),             # the wrong magic
+    (b"P5\n0 2\n255\n", MalformedHeaderError),                 # width 0
+    (b"P5\n2 -1\n255\n", MalformedHeaderError),
+    (b"P5\n2 2\n65535", MaxvalError),        # maxval first, then the whitespace after it
+    (b"P5\n2 2\n255", MalformedHeaderError),  # no whitespace after maxval
+    (b"P5\n1 1\n255#\n\x00", MalformedHeaderError),
+    (b"P5\n2 2\n255\n" + bytes(3), TruncatedPayloadError),
+])
+def test_pgm_header_grammar(tmp_path, data, outcome):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(data)
+    if isinstance(outcome, tuple):
+        mask = read_mask(path)
+        assert (mask.width, mask.height, mask.labels.tolist()) == outcome
+    else:
+        with pytest.raises(outcome, match=re.escape(str(path))):
+            read_mask(path)
+
+
 def test_ppm_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     path = tmp_path / "img.ppm"
@@ -162,6 +195,33 @@ def test_embeddings_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + bytes(8))
     with pytest.raises(BadMagicError):
         read_embeddings(path)
+
+
+# EMB1 payloads that EmbeddingSet rejects: read_embeddings passes its error
+# on, led by the file's path and of the same class
+@pytest.mark.parametrize("n, d, values, error, message", [
+    (2, 0, [], FormatError, "embedding dimension must be >= 1"),
+    (1, 2, [1.0, 2.0], FormatError, "embedding set needs n >= 2 rows, got 1"),
+    (0, 3, [], FormatError, "embedding set needs n >= 2 rows, got 0"),
+    (2, 1, [1.0, np.inf], NonFiniteError, "embedding set contains non-finite values"),
+])
+def test_embedding_set_errors_name_the_file(tmp_path, n, d, values, error, message):
+    path = tmp_path / "e.emb"
+    path.write_bytes(b"EMB1" + struct.pack("<II", n, d) + np.array(values, "<f4").tobytes())
+    with pytest.raises(error) as caught:
+        read_embeddings(path)
+    assert type(caught.value) is error
+    assert str(caught.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("read", [read_manifest, read_taxonomy, read_polygons, read_layers,
+                                  FilterConfig.from_file], ids=lambda read: read.__qualname__)
+def test_text_readers_name_the_file_of_bytes_that_are_not_utf8(tmp_path, read):
+    path = tmp_path / "text.txt"
+    path.write_bytes(b"LGKITv1 x\n#a=\xff\n")
+    with pytest.raises(FormatError) as caught:
+        read(path)
+    assert str(caught.value) == f"{path}: cannot decode byte 13 as UTF-8"
 
 
 def _entry(i, **kwargs):
@@ -263,13 +323,6 @@ def test_manifest_path_rule_equals_the_pathlib_rule(rel):
     else:
         rejected = False
     assert rejected == manifest_path_escapes(rel)
-
-
-def test_mask_label_validation():
-    mask = Mask(np.array([[0, 3], [255, 1]], dtype=np.uint8))
-    validate_mask_labels(mask, num_classes=3)
-    with pytest.raises(ValueError, match="3"):
-        validate_mask_labels(mask, num_classes=2)
 
 
 def test_labeled_sample_validation():

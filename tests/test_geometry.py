@@ -259,6 +259,16 @@ def test_simplify_polygon_keeps_three_points():
     assert len(out) >= 3
 
 
+def test_simplify_polygon_collapsed_to_two_points_keeps_its_extremal_triangle():
+    # epsilon 2 drops both interior vertices of the chain (0,0)..(0,1); the
+    # triangle is the first vertex, the one farthest from it, and the first
+    # of the two farthest off that chord
+    square = Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+    out = simplify_dp(square, 2.0)
+    assert not out.degenerate
+    np.testing.assert_array_equal(out.points, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+
+
 # ------------------------------------------------------------------ metrics
 
 def test_polygon_length_and_complexity_unit_square():

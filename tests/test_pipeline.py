@@ -203,6 +203,17 @@ def test_offline_funnel_metadata(tmp_path):
     assert read_manifest(tmp_path / "manifest.txt").metadata == md
 
 
+def test_offline_pool_grows_until_the_filters_leave_n(tmp_path):
+    # the formula's pool of 25 keeps only 25 - ceil(0.28 * 25) = 17 of 18,
+    # so it grows by ceil(10 %) to 28, which keeps 20
+    assert candidate_pool_size(18, 0.0, 0.28) == 25
+    spec = PipelineSpec(filters=FilterConfig(rejection_rate=0.0, uncertainty_fraction=0.28))
+    manifest = synth_offline(spec, 18, tmp_path)
+    md = manifest.metadata
+    assert (md["pool"], md["after_rejection"], md["after_uncertainty"]) == ("28", "28", "20")
+    assert len(manifest) == 18
+
+
 def test_offline_funnel_metadata_without_filters(tmp_path):
     spec = PipelineSpec(filters=NO_FILTERS, seed=0)
     md = synth_offline(spec, 5, tmp_path).metadata
