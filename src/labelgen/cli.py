@@ -45,11 +45,13 @@ def _load_masks(manifest_path):
 # --------------------------------------------------------------------------
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        env = os.environ.get("LABELGEN_SEED")
-        seed = int(env) if env else 0
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("LABELGEN_SEED") or "0"
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValueError(f"LABELGEN_SEED must be an integer, got {env!r}") from None
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return seed

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import EmbeddingSet, Image, Mask
+from .formats import EmbeddingSet, Image, Mask, _frozen_array
 
 # rounding tolerance of eigenvalue and distance checks, relative to the
 # matrix's scale (its largest eigenvalue, or the traces) where that exceeds 1
@@ -42,10 +42,10 @@ def apply_mask(image: Image, mask: Mask) -> Image:
 
 
 def _rows(embeddings) -> np.ndarray:
-    rows = embeddings.rows if isinstance(embeddings, EmbeddingSet) else np.asarray(embeddings, float)
-    if rows.ndim != 2 or rows.shape[0] < 2:
-        raise ValueError("need an (n, d) embedding matrix with n >= 2")
-    return rows
+    """The rows of an ``EmbeddingSet``; a raw matrix gets the set's checks."""
+    if not isinstance(embeddings, EmbeddingSet):
+        embeddings = EmbeddingSet(embeddings)
+    return embeddings.rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,16 +56,14 @@ class GaussianFit:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        cov = np.asarray(self.cov, dtype=np.float64)
+        mean = _frozen_array(self, "mean", self.mean, np.float64)
+        cov = _frozen_array(self, "cov", self.cov, np.float64)
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape must match mean dimension")
         if np.abs(cov - cov.T).max() > 1e-9:
             raise ValueError("covariance must be symmetric within 1e-9")
         if np.diag(cov).min() < -1e-9:
             raise ValueError("covariance diagonal must be nonnegative")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
 
 
 def fit_gaussian(embeddings) -> GaussianFit:
@@ -73,6 +71,7 @@ def fit_gaussian(embeddings) -> GaussianFit:
     mean = rows.mean(axis=0)
     centered = rows - mean
     cov = centered.T @ centered / (rows.shape[0] - 1)
+    del centered  # (n, d): freed before GaussianFit takes its copy of the (d, d) cov
     cov = (cov + cov.T) / 2
     return GaussianFit(mean=mean, cov=cov)
 
@@ -88,10 +87,9 @@ def _psd_sqrt(matrix: np.ndarray, what: str) -> np.ndarray:
 
 def fid(a, b) -> float:
     """Frechet distance between Gaussians fitted to two embedding sets."""
-    ra, rb = _rows(a), _rows(b)
-    if ra.shape[1] != rb.shape[1]:
-        raise ValueError(f"embedding dims differ: {ra.shape[1]} vs {rb.shape[1]}")
-    ga, gb = fit_gaussian(ra), fit_gaussian(rb)
+    ga, gb = fit_gaussian(a), fit_gaussian(b)
+    if ga.mean.size != gb.mean.size:
+        raise ValueError(f"embedding dims differ: {ga.mean.size} vs {gb.mean.size}")
     delta = ga.mean - gb.mean
     root_a = _psd_sqrt(ga.cov, "covariance")
     inner = root_a @ gb.cov @ root_a

@@ -11,8 +11,9 @@ order so they stream and diff cleanly. ``LabeledSample`` (in memory) and
 Masks and images are read and written by ``_read_netpbm`` and ``_write_netpbm``,
 every text file by ``read_lines`` and ``write_lines``; read errors name the file.
 
-All types are immutable after construction; array payloads are marked
-read-only so instances can be shared freely between threads.
+All types are immutable after construction. Each array a type holds is an
+owned, read-only copy made by ``_frozen_array``: the caller's array is never
+shared or frozen, and instances can be shared freely between threads.
 """
 from __future__ import annotations
 
@@ -89,11 +90,28 @@ def _check_text(what: str, text: str, breaks=_FIELD_BREAKS) -> None:
         raise FormatError(f"{what} {text!r} would not read back: it breaks the line or field")
 
 
-def _frozen_array(obj, name, value):
-    arr = np.ascontiguousarray(value)
+def _frozen_array(obj, name, value, dtype=None):
+    """Store on ``obj`` an owned, C-contiguous, read-only copy of ``value``,
+    converted to ``dtype`` in the same copy, and return it."""
+    arr = np.array(value, dtype=dtype, order="C")
     arr.flags.writeable = False
     object.__setattr__(obj, name, arr)
     return arr
+
+
+def _uint8_grid(obj, name: str, channels: tuple[int, ...] = ()) -> None:
+    """Store ``obj.<name>`` as a uint8 grid of shape (h, w, *channels), h and
+    w >= 1. A value a uint8 does not hold exactly (negative, above 255,
+    fractional or NaN) is rejected, not wrapped or truncated."""
+    what = f"{type(obj).__name__.lower()} {name}"
+    arr = np.asarray(getattr(obj, name))
+    if arr.ndim < 2 or arr.shape[2:] != channels or 0 in arr.shape:
+        form = ", ".join(["h", "w", *map(str, channels)])
+        raise ValueError(f"{what} must have shape ({form}), h and w >= 1, got {arr.shape}")
+    if arr.dtype != np.uint8 and not (((arr >= 0) & (arr <= 255)).all()
+                                      and (arr == arr.astype(np.uint8)).all()):
+        raise ValueError(f"{what} must be integers in 0..255")
+    _frozen_array(obj, name, arr, np.uint8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,16 +121,7 @@ class Mask:
     labels: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.labels)
-        if arr.ndim != 2:
-            raise ValueError(f"mask labels must be 2-D, got shape {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"mask dimensions must be >= 1, got {arr.shape}")
-        if arr.dtype != np.uint8:
-            if arr.min() < 0 or arr.max() > 255:
-                raise ValueError("mask labels out of uint8 range")
-            arr = arr.astype(np.uint8)
-        _frozen_array(self, "labels", arr)
+        _uint8_grid(self, "labels")
 
     @property
     def height(self) -> int:
@@ -134,14 +143,7 @@ class Image:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data)
-        if arr.ndim != 3 or arr.shape[2] != 3:
-            raise ValueError(f"image data must have shape (h, w, 3), got {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("image dimensions must be >= 1")
-        if arr.dtype != np.uint8:
-            arr = arr.astype(np.uint8)
-        _frozen_array(self, "data", arr)
+        _uint8_grid(self, "data", (3,))
 
     @property
     def height(self) -> int:
@@ -298,16 +300,15 @@ class EmbeddingSet:
     rows: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.rows, dtype=np.float64)
+        arr = np.asarray(self.rows)
         if arr.ndim != 2:
             raise FormatError(f"embeddings must be 2-D, got shape {arr.shape}")
         if arr.shape[0] < 2:
             raise FormatError(f"embedding set needs n >= 2 rows, got {arr.shape[0]}")
         if arr.shape[1] < 1:
             raise FormatError("embedding dimension must be >= 1")
-        if not np.isfinite(arr).all():
+        if not np.isfinite(_frozen_array(self, "rows", arr, np.float64)).all():
             raise NonFiniteError("embedding set contains non-finite values")
-        _frozen_array(self, "rows", arr)
 
     @property
     def count(self) -> int:

@@ -217,7 +217,7 @@ def compare(layers, d_reduce: int = DEFAULT_D_REDUCE,
 
 
 def read_layers(path) -> list[LayerSpec]:
-    """Parse 'name<TAB>resolution<TAB>channels' lines."""
+    """Parse 'name<TAB>resolution<TAB>channels' lines; a file with none is rejected."""
     layers = []
     for lineno, line in enumerate(read_lines(path), 1):
         if not line or line.startswith("#"):
@@ -229,6 +229,8 @@ def read_layers(path) -> list[LayerSpec]:
             layers.append(LayerSpec(fields[0], int(fields[1]), int(fields[2])))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if not layers:
+        raise ValueError(f"{path}: no layers")
     return layers
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial.distance import cdist
 
-from .formats import IGNORE_LABEL, Mask
+from .formats import IGNORE_LABEL, Mask, _frozen_array
 
 _EIGHT = np.ones((3, 3), dtype=bool)
 
@@ -156,7 +156,7 @@ class Polygon:
     degenerate: bool = False
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = _frozen_array(self, "points", self.points, np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(f"polygon points must have shape (n, 2), got {pts.shape}")
         if len(pts) < 2:
@@ -165,9 +165,6 @@ class Polygon:
             raise ValueError("non-degenerate polygon needs at least 3 points")
         if (pts[1:] == pts[:-1]).all(axis=1).any():
             raise ValueError("consecutive polygon points must be distinct")
-        pts = np.ascontiguousarray(pts)
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -610,6 +607,10 @@ class MeanShapeSet:
     shapes: np.ndarray
     cluster_sizes: np.ndarray
     class_id: int | None = None
+
+    def __post_init__(self):
+        _frozen_array(self, "shapes", self.shapes)
+        _frozen_array(self, "cluster_sizes", self.cluster_sizes)
 
 
 def _check_cluster_count(k: int) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .formats import read_lines, write_lines
+from .formats import _frozen_array, read_lines, write_lines
 
 _DIST_TOL = 1e-9
 # smallest truncation accepted: rejection sampling takes about 1.25 / psi
@@ -93,7 +93,7 @@ class CategoricalDist:
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", _as_dist(self.probs))
+        _frozen_array(self, "probs", _as_dist(self.probs))
 
 
 def truncated_normal(dim: int, psi: float, rng: np.random.Generator) -> np.ndarray:
@@ -179,8 +179,8 @@ class EnsemblePrediction:
     ``index`` order, so pixels whose heads agree on every distribution share
     one column. ``kinds=None`` makes each listed pixel its own kind (u = m).
     Every pixel not listed has all heads equal, so it adds exactly 0 to the
-    heads' disagreement and need not be stored. The arrays are owned,
-    read-only copies.
+    heads' disagreement and need not be stored. Each array is an owned,
+    read-only copy (``formats._frozen_array``); the caller's stay writable.
     """
 
     probs: np.ndarray
@@ -189,23 +189,24 @@ class EnsemblePrediction:
     kinds: np.ndarray | None = None
 
     def __post_init__(self):
-        # owned copies: the arrays are frozen below, and the caller's stay writable
-        arr = np.array(self.probs, dtype=np.float64, order="C")
+        arr = _frozen_array(self, "probs", self.probs, np.float64)
         if arr.ndim != 3:
             raise ValueError(f"listed-pixel probs must be (K, m, C), got {arr.shape}")
         if self.shape is None or len(self.shape) != 2 or min(self.shape) < 1:
             raise ValueError(f"listed pixels need a positive (H, W) grid, got {self.shape}")
         h, w = (int(s) for s in self.shape)
-        index = np.array(self.index)
+        object.__setattr__(self, "shape", (h, w))
+        index = _frozen_array(self, "index", self.index)
         if index.ndim != 1 or index.dtype.kind not in "iu":
             raise ValueError("index must be a 1-D integer array")
-        kinds = np.arange(arr.shape[1]) if self.kinds is None else np.array(self.kinds)
+        counted = "probs" if self.kinds is None else "kinds"
+        num_kinds = arr.shape[1]
+        kinds = _frozen_array(self, "kinds",
+                              np.arange(num_kinds) if self.kinds is None else self.kinds)
         if kinds.ndim != 1 or kinds.dtype.kind not in "iu":
             raise ValueError("kinds must be a 1-D integer array")
         if kinds.size != index.size:
-            counted = "probs" if self.kinds is None else "kinds"
             raise ValueError(f"index lists {index.size} pixels, {counted} {kinds.size}")
-        num_kinds = arr.shape[1]
         if kinds.size and (kinds.min() < 0 or kinds.max() >= num_kinds):
             raise ValueError(f"kinds must be in [0, {num_kinds}): probs holds {num_kinds} kinds")
         if index.size and (index[0] < 0 or index[-1] >= h * w
@@ -218,12 +219,6 @@ class EnsemblePrediction:
                 raise ValueError("probabilities must be nonnegative")
             if np.abs(_class_sum(arr) - 1.0).max() > 1e-6:
                 raise ValueError("per-pixel probabilities must sum to 1 within 1e-6")
-        for owned in (arr, index, kinds):
-            owned.flags.writeable = False
-        object.__setattr__(self, "probs", arr)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "shape", (h, w))
-        object.__setattr__(self, "kinds", kinds)
 
     @property
     def num_heads(self) -> int:

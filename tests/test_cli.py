@@ -189,6 +189,7 @@ BAD_FILES = {
     "<EMB1 d=0>": ("zero.emb", b"EMB1\x02\x00\x00\x00\x00\x00\x00\x00"),
     "<empty taxonomy>": ("taxonomy.txt", b"# no classes\n"),
     "<empty manifest>": ("empty.txt", b"LGKITv1 empty\n"),
+    "<empty layers>": ("layers.tsv", b""),
 }
 
 
@@ -250,6 +251,8 @@ REASONS = {
     ("distmetrics", "--b", "<EMB1 d=0>"): "<EMB1 d=0>: embedding dimension must be >= 1",
     ("bench", "--taxonomy", "<empty taxonomy>"): "<empty taxonomy>: taxonomy has no classes",
     ("bench", "--gt-manifest", "<empty manifest>"): "task 'fgbg' maps no class",
+    ("synth", "--n", "1"): "LABELGEN_SEED must be an integer, got 'abc'",  # LABELGEN_SEED=abc
+    ("plan", "--layers", "<empty layers>"): "<empty layers>: no layers",
 }
 
 
@@ -296,6 +299,7 @@ REASONS = {
     # no taxonomy, and the ground truth names no class
     (["bench", "--task", "fgbg", "--pred-manifest", OTHER_IDS,
       "--gt-manifest", "<empty manifest>"], None, 2),
+    (["plan", "--layers", "<empty layers>"], None, 2),
 ])
 def test_exit_codes(tmp_path, capsys, monkeypatch, argv, seed_env, code):
     # 1: the command line does not parse; 2: a parsed value is rejected

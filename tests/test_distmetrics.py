@@ -5,7 +5,7 @@ import pytest
 
 from labelgen import distmetrics
 from labelgen.distmetrics import GaussianFit, apply_mask, fid, fit_gaussian, kid
-from labelgen.formats import EmbeddingSet, Image, Mask
+from labelgen.formats import EmbeddingSet, Image, Mask, NonFiniteError
 
 from .oracles import fit_gaussian_two_pass, kid_dense, kid_triple_loop
 
@@ -77,6 +77,24 @@ def test_gaussian_fit_validation():
         GaussianFit(mean=np.zeros(2), cov=np.array([[1.0, 0.5], [0.2, 1.0]]))
     with pytest.raises(ValueError):
         fit_gaussian(np.array([[1.0, 2.0]]))
+
+
+def test_fit_gaussian_arrays_are_read_only():
+    fit = fit_gaussian(np.array([[0.0, 1.0], [2.0, 5.0], [1.0, 0.0]]))
+    for held in (fit.mean, fit.cov):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 99.0
+
+
+@pytest.mark.parametrize("metric", [fid, kid])
+def test_raw_matrix_holding_nan_is_rejected_as_non_finite(metric):
+    rows = np.arange(12.0).reshape(4, 3)
+    bad = rows.copy()
+    bad[2, 1] = np.nan
+    with pytest.raises(NonFiniteError):
+        metric(bad, rows)
+    with pytest.raises(NonFiniteError):
+        metric(rows, bad)
 
 
 # ------------------------------------------------------------------ fid

@@ -350,34 +350,81 @@ def test_records_are_built_by_keyword_only():
         ManifestEntry("a", 1, "i.ppm", "m.pgm", "toy")
 
 
-# each builds a fresh value holding arrays, equal to the one the last call built
+def _built(cls, **kwargs):
+    return cls(**kwargs), {k: v for k, v in kwargs.items() if isinstance(v, np.ndarray)}
+
+
+# each builds a fresh value holding arrays, equal to the one the last call
+# built, and returns it with the caller's arrays it holds copies of, by field
 ARRAY_VALUES = {
-    "Mask": lambda: Mask(np.ones((2, 2), np.uint8)),
-    "Image": lambda: Image(np.zeros((2, 2, 3), np.uint8)),
-    "EmbeddingSet": lambda: EmbeddingSet(np.eye(2)),
-    "CategoricalDist": lambda: CategoricalDist(np.array([0.5, 0.5])),
-    "EnsemblePrediction": lambda: EnsemblePrediction(np.full((2, 1, 2), 0.5), np.array([0]),
-                                                     (1, 2)),
-    "ToyOutput": lambda: ToyOutput(ARRAY_VALUES["Image"](), ARRAY_VALUES["Mask"](), None),
-    "Polygon": lambda: Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
-    "GaussianFit": lambda: GaussianFit(np.zeros(2), np.eye(2)),
-    "MeanShapeSet": lambda: MeanShapeSet(np.zeros((1, 2, 2)), np.array([3])),
+    "Mask": lambda: _built(Mask, labels=np.ones((2, 2), np.uint8)),
+    "Image": lambda: _built(Image, data=np.zeros((2, 2, 3), np.uint8)),
+    "EmbeddingSet": lambda: _built(EmbeddingSet, rows=np.eye(2)),
+    "CategoricalDist": lambda: _built(CategoricalDist, probs=np.array([0.5, 0.5])),
+    "EnsemblePrediction": lambda: _built(EnsemblePrediction, probs=np.full((2, 1, 2), 0.5),
+                                         index=np.array([0]), shape=(1, 2),
+                                         kinds=np.array([0])),
+    "ToyOutput": lambda: _built(ToyOutput, image=ARRAY_VALUES["Image"]()[0],
+                                gt_mask=ARRAY_VALUES["Mask"]()[0], ensemble=None),
+    "Polygon": lambda: _built(Polygon, points=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
+    "GaussianFit": lambda: _built(GaussianFit, mean=np.zeros(2), cov=np.eye(2)),
+    "MeanShapeSet": lambda: _built(MeanShapeSet, shapes=np.zeros((1, 2, 2)),
+                                   cluster_sizes=np.array([3])),
 }
 
 
 @pytest.mark.parametrize("build", ARRAY_VALUES.values(), ids=ARRAY_VALUES.keys())
 def test_values_holding_arrays_compare_and_hash_by_identity(build):
-    a, b = build(), build()
+    (a, _), (b, _) = build(), build()
     assert a == a and a != b
     assert len({a, b, a}) == 2 and hash(a) == hash(a)
 
 
+# the eight types that hold arrays themselves
+OWNED_ARRAYS = {name: build for name, build in ARRAY_VALUES.items() if name != "ToyOutput"}
+
+
+@pytest.mark.parametrize("build", OWNED_ARRAYS.values(), ids=OWNED_ARRAYS.keys())
+def test_frozen_types_hold_owned_read_only_copies(build):
+    value, given = build()
+    for name, array in given.items():
+        held = getattr(value, name)
+        assert array.flags.writeable, name
+        assert not np.shares_memory(array, held), name
+        before = held.copy()
+        array += 1
+        assert np.array_equal(held, before), name
+        assert not held.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            held[...] = 0
+
+
+@pytest.mark.parametrize("cls, shape", [(Mask, (1, 2)), (Image, (1, 2, 3))])
+@pytest.mark.parametrize("bad", [300, -1, 1.5, np.nan])
+def test_uint8_grids_reject_values_a_uint8_does_not_hold(cls, shape, bad):
+    values = np.zeros(shape)
+    values[0, 1] = bad
+    with pytest.raises(ValueError, match="must be integers in 0..255"):
+        cls(values)
+    if float(bad).is_integer():  # as an integer array too, which would wrap
+        with pytest.raises(ValueError, match="must be integers in 0..255"):
+            cls(values.astype(np.int64))
+
+
+@pytest.mark.parametrize("cls, name, shape", [(Mask, "labels", (1, 2)),
+                                              (Image, "data", (1, 2, 3))])
+def test_uint8_grids_take_bools_and_integral_floats(cls, name, shape):
+    for values, expected in ((np.ones(shape, bool), 1), (np.full(shape, 255.0), 255)):
+        held = getattr(cls(values), name)
+        assert held.dtype == np.uint8 and (held == expected).all()
+
+
 def test_labeled_samples_with_pixels_compare_without_raising():
     fields = {"id": "a", "class_id": 1, "provenance": "toy"}
-    image, mask = ARRAY_VALUES["Image"](), ARRAY_VALUES["Mask"]()
+    (image, _), (mask, _) = ARRAY_VALUES["Image"](), ARRAY_VALUES["Mask"]()
     sample = LabeledSample(**fields, image=image, mask=mask)
     assert sample == LabeledSample(**fields, image=image, mask=mask)
-    assert sample != LabeledSample(**fields, image=ARRAY_VALUES["Image"](), mask=mask)
+    assert sample != LabeledSample(**fields, image=ARRAY_VALUES["Image"]()[0], mask=mask)
     assert LabeledSample(**fields) == LabeledSample(**fields)
 
 

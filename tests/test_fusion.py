@@ -141,7 +141,9 @@ def test_layers_file_roundtrip(tmp_path):
     write_layers(BIGGAN512_LAYERS, path)
     assert read_layers(path) == BIGGAN512_LAYERS
     write_layers([], path)  # no lines make an empty file
-    assert path.read_bytes() == b"" and read_layers(path) == []
+    assert path.read_bytes() == b""
+    with pytest.raises(ValueError, match="no layers"):
+        read_layers(path)
 
 
 def test_layers_file_malformed(tmp_path):

@@ -17,6 +17,13 @@ ran in row tiles.
 The digests also depend on numpy's ``Generator`` streams (PCG64 and the
 normal, integer and uniform samplers): a numpy release that changes those
 streams moves these digests without any change here.
+
+The analysis rows pin the stdout and every written file of ``analyze``,
+``geometry``, ``meanshapes``, ``scatter``, ``plan`` and ``bench``, run over
+one 200-sample dataset; the output path echoed on stdout is replaced by
+``{out}`` before hashing. Besides numpy, these digests depend on scipy's
+``ndimage.label`` (components) and ``spatial.distance.cdist`` (Chamfer
+diversity and k-means), so a scipy release that changes either moves them.
 """
 import hashlib
 from pathlib import Path
@@ -26,7 +33,17 @@ import pytest
 
 from labelgen import pipeline
 from labelgen.cli import main
-from labelgen.formats import EmbeddingSet, read_manifest, write_embeddings
+from labelgen.formats import (
+    DatasetManifest,
+    EmbeddingSet,
+    ManifestEntry,
+    Mask,
+    read_manifest,
+    read_mask,
+    write_embeddings,
+    write_manifest,
+    write_mask,
+)
 
 from .oracles import stream_oracle
 
@@ -124,3 +141,94 @@ def test_distmetrics_stdout_is_pinned(tmp_path, capsys, extra):
     write_embeddings(EmbeddingSet(1.1 * rng.standard_normal((650, 24)) + 0.05), b)
     assert main(["distmetrics", "--a", str(a), "--b", str(b), *extra]) == 0
     assert capsys.readouterr().out == PINNED_DISTMETRICS[extra]
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# argv with {data} for the dataset's directory, {pred} for the prediction
+# set's and {out} for the written file, and the sha256 of stdout and of it
+PINNED_ANALYSIS = {
+    "analyze": (["analyze", "--manifest", "{data}/manifest.txt"], {
+        "stdout": "716292fa00da512daa4cf56bab3d1b42439e5c82afcb38602af0d69a2668577b",
+    }),
+    "analyze-min-pixels-10-epsilon-0.05": (
+        ["analyze", "--manifest", "{data}/manifest.txt", "--min-pixels", "10",
+         "--epsilon", "0.05"], {
+            "stdout": "f472f90d623d12a1101002833bceff1b7a1f48f191d027937445123b7b827489",
+        }),
+    "geometry": (["geometry", "--manifest", "{data}/manifest.txt", "--out", "{out}"], {
+        "stdout": "c5fdef835a0443b241c6a3569dce16606502fa36ccda0c6744c65ab64fd18f0a",
+        "out": "5428f1e66efe127dd0793d7271d925f2b6812f540992f1530c463d243d9e804a",
+    }),
+    # takes the extremal-triangle fallback of the simplifier
+    "geometry-epsilon-2": (
+        ["geometry", "--manifest", "{data}/manifest.txt", "--epsilon", "2", "--out", "{out}"], {
+            "stdout": "c5fdef835a0443b241c6a3569dce16606502fa36ccda0c6744c65ab64fd18f0a",
+            "out": "6744da062bca31b6b67dab4a38f1be3058d28562e92c6ca09ddea79bae58de54",
+        }),
+    "meanshapes-k-3": (
+        ["meanshapes", "--manifest", "{data}/manifest.txt", "--k", "3", "--out", "{out}"], {
+            "stdout": "8dbca2a7b89e8571433e04af1976842f0e47407c1ffa1879569c3c662db962b1",
+            "out": "86b087973ff61224ba73c713f2baf06e724e7a33d72394e1a7034e56de83e273",
+        }),
+    "scatter": (["scatter", "--manifest", "{data}/manifest.txt", "--out", "{out}"], {
+        "stdout": "f8e7a120748ed5171ea98ddfc47e25daa4d1ef13d05168dcc1b56b6fa3670e75",
+        "out": "6bb1ed4d527fc6a7e1870440396b731911ba6a37ff8fe25447334db92306ca8b",
+    }),
+    "plan-biggan512": (["plan", "--layers", str(CONFIGS / "biggan512.tsv")], {
+        "stdout": "3b48466df45fa8ae60315650c4f98dd199ed0b0e9401b08e5e35053370c14be7",
+    }),
+    "plan-vqgan256-final-res-256": (
+        ["plan", "--layers", str(CONFIGS / "vqgan256.tsv"), "--final-res", "256"], {
+            "stdout": "ea659a73f0bfc368be21498aed87705a095c1f1bec9c8f542aef9114916470e1",
+        }),
+    # a binary task's label is named "foreground" with or without a taxonomy,
+    # so the two bench rows pin the same bytes along two paths
+    "bench-fgbg-taxonomy": (
+        ["bench", "--task", "fgbg", "--pred-manifest", "{pred}/manifest.txt",
+         "--gt-manifest", "{data}/manifest.txt", "--taxonomy", "{data}/taxonomy.txt",
+         "--report", "{out}"], {
+            "stdout": "901226c34516eae55f86c301444e5bdece6fd7d0c76b9675eb70ee2ebc9b93db",
+            "out": "901226c34516eae55f86c301444e5bdece6fd7d0c76b9675eb70ee2ebc9b93db",
+        }),
+    "bench-FG-BG-no-taxonomy": (
+        ["bench", "--task", "FG/BG", "--pred-manifest", "{pred}/manifest.txt",
+         "--gt-manifest", "{data}/manifest.txt", "--report", "{out}"], {
+            "stdout": "901226c34516eae55f86c301444e5bdece6fd7d0c76b9675eb70ee2ebc9b93db",
+            "out": "901226c34516eae55f86c301444e5bdece6fd7d0c76b9675eb70ee2ebc9b93db",
+        }),
+}
+
+
+@pytest.fixture(scope="module")
+def analysis_inputs(tmp_path_factory):
+    """The 200-sample dataset and a prediction set of its foregrounds shifted
+    two pixels right, which the bench rows score against it."""
+    data = tmp_path_factory.mktemp("data")
+    assert main(["synth", "--n", "200", "--rejection", "0.5", "--uncertainty", "0.1",
+                 "--seed", "3", "--out", str(data)]) == 0
+    pred = tmp_path_factory.mktemp("pred")
+    (pred / "masks").mkdir()
+    entries = []
+    for entry in read_manifest(data / "manifest.txt").entries:
+        fg = read_mask(data / entry.mask_path).foreground()
+        path = f"masks/{entry.id}.pgm"
+        write_mask(Mask(np.roll(fg, 2, axis=1).astype(np.uint8)), pred / path)
+        entries.append(ManifestEntry(id=entry.id, class_id=entry.class_id, image_path=path,
+                                     mask_path=path, provenance="toy"))
+    write_manifest(DatasetManifest("pred", tuple(entries)), pred / "manifest.txt")
+    return data, pred
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_ANALYSIS))
+def test_analysis_output_bytes_are_pinned(tmp_path, capsys, monkeypatch, analysis_inputs, run):
+    monkeypatch.delenv("LABELGEN_SEED", raising=False)
+    data, pred = analysis_inputs
+    argv, expected = PINNED_ANALYSIS[run]
+    out = tmp_path / "out.txt"
+    assert main([arg.format(data=data, pred=pred, out=out) for arg in argv]) == 0
+    stdout = capsys.readouterr().out.replace(str(out), "{out}")
+    digests = {"stdout": hashlib.sha256(stdout.encode()).hexdigest()}
+    if out.exists():
+        digests["out"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == expected

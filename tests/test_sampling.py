@@ -270,20 +270,6 @@ def test_listed_ensemble_is_read_only():
         pred.index[0] = 1
 
 
-def test_ensemble_copies_callers_arrays():
-    dense = np.full((2, 2, 2, 2), 0.5)
-    pred = _every_pixel(dense)
-    assert dense.flags.writeable
-    dense[...] = 0.0
-    assert (pred.probs == 0.5).all()
-    probs, index = _listed()
-    pred = EnsemblePrediction(probs, index, (1, 3))
-    assert probs.flags.writeable and index.flags.writeable
-    listed = pred.index.copy()
-    index[0] = 1
-    assert (pred.index == listed).all()
-
-
 def test_listed_uncertainty_divides_by_grid():
     # one disagreeing pixel (ln 2) on a 4x5 grid of otherwise agreeing heads
     probs = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
