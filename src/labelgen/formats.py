@@ -84,6 +84,12 @@ class UnknownProvenanceError(FormatError):
     pass
 
 
+def file_error(exc: ValueError, path, lineno: int | None = None) -> FormatError:
+    """``exc`` led by ``path`` or ``path:lineno``, as a FormatError unless it is one already."""
+    where = path if lineno is None else f"{path}:{lineno}"
+    return (type(exc) if isinstance(exc, FormatError) else FormatError)(f"{where}: {exc}")
+
+
 def _check_text(what: str, text: str, breaks=_FIELD_BREAKS) -> None:
     """Reject text that would not read back as one field of one line."""
     if not breaks.isdisjoint(text):
@@ -307,7 +313,9 @@ class EmbeddingSet:
             raise FormatError(f"embedding set needs n >= 2 rows, got {arr.shape[0]}")
         if arr.shape[1] < 1:
             raise FormatError("embedding dimension must be >= 1")
-        if not np.isfinite(_frozen_array(self, "rows", arr, np.float64)).all():
+        with np.errstate(invalid="ignore"):  # a signalling NaN flags as it is cast
+            rows = _frozen_array(self, "rows", arr, np.float64)
+        if not np.isfinite(rows).all():
             raise NonFiniteError("embedding set contains non-finite values")
 
     @property
@@ -405,8 +413,8 @@ def read_embeddings(path) -> EmbeddingSet:
                                 f"got {len(data) - 12}")
     try:
         return EmbeddingSet(np.frombuffer(data, "<f4", offset=12).reshape(n, d))
-    except FormatError as exc:  # the set's own checks, led by the file's path
-        raise type(exc)(f"{path}: {exc}") from None
+    except FormatError as exc:  # the set's own checks
+        raise file_error(exc, path) from None
 
 
 def write_embeddings(embeddings: EmbeddingSet, path) -> None:
@@ -488,6 +496,8 @@ def read_manifest(path) -> DatasetManifest:
             key, sep, value = line[1:].partition("=")
             if not sep:
                 raise FormatError(f"{path}:{lineno}: metadata line must be #key=value")
+            if key in metadata:
+                raise FormatError(f"{path}:{lineno}: repeated metadata key {key!r}")
             metadata[key] = value
             continue
         texts = line.split("\t")
@@ -500,10 +510,8 @@ def read_manifest(path) -> DatasetManifest:
         try:
             entry = ManifestEntry(**{name: parse(text) for (name, parse), text
                                      in zip(_MANIFEST_COLUMNS, texts)})
-        except FormatError as exc:
-            raise type(exc)(f"{path}:{lineno}: {exc}") from None
         except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from None
+            raise file_error(exc, path, lineno) from None
         entries.append(entry)
     return DatasetManifest(name=name, entries=tuple(entries), metadata=metadata)
 
@@ -531,15 +539,20 @@ def read_taxonomy(path) -> ClassTaxonomy:
             raise FormatError(f"{path}:{lineno}: unrecognized taxonomy line")
         try:
             if fields[0] == "class":
-                classes[int(fields[1])] = fields[2]
+                table, key, value = classes, int(fields[1]), fields[2]
             else:
-                groups.setdefault(fields[1], {})[int(fields[2])] = int(fields[3])
+                table = groups.setdefault(fields[1], {})
+                key, value = int(fields[2]), int(fields[3])
         except ValueError:
             raise FormatError(f"{path}:{lineno}: non-integer id field") from None
+        if key in table:
+            what = "class id" if table is classes else f"task {fields[1]!r} row of class"
+            raise FormatError(f"{path}:{lineno}: repeated {what} {key}")
+        table[key] = value
     try:
         return ClassTaxonomy(classes=classes, groups=groups)
     except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+        raise file_error(exc, path) from None
 
 
 # --------------------------------------------------------------------------

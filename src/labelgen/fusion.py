@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formats import read_lines, write_lines
+from .formats import FormatError, file_error, read_lines, write_lines
 
 GROUP_BANDS = (("high", 8, 32), ("mid", 64, 128), ("low", 256, 512))
 
@@ -224,13 +224,13 @@ def read_layers(path) -> list[LayerSpec]:
             continue
         fields = line.split("\t")
         if len(fields) != 3:
-            raise ValueError(f"{path}:{lineno}: expected name<TAB>resolution<TAB>channels")
+            raise FormatError(f"{path}:{lineno}: expected name<TAB>resolution<TAB>channels")
         try:
             layers.append(LayerSpec(fields[0], int(fields[1]), int(fields[2])))
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+            raise file_error(exc, path, lineno) from None
     if not layers:
-        raise ValueError(f"{path}: no layers")
+        raise FormatError(f"{path}: no layers")
     return layers
 
 

@@ -1,11 +1,13 @@
 """Dataset synthesis: a sample source composed with filter stages.
 
 A ``PipelineSpec`` says what to sample: the filter stages, the seed, the
-resolution, the number of classes and the dataset name. Each entry point
-takes what only it reads. ``synth_offline(spec, n, out_dir)`` sizes a
-candidate pool so the batch filters leave n samples, applies confidence
-rejection then uncertainty filtering, and writes images, masks and a
-manifest to ``out_dir``. Confidence comes from a sample's seed alone, so
+resolution, the number of classes and the dataset name, and checks them
+when built; ``ToySource(spec)`` reads them from it. Each entry point takes
+what only it reads. ``synth_offline(spec, n, out_dir)`` scores the smallest
+candidate pool, at or above ``candidate_pool_size``, that the batch filters
+leave n samples of, applies confidence rejection then uncertainty
+filtering, and writes images, masks and a manifest to ``out_dir``.
+Confidence comes from a sample's seed alone, so
 rejected candidates are never rendered or ensemble-scored. Uncertainty
 needs only a sample's shape, so each rejection survivor gets an ensemble
 built from its rasterized shape (``ToySource.ensemble``) and no image; only
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
 
@@ -99,16 +101,23 @@ class PipelineSpec:
     name: str = "dataset"
 
     def __post_init__(self):
+        # checked before any file is touched, not at the first render: a run
+        # may score its whole pool and clear an earlier run's files first
+        if self.resolution not in VALID_RESOLUTIONS:
+            raise ValueError(f"resolution {self.resolution} not in {VALID_RESOLUTIONS}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         DatasetManifest(self.name, ())  # the name must be one a manifest can hold
 
 
 class ToySource:
-    """Procedural source: each counter yields one independent labeled sample.
+    """Procedural source of the run ``spec`` describes: each counter yields
+    one independent labeled sample.
 
     Classes rotate round-robin over the taxonomy; the latent is drawn from a
-    truncated normal under the configured truncation; injected disagreement
+    truncated normal under the spec's truncation; injected disagreement
     is uniform in [0, 1) per sample. A counter's sample seed is that of
-    ``SeedSequence(seed, spawn_key=(counter,))``. The source is the one
+    ``SeedSequence(spec.seed, spawn_key=(counter,))``. The source is the one
     place a sample's randomness is derived: it and the counter's
     disagreement, confidence and latent streams come without building numpy
     seed sequences, in bulk for a counter range, and the confidence jitter
@@ -117,29 +126,11 @@ class ToySource:
     given, and draws only the background texture from the seed.
     """
 
-    def __init__(self, num_classes: int = 16, seed: int = 0, resolution: int = 64,
-                 truncation_psi: float = 0.9):
-        # checked here, not at the first render: a run may score its whole
-        # pool and clear an earlier run's files before it renders anything
-        if resolution not in VALID_RESOLUTIONS:
-            raise ValueError(f"resolution {resolution} not in {VALID_RESOLUTIONS}")
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
-        self.taxonomy, self.specs = toy_taxonomy(num_classes, seed)
-        self.seed = seed
-        self.resolution = resolution
-        self.truncation_psi = truncation_psi
-        self._parent = spawn_parent(int_words(seed))
+    def __init__(self, spec: PipelineSpec):
+        self.spec = spec
+        self.taxonomy, self.specs = toy_taxonomy(spec.num_classes, spec.seed)
+        self._parent = spawn_parent(int_words(spec.seed))
         self._rng = np.random.Generator(np.random.PCG64(0))  # state set before each draw
-
-    @classmethod
-    def from_spec(cls, spec: PipelineSpec) -> "ToySource":
-        return cls(
-            num_classes=spec.num_classes,
-            seed=spec.seed,
-            resolution=spec.resolution,
-            truncation_psi=spec.filters.truncation_psi,
-        )
 
     def _sample(self, counter: int, seed: int, disagreement: float,
                 confidence_state: tuple[int, int], **pixels) -> LabeledSample:
@@ -167,16 +158,18 @@ class ToySource:
         the sample ``generate(counter)`` renders, from the shape alone: no
         image is painted."""
         _, disagreement, latent = counter_stream(self._parent, counter, LATENT_STREAM)
-        z = truncated_normal(LATENT_DIM, self.truncation_psi, set_stream(self._rng, latent))
-        return toy_ensemble(self.specs[counter % len(self.specs)], z, self.resolution,
+        z = truncated_normal(LATENT_DIM, self.spec.filters.truncation_psi,
+                             set_stream(self._rng, latent))
+        return toy_ensemble(self.specs[counter % len(self.specs)], z, self.spec.resolution,
                             disagreement=disagreement)
 
     def generate(self, counter: int) -> LabeledSample:
         """The counter's rendered sample: image, mask and confidence."""
         seed, disagreement, latent, confidence = counter_stream(
             self._parent, counter, LATENT_STREAM, CONFIDENCE_STREAM)
-        z = truncated_normal(LATENT_DIM, self.truncation_psi, set_stream(self._rng, latent))
-        out = toy_generate(self.specs[counter % len(self.specs)], z, seed, self.resolution,
+        z = truncated_normal(LATENT_DIM, self.spec.filters.truncation_psi,
+                             set_stream(self._rng, latent))
+        out = toy_generate(self.specs[counter % len(self.specs)], z, seed, self.spec.resolution,
                            disagreement=disagreement, with_ensemble=False)
         return self._sample(counter, seed, disagreement, confidence,
                             image=out.image, mask=out.gt_mask)
@@ -198,13 +191,14 @@ def synth_offline(spec: PipelineSpec, n: int, out_dir) -> DatasetManifest:
     """
     if n < 1:
         raise ValueError("offline mode needs n >= 1")
-    source = ToySource.from_spec(spec)
+    source = ToySource(spec)
     rate = spec.filters.rejection_rate
     fraction = spec.filters.uncertainty_fraction
 
+    # filtered_count never falls as the pool grows: this stops at the smallest
     pool = candidate_pool_size(n, rate, fraction)
     while filtered_count(pool, rate, fraction) < n:
-        pool += math.ceil(0.1 * pool)
+        pool += 1
 
     candidates = source.scored_range(0, pool)
     counter_of = {s.id: counter for counter, s in enumerate(candidates)}
@@ -277,20 +271,10 @@ def _write_dataset(spec: PipelineSpec, mode: str, out_dir, samples, taxonomy: Cl
 
 
 def _run_metadata(spec: PipelineSpec, mode: str, **extra) -> dict[str, str]:
-    f = spec.filters
-    metadata = {
-        "source": "toy",
-        "mode": mode,
-        "seed": str(spec.seed),
-        "resolution": str(spec.resolution),
-        "num_classes": str(spec.num_classes),
-        "truncation_psi": repr(f.truncation_psi),
-        "rejection_rate": repr(f.rejection_rate),
-        "uncertainty_fraction": repr(f.uncertainty_fraction),
-    }
-    for key, value in extra.items():
-        metadata[key] = str(value)
-    return metadata
+    metadata = {"source": "toy", "mode": mode, "seed": str(spec.seed),
+                "resolution": str(spec.resolution), "num_classes": str(spec.num_classes)}
+    metadata.update((f.name, repr(getattr(spec.filters, f.name))) for f in fields(FilterConfig))
+    return metadata | {key: str(value) for key, value in extra.items()}
 
 
 class OnlineStream:
@@ -306,8 +290,7 @@ class OnlineStream:
     """
 
     def __init__(self, spec: PipelineSpec):
-        self.spec = spec
-        self.source = ToySource.from_spec(spec)
+        self.source = ToySource(spec)
         self.candidates = 0
         self.accepted = 0
         self.threshold: float | None = None

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .formats import _frozen_array, read_lines, write_lines
+from .formats import FormatError, _frozen_array, file_error, read_lines, write_lines
 
 _DIST_TOL = 1e-9
 # smallest truncation accepted: rejection sampling takes about 1.25 / psi
@@ -46,7 +46,7 @@ class FilterConfig:
 
     @classmethod
     def from_file(cls, path) -> "FilterConfig":
-        """Load key=value lines; unknown keys are rejected."""
+        """Load key=value lines; an unknown or repeated key is rejected."""
         kwargs = {}
         known = {f.name for f in fields(cls)}
         for lineno, line in enumerate(read_lines(path), 1):
@@ -56,16 +56,18 @@ class FilterConfig:
             key, sep, value = line.partition("=")
             key, value = key.strip(), value.strip()
             if not sep or key not in known:
-                raise ValueError(f"{path}:{lineno}: expected <known key>=<value>")
+                raise FormatError(f"{path}:{lineno}: expected <known key>=<value>")
+            if key in kwargs:
+                raise FormatError(f"{path}:{lineno}: repeated key {key}")
             try:
                 kwargs[key] = float(value)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: {key} must be a number, "
-                                 f"got {value!r}") from None
+                raise FormatError(f"{path}:{lineno}: {key} must be a number, "
+                                  f"got {value!r}") from None
         try:
             return cls(**kwargs)
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise file_error(exc, path) from None
 
     def to_file(self, path) -> None:
         write_lines((f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)), path)

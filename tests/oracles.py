@@ -437,7 +437,7 @@ def toy_scored(source, counter):
     through numpy's own seed sequences and generators."""
     from labelgen.formats import LabeledSample
 
-    seed = numpy_sample_seed(source.seed, counter)
+    seed = numpy_sample_seed(source.spec.seed, counter)
     disagreement = numpy_disagreement(seed)
     jitter = float(numpy_stream(seed, _TOY_CONFIDENCE).normal(0.0, 0.05))
     return LabeledSample(
@@ -454,8 +454,8 @@ def toy_latent(source, counter):
     own substream."""
     from labelgen.sampling import truncated_normal
 
-    seed = numpy_sample_seed(source.seed, counter)
-    return truncated_normal(8, source.truncation_psi, numpy_stream(seed, _TOY_LATENT))
+    seed = numpy_sample_seed(source.spec.seed, counter)
+    return truncated_normal(8, source.spec.filters.truncation_psi, numpy_stream(seed, _TOY_LATENT))
 
 
 def stream_oracle(source, count, rate, warmup_base, warmup_size):
@@ -471,6 +471,20 @@ def stream_oracle(source, count, rate, warmup_base, warmup_size):
             accepted += 1
         candidates += 1
     return candidates, accepted, threshold
+
+
+def smallest_sufficient_pool(n, rate, fraction):
+    """The smallest candidate pool, from n / ((1 - rate) * (1 - fraction))
+    rounded up, that confidence rejection at ``rate`` and then uncertainty
+    filtering at ``fraction`` leave n samples of, tried one size at a time:
+    rejection keeps ceil((1 - rate) * pool) candidates and the uncertainty
+    filter drops ceil(fraction * kept) of those."""
+    pool = math.ceil(n / ((1.0 - rate) * (1.0 - fraction)))
+    while True:
+        kept = math.ceil((1.0 - rate) * pool)
+        if kept - math.ceil(fraction * kept) >= n:
+            return pool
+        pool += 1
 
 
 def two_sort_uncertainty_filter(samples, fraction):

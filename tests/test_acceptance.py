@@ -204,7 +204,7 @@ def test_criterion_4_end_to_end_toy_pipeline(tmp_path):
         assert pool == 11112  # ceil(1000 / (0.1 * 0.9))
 
         # independent re-scoring of the candidate pool
-        source = ToySource(num_classes=16, seed=0, resolution=64, truncation_psi=0.9)
+        source = ToySource(spec)
         slim = []
         uncertainties = np.empty(pool)
         levels = np.empty(pool)

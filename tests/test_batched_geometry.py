@@ -23,7 +23,7 @@ from labelgen.geometry import (
     simplify_dp,
     simplify_polygons,
 )
-from labelgen.pipeline import ToySource
+from labelgen.pipeline import PipelineSpec, ToySource
 
 from .oracles import pairwise_diversity, segment_dp
 
@@ -32,7 +32,7 @@ EPSILONS = (0.0, 0.003, 0.01, 0.03, 0.1)
 
 @functools.lru_cache(maxsize=None)
 def _source(seed: int, resolution: int) -> ToySource:
-    return ToySource(num_classes=4, seed=seed, resolution=resolution)
+    return ToySource(PipelineSpec(num_classes=4, seed=seed, resolution=resolution))
 
 
 def _toy_outline(seed: int, counter: int, resolution: int = 64):

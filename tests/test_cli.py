@@ -181,6 +181,7 @@ CONFIG = "<config>"  # stands for the filter config file's path in a reason
 BAD_CONFIGS = {
     "<config rejection_rate=abc>": "rejection_rate=abc\n",
     "<config rejection_rate=1.5>": "# a comment\nrejection_rate=1.5\n",
+    "<config rejection_rate twice>": "rejection_rate=0.5\nrejection_rate=0.2\n",
 }
 
 
@@ -190,6 +191,10 @@ BAD_FILES = {
     "<empty taxonomy>": ("taxonomy.txt", b"# no classes\n"),
     "<empty manifest>": ("empty.txt", b"LGKITv1 empty\n"),
     "<empty layers>": ("layers.tsv", b""),
+    "<class 1 twice>": ("taxonomy.txt", b"class\t1\ta\nclass\t1\tb\n"),
+    "<group row twice>": ("taxonomy.txt", b"class\t1\ta\nclass\t2\tb\ngroup\tfgbg\t1\t1\n"
+                                          b"group\tfgbg\t2\t1\ngroup\tfgbg\t1\t2\n"),
+    "<metadata key twice>": ("twice.txt", b"LGKITv1 x\n#seed=1\n#seed=2\n"),
 }
 
 
@@ -253,6 +258,13 @@ REASONS = {
     ("bench", "--gt-manifest", "<empty manifest>"): "task 'fgbg' maps no class",
     ("synth", "--n", "1"): "LABELGEN_SEED must be an integer, got 'abc'",  # LABELGEN_SEED=abc
     ("plan", "--layers", "<empty layers>"): "<empty layers>: no layers",
+    ("bench", "--taxonomy", "<class 1 twice>"): "<class 1 twice>:2: repeated class id 1",
+    ("bench", "--taxonomy", "<group row twice>"):
+        "<group row twice>:5: repeated task 'fgbg' row of class 1",
+    ("synth", "--config", "<config rejection_rate twice>"):
+        f"{CONFIG}:2: repeated key rejection_rate",
+    ("analyze", "--manifest", "<metadata key twice>"):
+        "<metadata key twice>:3: repeated metadata key 'seed'",
 }
 
 
@@ -300,6 +312,13 @@ REASONS = {
     (["bench", "--task", "fgbg", "--pred-manifest", OTHER_IDS,
       "--gt-manifest", "<empty manifest>"], None, 2),
     (["plan", "--layers", "<empty layers>"], None, 2),
+    # a repeated key, whose last occurrence once won silently
+    (["bench", "--task", "fgbg", "--gt-manifest", MANIFEST, "--pred-manifest", OTHER_IDS,
+      "--taxonomy", "<class 1 twice>"], None, 2),
+    (["bench", "--task", "fgbg", "--gt-manifest", MANIFEST, "--pred-manifest", OTHER_IDS,
+      "--taxonomy", "<group row twice>"], None, 2),
+    (["synth", "--n", "1", "--config", "<config rejection_rate twice>"], None, 2),
+    (["analyze", "--manifest", "<metadata key twice>"], None, 2),
 ])
 def test_exit_codes(tmp_path, capsys, monkeypatch, argv, seed_env, code):
     # 1: the command line does not parse; 2: a parsed value is rejected

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from labelgen.pipeline import ToySource
+from labelgen.pipeline import PipelineSpec, ToySource
 from labelgen.sampling import truncated_normal
 from labelgen.toygen import (
     CONFIDENCE_STREAM,
@@ -102,14 +102,14 @@ def test_bulk_streams_equal_one_counter_at_a_time(root, lo, length):
 @example(root=0, lo=2**32 - 8, length=0, classes=16)
 @example(root=5, lo=2**32 - 8, length=16, classes=16)
 def test_scored_range_equals_the_per_counter_oracle(root, lo, length, classes):
-    source = ToySource(num_classes=classes, seed=root)
+    source = ToySource(PipelineSpec(num_classes=classes, seed=root))
     assert source.scored_range(lo, lo + length) == \
         [toy_scored(source, c) for c in range(lo, lo + length)]
 
 
 @pytest.mark.parametrize("root", EDGE_ROOTS)
 def test_a_pool_scored_at_once_equals_the_per_counter_oracle(root):
-    source = ToySource(num_classes=16, seed=root)
+    source = ToySource(PipelineSpec(num_classes=16, seed=root))
     assert source.scored_range(0, 223) == [toy_scored(source, c) for c in range(223)]
     assert source.scored_range(40, 40) == []
 
@@ -117,7 +117,7 @@ def test_a_pool_scored_at_once_equals_the_per_counter_oracle(root):
 @settings(max_examples=20, deadline=None)
 @given(root=ROOTS, counter=COUNTERS)
 def test_rendered_sample_and_ensemble_use_numpy_streams(root, counter):
-    source = ToySource(num_classes=16, seed=root)
+    source = ToySource(PipelineSpec(num_classes=16, seed=root))
     spec = source.specs[counter % 16]
     seed = numpy_sample_seed(root, counter)
     latent = toy_latent(source, counter)
@@ -135,4 +135,4 @@ def test_rendered_sample_and_ensemble_use_numpy_streams(root, counter):
 @pytest.mark.parametrize("seed", [-1, -2**64])
 def test_negative_root_is_rejected(seed):
     with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}"):
-        ToySource(num_classes=16, seed=seed)
+        PipelineSpec(num_classes=16, seed=seed)

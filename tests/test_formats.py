@@ -25,6 +25,7 @@ from labelgen.formats import (
     SizeMismatchError,
     TruncatedPayloadError,
     UnknownProvenanceError,
+    file_error,
     read_embeddings,
     read_image,
     read_manifest,
@@ -212,6 +213,66 @@ def test_embedding_set_errors_name_the_file(tmp_path, n, d, values, error, messa
         read_embeddings(path)
     assert type(caught.value) is error
     assert str(caught.value) == f"{path}: {message}"
+
+
+def test_embeddings_holding_a_signalling_nan_are_rejected_without_a_warning(tmp_path):
+    # float32 0x7fb922fd is a signalling NaN: a cast to float64 raises numpy's
+    # invalid-value flag, which numpy reports as a RuntimeWarning
+    path = tmp_path / "e.emb"
+    path.write_bytes(b"EMB1" + struct.pack("<IIfI", 2, 1, 1.0, 0x7FB922FD))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError) as caught:
+            read_embeddings(path)
+    assert str(caught.value) == f"{path}: embedding set contains non-finite values"
+
+
+def test_file_error_leads_with_the_place_and_keeps_a_format_error_class():
+    error = file_error(ValueError("bad value"), "f.txt")
+    assert (type(error), str(error)) == (FormatError, "f.txt: bad value")
+    error = file_error(NonFiniteError("not finite"), "f.txt", 3)
+    assert (type(error), str(error)) == (NonFiniteError, "f.txt:3: not finite")
+
+
+# files the layer and filter-config readers reject, and the message after the path
+@pytest.mark.parametrize("read, text, message", [
+    (read_layers, "res8\t8\n", ":1: expected name<TAB>resolution<TAB>channels"),
+    (read_layers, "res8\t9\t4\n", ":1: resolution 9 must be a power of two in [8, 512]"),
+    (read_layers, "# none\n", ": no layers"),
+    (FilterConfig.from_file, "nucleus_p=0.9\n", ":1: expected <known key>=<value>"),
+    (FilterConfig.from_file, "rejection_rate=abc\n",
+     ":1: rejection_rate must be a number, got 'abc'"),
+    (FilterConfig.from_file, "rejection_rate=1.5\n", ": rejection_rate must be in [0, 1)"),
+], ids=["layer-fields", "layer-resolution", "no-layers", "config-key", "config-number",
+        "config-range"])
+def test_layer_and_filter_config_readers_raise_format_errors(tmp_path, read, text, message):
+    path = tmp_path / "text.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError) as caught:
+        read(path)
+    assert (type(caught.value), str(caught.value)) == (FormatError, f"{path}{message}")
+
+
+# a key that a reader would otherwise let its last occurrence set
+@pytest.mark.parametrize("read, text, message", [
+    (read_taxonomy, "class\t1\ta\nclass\t2\tb\ngroup\tt\t1\t1\ngroup\tt\t2\t1\n"
+                    "group\tt\t1\t2\n", ":5: repeated task 't' row of class 1"),
+    (FilterConfig.from_file, "rejection_rate=0.5\nrejection_rate=0.2\n",
+     ":2: repeated key rejection_rate"),
+    (read_manifest, "LGKITv1 x\n#seed=1\n#seed=2\n", ":3: repeated metadata key 'seed'"),
+], ids=["task-row", "config-key", "metadata-key"])
+def test_readers_reject_a_repeated_key_naming_its_line(tmp_path, read, text, message):
+    path = tmp_path / "text.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError) as caught:
+        read(path)
+    assert str(caught.value) == f"{path}{message}"
+
+
+def test_a_class_may_sit_in_the_tables_of_two_tasks(tmp_path):
+    path = tmp_path / "tax.txt"
+    path.write_text("class\t1\ta\ngroup\tt\t1\t1\ngroup\tu\t1\t1\n", encoding="utf-8")
+    assert read_taxonomy(path).groups == {"t": {1: 1}, "u": {1: 1}}
 
 
 @pytest.mark.parametrize("read", [read_manifest, read_taxonomy, read_polygons, read_layers,
@@ -446,6 +507,7 @@ def test_taxonomy_roundtrip(tmp_path):
     ("group\tt\t1", "unrecognized taxonomy line"),
     ("class\tone\ta", "non-integer id field"),
     ("group\tt\t1\tx", "non-integer id field"),
+    ("class\t1\tb", "repeated class id 1"),
 ])
 def test_read_taxonomy_names_what_is_wrong(tmp_path, line, message):
     path = tmp_path / "tax.txt"

@@ -28,7 +28,7 @@ from labelgen.geometry import (
     mask_stats,
     trace_boundary,
 )
-from labelgen.pipeline import ToySource
+from labelgen.pipeline import PipelineSpec, ToySource
 
 from .oracles import moore_trace
 
@@ -39,7 +39,7 @@ nonempty_grids = grids.filter(lambda g: g.any())
 
 @functools.lru_cache(maxsize=None)
 def _source(seed: int) -> ToySource:
-    return ToySource(num_classes=4, seed=seed, resolution=64)
+    return ToySource(PipelineSpec(num_classes=4, seed=seed, resolution=64))
 
 
 def _toy_mask(seed: int, counter: int) -> Mask:

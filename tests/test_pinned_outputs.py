@@ -119,7 +119,7 @@ def test_stream_funnel_equals_the_per_counter_oracle(tmp_path, count, rate):
                  "--out", str(tmp_path)]) == 0
     metadata = read_manifest(tmp_path / "manifest.txt").metadata
     candidates, accepted, threshold = stream_oracle(
-        pipeline.ToySource(num_classes=16, seed=2), count, rate,
+        pipeline.ToySource(pipeline.PipelineSpec(num_classes=16, seed=2)), count, rate,
         pipeline._WARMUP_BASE, pipeline.WARMUP_SIZE)
     assert (metadata["candidates"], metadata["accepted"], metadata["threshold"]) == \
         (str(candidates), str(accepted), "-" if threshold is None else repr(threshold))

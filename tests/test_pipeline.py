@@ -28,6 +28,8 @@ from .oracles import (
     expanded_probs,
     numpy_disagreement,
     per_pixel_band_heads,
+    smallest_sufficient_pool,
+    toy_latent,
     toy_scored,
     xlogy_uncertainty,
 )
@@ -47,7 +49,7 @@ def test_pool_formula_examples():
 
 
 def test_source_deterministic_per_counter():
-    source = ToySource(num_classes=16, seed=0)
+    source = ToySource(PipelineSpec(num_classes=16, seed=0))
     a = source.generate(5)
     b = source.generate(5)
     assert a.id == b.id and a.latent_seed == b.latent_seed and a.confidence == b.confidence
@@ -60,7 +62,7 @@ def test_source_deterministic_per_counter():
 @given(counter=st.integers(0, 2**40), seed=st.integers(0, 2**32 - 1),
        classes=st.integers(4, 254))
 def test_scored_equals_generated_sample_without_pixels(counter, seed, classes):
-    source = ToySource(num_classes=classes, seed=seed)
+    source = ToySource(PipelineSpec(num_classes=classes, seed=seed))
     full = source.generate(counter)
     assert source.scored_range(counter, counter + 1) == [replace(full, image=None, mask=None)]
 
@@ -69,7 +71,7 @@ def test_scored_equals_generated_sample_without_pixels(counter, seed, classes):
 @given(counter=st.integers(0, 2**40), seed=st.integers(0, 2**32 - 1),
        res=st.sampled_from([64, 128, 256]))
 def test_shape_only_ensemble_equals_generated_ensemble(counter, seed, res):
-    source = ToySource(num_classes=16, seed=seed, resolution=res)
+    source = ToySource(PipelineSpec(num_classes=16, seed=seed, resolution=res))
     sample_seed = source.scored_range(counter, counter + 1)[0].latent_seed
     z = truncated_normal(toygen.LATENT_DIM, 0.9, toygen.substream(sample_seed, 1))
     generated = toygen.toy_generate(source.specs[counter % 16], z, sample_seed, res,
@@ -85,7 +87,7 @@ def test_shape_only_ensemble_equals_generated_ensemble(counter, seed, res):
 @given(counter=st.integers(0, 2**40), seed=st.integers(0, 2**32 - 1),
        res=st.sampled_from([64, 128, 256]))
 def test_kind_ensemble_equals_per_pixel_oracle(counter, seed, res):
-    source = ToySource(num_classes=16, seed=seed, resolution=res)
+    source = ToySource(PipelineSpec(num_classes=16, seed=seed, resolution=res))
     ensemble = source.ensemble(counter)
     sample_seed = source.scored_range(counter, counter + 1)[0].latent_seed
     fg = source.generate(counter).mask.foreground()
@@ -98,10 +100,30 @@ def test_kind_ensemble_equals_per_pixel_oracle(counter, seed, res):
     assert sample_uncertainty(ensemble) == sample_uncertainty(oracle)
 
 
+def test_spec_rejects_a_bad_resolution_when_built():
+    # a negative seed is rejected there too (test_negative_root_is_rejected)
+    with pytest.raises(ValueError) as caught:
+        PipelineSpec(resolution=100)
+    assert str(caught.value) == "resolution 100 not in (64, 128, 256)"
+
+
+def test_source_reads_classes_resolution_and_truncation_from_its_spec():
+    spec = PipelineSpec(filters=FilterConfig(truncation_psi=0.3), seed=7, resolution=128,
+                        num_classes=5)
+    source = ToySource(spec)
+    assert source.spec is spec and len(source.taxonomy.classes) == 5
+    sample = source.generate(11)
+    seed = sample.latent_seed
+    expected = toygen.toy_generate(source.specs[11 % 5], toy_latent(source, 11), seed, 128,
+                                   disagreement=numpy_disagreement(seed))
+    assert (sample.image.data == expected.image.data).all()
+    assert (sample.mask.labels == expected.gt_mask.labels).all()
+
+
 def test_bad_resolution_rerun_leaves_previous_dataset(tmp_path):
     synth_offline(PipelineSpec(filters=NO_FILTERS, seed=0), 2, tmp_path)
     before = _listing(tmp_path)
-    # without an uncertainty stage nothing is rendered before the writer starts
+    # the spec is rejected when built, before synth_offline can touch a file
     with pytest.raises(ValueError, match="resolution"):
         synth_offline(PipelineSpec(filters=NO_FILTERS, seed=1, resolution=100), 2, tmp_path)
     assert _listing(tmp_path) == before
@@ -196,7 +218,7 @@ def test_offline_funnel_metadata(tmp_path):
     md = manifest.metadata
     assert (md["pool"], md["after_rejection"], md["after_uncertainty"]) == ("112", "12", "10")
     # independent re-scoring: the 12th-highest confidence of the pool is the rejection cut
-    source = ToySource(num_classes=16, seed=0)
+    source = ToySource(PipelineSpec(num_classes=16, seed=0))
     ranked = sorted((toy_scored(source, c).confidence for c in range(112)), reverse=True)
     assert md["confidence_cut"] == repr(ranked[11])
     assert md["uncertainty_cut"] == repr(max(e.uncertainty for e in manifest.entries))
@@ -205,13 +227,30 @@ def test_offline_funnel_metadata(tmp_path):
 
 def test_offline_pool_grows_until_the_filters_leave_n(tmp_path):
     # the formula's pool of 25 keeps only 25 - ceil(0.28 * 25) = 17 of 18,
-    # so it grows by ceil(10 %) to 28, which keeps 20
+    # so it grows by one to 26, which keeps 26 - ceil(0.28 * 26) = 18
     assert candidate_pool_size(18, 0.0, 0.28) == 25
     spec = PipelineSpec(filters=FilterConfig(rejection_rate=0.0, uncertainty_fraction=0.28))
     manifest = synth_offline(spec, 18, tmp_path)
     md = manifest.metadata
-    assert (md["pool"], md["after_rejection"], md["after_uncertainty"]) == ("28", "28", "20")
+    assert (md["pool"], md["after_rejection"], md["after_uncertainty"]) == ("26", "26", "18")
     assert len(manifest) == 18
+
+
+# n up to 30 under every rejection rate and uncertainty fraction of two decimals
+POOL_GRID = [(n, rate / 100, fraction / 100)
+             for n in range(1, 31) for rate in range(100) for fraction in range(100)]
+
+
+def test_offline_pool_is_the_smallest_sufficient_pool(tmp_path):
+    short = [config for config in POOL_GRID
+             if smallest_sufficient_pool(*config) != candidate_pool_size(*config)]
+    # the pool grows past the formula only here; then two configurations where it does not
+    assert short == [(18, 0.0, 0.28), (18, 0.5, 0.28), (18, 0.75, 0.28)]
+    for i, (n, rate, fraction) in enumerate(short + [(18, 0.0, 0.27), (3, 0.9, 0.1)]):
+        spec = PipelineSpec(filters=FilterConfig(rejection_rate=rate,
+                                                 uncertainty_fraction=fraction))
+        pool = synth_offline(spec, n, tmp_path / str(i)).metadata["pool"]
+        assert pool == str(smallest_sufficient_pool(n, rate, fraction))
 
 
 def test_offline_funnel_metadata_without_filters(tmp_path):
