@@ -52,8 +52,6 @@ def _resolve_seed(args) -> int:
             seed = int(env)
         except ValueError:
             raise ValueError(f"LABELGEN_SEED must be an integer, got {env!r}") from None
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
     return seed
 
 

@@ -14,8 +14,10 @@ Chamfer distance are computed on the simplified polygons. The dataset passes at 
 pairs, so callers decide how masks are read. class_polygons is the one
 outline pass: it traces each mask as it arrives and simplifies outlines in
 batches; analyze_masks runs it and takes each mask's statistics on the way.
-Chamfer distances are computed block-wise. Results are bit-equal to one
-outline or pair at a time.
+Chamfer distances are computed block-wise: each distance matrix holds at
+most 2**16 entries, or one row against the longest polygon, so the scratch
+memory stays bounded however long the outlines are. Results are bit-equal to
+one outline or pair at a time.
 """
 from __future__ import annotations
 
@@ -45,7 +47,8 @@ MEAN_SHAPE_RES = 32
 
 # outlines simplified together by the dataset passes
 _SIMPLIFY_BATCH = 256
-# cdist entries per diversity block: one polygon against the later ones
+# cdist entries per distance matrix of the diversity pass: rows of one polygon
+# against later ones; a matrix exceeds it only as one row against a longer polygon
 _DIVERSITY_BLOCK = 1 << 16
 
 
@@ -413,14 +416,9 @@ def chamfer(a, b) -> float:
 
     Sum over each set of the squared Euclidean distance to the nearest point
     of the other set; no per-point averaging, so the value grows with point
-    count.
+    count. Computed by the same bounded kernel as the diversity pass.
     """
-    pa = np.atleast_2d(np.asarray(getattr(a, "points", a), dtype=float))
-    pb = np.atleast_2d(np.asarray(getattr(b, "points", b), dtype=float))
-    if pa.size == 0 or pb.size == 0:
-        raise ValueError("chamfer distance requires nonempty point sets")
-    d2 = cdist(pa, pb, "sqeuclidean")
-    return float(d2.min(axis=1).sum() + d2.min(axis=0).sum())
+    return next(_class_chamfers([a, b]))
 
 
 def shape_diversity_by_class(polys_by_class) -> tuple[dict, list]:
@@ -446,10 +444,11 @@ def shape_diversity_by_class(polys_by_class) -> tuple[dict, list]:
 def _class_chamfers(polys):
     """``chamfer(polys[i], polys[j])`` for i < j, in (i, j) order.
 
-    One cdist runs from polygon i to a block of the polygons after it, capped
-    at about ``_DIVERSITY_BLOCK`` entries. Distances and minima are exact, and
-    each pair's two minima are summed as contiguous arrays of the pair's own
-    lengths, so every value equals ``chamfer`` bit for bit.
+    One block pairs polygon i with the polygons after it, capped at about
+    ``_DIVERSITY_BLOCK`` entries but holding at least one polygon; a block too
+    big for the cap is split by rows of polygon i. Distances and minima are
+    exact, and each pair's two minima are summed as contiguous arrays of the
+    pair's own lengths, so every value equals a one-shot cdist bit for bit.
     """
     sets = [np.atleast_2d(np.asarray(getattr(p, "points", p), dtype=float)) for p in polys]
     if any(s.size == 0 for s in sets):
@@ -474,10 +473,19 @@ def _block_minima(pa: np.ndarray, block: np.ndarray, cuts: np.ndarray):
     """Minimum squared distance from each point of pa to each polygon of the
     block (one contiguous row per polygon), and from each block point to pa.
 
-    The distance matrix is freed on return, before the next block's is made.
+    pa's rows go to cdist in pieces of at most ``_DIVERSITY_BLOCK`` entries,
+    or one row when the block alone is longer. No piece's matrix outlives
+    the next one; taking minima is exact, so merging the pieces' minima gives
+    the one-shot values.
     """
-    d2 = cdist(pa, block, "sqeuclidean")
-    return np.minimum.reduceat(d2, cuts, axis=1).T.copy(), d2.min(axis=0)
+    step = max(1, _DIVERSITY_BLOCK // len(block))
+    row_mins = np.empty((len(cuts), len(pa)))
+    col_mins = np.full(len(block), np.inf)
+    for r in range(0, len(pa), step):
+        d2 = cdist(pa[r:r + step], block, "sqeuclidean")
+        row_mins[:, r:r + step] = np.minimum.reduceat(d2, cuts, axis=1).T
+        np.minimum(col_mins, d2.min(axis=0), out=col_mins)
+    return row_mins, col_mins
 
 
 def shape_diversity(polys_by_class) -> float:
@@ -613,9 +621,11 @@ class MeanShapeSet:
         _frozen_array(self, "cluster_sizes", self.cluster_sizes)
 
 
-def _check_cluster_count(k: int) -> None:
+def _check_kmeans(k: int, seed: int) -> None:
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def mean_shapes(masks, k: int = 5, seed: int = 0, class_id: int | None = None) -> MeanShapeSet:
@@ -624,7 +634,7 @@ def mean_shapes(masks, k: int = 5, seed: int = 0, class_id: int | None = None) -
     Uses k-means++ initialization and Lloyd iterations until the assignment
     reaches a fixpoint (at most 100 rounds); deterministic for a given seed.
     """
-    _check_cluster_count(k)
+    _check_kmeans(k, seed)
     vectors = []
     for mask in masks:
         fg = foreground_grid(mask)
@@ -675,7 +685,7 @@ def class_mean_shapes(pairs, k: int = 5, seed: int = 0) -> tuple[list, list]:
     Returns the MeanShapeSets and the ids of the classes skipped for having
     fewer than k nonempty masks.
     """
-    _check_cluster_count(k)
+    _check_kmeans(k, seed)
     by_class: dict[int, list] = {}
     for class_id, mask in pairs:
         if foreground_grid(mask).any():

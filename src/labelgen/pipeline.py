@@ -128,7 +128,7 @@ class ToySource:
 
     def __init__(self, spec: PipelineSpec):
         self.spec = spec
-        self.taxonomy, self.specs = toy_taxonomy(spec.num_classes, spec.seed)
+        self.taxonomy, self.class_specs = toy_taxonomy(spec.num_classes, spec.seed)
         self._parent = spawn_parent(int_words(spec.seed))
         self._rng = np.random.Generator(np.random.PCG64(0))  # state set before each draw
 
@@ -138,7 +138,7 @@ class ToySource:
         confidence drawn from its confidence-stream state, and ``pixels``."""
         return LabeledSample(
             id=f"toy-{counter:012d}",
-            class_id=self.specs[counter % len(self.specs)].class_id,
+            class_id=self.class_specs[counter % len(self.class_specs)].class_id,
             provenance="toy",
             latent_seed=seed,
             confidence=jittered_confidence(disagreement, set_stream(self._rng, confidence_state)),
@@ -160,8 +160,8 @@ class ToySource:
         _, disagreement, latent = counter_stream(self._parent, counter, LATENT_STREAM)
         z = truncated_normal(LATENT_DIM, self.spec.filters.truncation_psi,
                              set_stream(self._rng, latent))
-        return toy_ensemble(self.specs[counter % len(self.specs)], z, self.spec.resolution,
-                            disagreement=disagreement)
+        return toy_ensemble(self.class_specs[counter % len(self.class_specs)], z,
+                            self.spec.resolution, disagreement=disagreement)
 
     def generate(self, counter: int) -> LabeledSample:
         """The counter's rendered sample: image, mask and confidence."""
@@ -169,8 +169,8 @@ class ToySource:
             self._parent, counter, LATENT_STREAM, CONFIDENCE_STREAM)
         z = truncated_normal(LATENT_DIM, self.spec.filters.truncation_psi,
                              set_stream(self._rng, latent))
-        out = toy_generate(self.specs[counter % len(self.specs)], z, seed, self.spec.resolution,
-                           disagreement=disagreement, with_ensemble=False)
+        out = toy_generate(self.class_specs[counter % len(self.class_specs)], z, seed,
+                           self.spec.resolution, disagreement=disagreement, with_ensemble=False)
         return self._sample(counter, seed, disagreement, confidence,
                             image=out.image, mask=out.gt_mask)
 

@@ -174,21 +174,27 @@ def segment_dp(points, epsilon):
     return pts[keep]
 
 
-def pairwise_diversity(polys_by_class):
-    """Per-class mean Chamfer over every pair, one cdist per pair in (i, j) order."""
+def cdist_chamfer(a, b):
+    """Sum-form Chamfer distance from one cdist over the whole pair."""
     from scipy.spatial.distance import cdist
 
+    pa = np.atleast_2d(np.asarray(getattr(a, "points", a), dtype=float))
+    pb = np.atleast_2d(np.asarray(getattr(b, "points", b), dtype=float))
+    d2 = cdist(pa, pb, "sqeuclidean")
+    return float(d2.min(axis=1).sum() + d2.min(axis=0).sum())
+
+
+def pairwise_diversity(polys_by_class):
+    """Per-class mean Chamfer over every pair, one cdist per pair in (i, j) order."""
     per_class = {}
     for cid in sorted(polys_by_class):
-        polys = [np.atleast_2d(np.asarray(getattr(p, "points", p), dtype=float))
-                 for p in polys_by_class[cid]]
+        polys = polys_by_class[cid]
         if len(polys) < 2:
             continue
         total, pairs = 0.0, 0
         for i in range(len(polys)):
             for j in range(i + 1, len(polys)):
-                d2 = cdist(polys[i], polys[j], "sqeuclidean")
-                total += float(d2.min(axis=1).sum() + d2.min(axis=0).sum())
+                total += cdist_chamfer(polys[i], polys[j])
                 pairs += 1
         per_class[cid] = total / pairs
     return per_class
@@ -442,7 +448,7 @@ def toy_scored(source, counter):
     jitter = float(numpy_stream(seed, _TOY_CONFIDENCE).normal(0.0, 0.05))
     return LabeledSample(
         id=f"toy-{counter:012d}",
-        class_id=source.specs[counter % len(source.specs)].class_id,
+        class_id=source.class_specs[counter % len(source.class_specs)].class_id,
         provenance="toy",
         latent_seed=seed,
         confidence=min(max(1.0 - 0.8 * disagreement + jitter, 0.0), 1.0),

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from labelgen import geometry
 from labelgen.geometry import (
     Polygon,
+    chamfer,
     class_polygons,
     largest_component_polygon,
     shape_diversity_by_class,
@@ -25,7 +27,7 @@ from labelgen.geometry import (
 )
 from labelgen.pipeline import PipelineSpec, ToySource
 
-from .oracles import pairwise_diversity, segment_dp
+from .oracles import cdist_chamfer, pairwise_diversity, segment_dp
 
 EPSILONS = (0.0, 0.003, 0.01, 0.03, 0.1)
 
@@ -145,15 +147,66 @@ def _ring(n: int, radius: float, phase: float) -> np.ndarray:
     return np.round(np.stack([np.cos(angles), np.sin(angles)], axis=1) * radius * 64) / 64
 
 
-def test_block_diversity_equals_pairwise_loop():
+def _diversity_classes():
     polys = {cid: list(group) for cid, group in _contours().items()}
-    # pairs of 300-point rings exceed the block cap, so each is its own block
+    # a 300-point ring against the next exceeds the block cap, so its block
+    # holds that one ring and the ring's rows are split over several matrices
     polys[50] = [_ring(300, r, 0.1 * r) for r in (0.4, 0.5, 0.45, 0.3)]
     assert 300 * 300 > geometry._DIVERSITY_BLOCK
     # one polygon longer than the block cap, against short ones
     polys[60] = [_ring(5, 0.5, 0.0), _ring(geometry._DIVERSITY_BLOCK + 7, 0.5, 0.3),
                  _ring(4, 0.3, 0.2), np.array([0.5, 0.5])]
     polys[70] = [_ring(6, 0.5, 0.0)]
+    return polys
+
+
+def test_block_diversity_equals_pairwise_loop():
+    polys = _diversity_classes()
     per_class, skipped = shape_diversity_by_class(polys)
     assert skipped == [70]
     assert per_class == pairwise_diversity(polys)
+
+
+@pytest.mark.parametrize("block", (1, 7, 64))
+def test_block_diversity_does_not_depend_on_the_block_cap(monkeypatch, block):
+    polys = _diversity_classes()
+    whole = shape_diversity_by_class(polys)
+    monkeypatch.setattr(geometry, "_DIVERSITY_BLOCK", block)
+    assert shape_diversity_by_class(polys) == whole
+
+
+def test_every_diversity_matrix_is_bounded(monkeypatch):
+    polys = _diversity_classes()
+    entries = []
+
+    def recording_cdist(xa, xb, metric):
+        entries.append(len(xa) * len(xb))
+        return cdist(xa, xb, metric)
+
+    monkeypatch.setattr(geometry, "cdist", recording_cdist)
+    shape_diversity_by_class(polys)
+    longest = max(len(np.atleast_2d(getattr(p, "points", p)))
+                  for group in polys.values() for p in group)
+    assert entries and max(entries) <= max(geometry._DIVERSITY_BLOCK, longest)
+
+
+def _point_set(size: int, seed: int, grid: int, scale: float) -> np.ndarray:
+    """size random 2-D points; on a grid of 1/grid steps, so distances tie, unless grid is 0."""
+    points = np.random.default_rng(seed).random((size, 2))
+    if grid:
+        points = np.round(points * grid) / grid
+    return points * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.one_of(st.tuples(st.integers(1, 300), st.integers(1, 300)),
+                       st.tuples(st.integers(geometry._DIVERSITY_BLOCK - 2,
+                                             geometry._DIVERSITY_BLOCK + 300),
+                                 st.integers(1, 8))),
+       swap=st.booleans(), seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+       grid=st.sampled_from((0, 7, 64)), scale=st.sampled_from((1e-3, 1.0, 1e3)))
+def test_chamfer_equals_one_cdist(sizes, swap, seeds, grid, scale):
+    a, b = (_point_set(size, seed, grid, scale) for size, seed in zip(sizes, seeds))
+    if swap:
+        a, b = b, a
+    assert chamfer(a, b) == cdist_chamfer(a, b)

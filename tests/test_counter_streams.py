@@ -118,7 +118,7 @@ def test_a_pool_scored_at_once_equals_the_per_counter_oracle(root):
 @given(root=ROOTS, counter=COUNTERS)
 def test_rendered_sample_and_ensemble_use_numpy_streams(root, counter):
     source = ToySource(PipelineSpec(num_classes=16, seed=root))
-    spec = source.specs[counter % 16]
+    spec = source.class_specs[counter % 16]
     seed = numpy_sample_seed(root, counter)
     latent = toy_latent(source, counter)
     expected = toy_generate(spec, latent, seed, 64, disagreement=numpy_disagreement(seed))

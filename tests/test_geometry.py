@@ -434,6 +434,19 @@ def test_class_mean_shapes_counts_only_nonempty_masks():
     assert skipped == [5]
 
 
+@pytest.mark.parametrize("k, seed, message", [(0, 0, "k must be at least 1, got 0"),
+                                              (2, -1, "seed must be >= 0, got -1")])
+def test_mean_shape_arguments_are_checked_before_any_mask_is_read(k, seed, message):
+    def unread():
+        raise AssertionError("a pair was read")
+        yield
+
+    with pytest.raises(ValueError, match=message):
+        class_mean_shapes(unread(), k=k, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        mean_shapes(unread(), k=k, seed=seed)
+
+
 def test_class_polygons_groups_usable_outlines():
     line = np.zeros((20, 20), dtype=np.uint8)
     line[5, 2:18] = 1  # one pixel wide: a degenerate outline

@@ -74,7 +74,7 @@ def test_shape_only_ensemble_equals_generated_ensemble(counter, seed, res):
     source = ToySource(PipelineSpec(num_classes=16, seed=seed, resolution=res))
     sample_seed = source.scored_range(counter, counter + 1)[0].latent_seed
     z = truncated_normal(toygen.LATENT_DIM, 0.9, toygen.substream(sample_seed, 1))
-    generated = toygen.toy_generate(source.specs[counter % 16], z, sample_seed, res,
+    generated = toygen.toy_generate(source.class_specs[counter % 16], z, sample_seed, res,
                                     disagreement=numpy_disagreement(sample_seed)).ensemble
     shape_only = source.ensemble(counter)
     assert shape_only.shape == generated.shape
@@ -114,7 +114,7 @@ def test_source_reads_classes_resolution_and_truncation_from_its_spec():
     assert source.spec is spec and len(source.taxonomy.classes) == 5
     sample = source.generate(11)
     seed = sample.latent_seed
-    expected = toygen.toy_generate(source.specs[11 % 5], toy_latent(source, 11), seed, 128,
+    expected = toygen.toy_generate(source.class_specs[11 % 5], toy_latent(source, 11), seed, 128,
                                    disagreement=numpy_disagreement(seed))
     assert (sample.image.data == expected.image.data).all()
     assert (sample.mask.labels == expected.gt_mask.labels).all()
