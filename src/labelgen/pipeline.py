@@ -10,9 +10,15 @@ filtering, and writes images, masks and a manifest to ``out_dir``.
 Confidence comes from a sample's seed alone, so
 rejected candidates are never rendered or ensemble-scored. Uncertainty
 needs only a sample's shape, so each rejection survivor gets an ensemble
-built from its rasterized shape (``ToySource.ensemble``) and no image; only
-the final survivors are rendered, once, by the writer. Between stages only
-pixel-free records are kept, never images, masks or ensembles.
+built from its rasterized shape (``ToySource.ensemble_and_shape``) and no
+image. That shape is kept, bit-packed with its colour, so each survivor is
+rasterized once: the writer paints the final survivors from their kept
+shapes (``ToySource.render``) and drops each shape once it is written or
+filtered out. The kept shapes are bounded by ``_KEPT_SHAPE_BYTES``; a
+survivor past the bound, and every sample of a run without the uncertainty
+stage, is rendered from its counter (``ToySource.generate``). Between
+stages only pixel-free records and kept shapes are held, never images,
+masks or ensembles.
 ``OnlineStream(spec)`` is a never-repeating stream that applies only cheap
 per-sample filters: the confidence threshold is calibrated once from a
 warmup batch, only accepted counters are rendered, and the expensive
@@ -24,11 +30,13 @@ that stage never runs. The manifest's ``#mode`` names the writer:
 
 A source is a deterministic function of a 64-bit seed counter, so any run
 is reproducible and candidate generation can be distributed over disjoint
-counter ranges without changing the result. The pipeline reads four members
+counter ranges without changing the result. The pipeline reads five members
 of its source: ``taxonomy``, ``scored_range(lo, hi)`` (the pixel-free samples
-of a counter range with their confidences), ``ensemble(counter)`` (an
-``EnsemblePrediction``) and ``generate(counter)`` (the rendered
-``LabeledSample``). Offline mode scores its whole pool with one
+of a counter range with their confidences), ``ensemble_and_shape(counter)``
+(an ``EnsemblePrediction`` and the kept shape), ``render(counter, sample,
+shape)`` (a scored sample painted from its kept shape) and
+``generate(counter)`` (the rendered ``LabeledSample``). Each rejects a
+counter outside [0, 2**64). Offline mode scores its whole pool with one
 ``scored_range`` call, online mode its warmup batch with one and its pulls in
 chunks of ``STREAM_CHUNK`` counters. ``ToySource`` derives each counter's
 sample seed, disagreement level, confidence and latent, once per stage and
@@ -71,19 +79,25 @@ from .toygen import (
     LATENT_DIM,
     LATENT_STREAM,
     VALID_RESOLUTIONS,
+    ToyClassSpec,
+    band_ensemble,
     counter_stream,
     counter_streams,
     int_words,
     jittered_confidence,
     set_stream,
     spawn_parent,
-    toy_ensemble,
     toy_generate,
+    toy_paint,
+    toy_shape,
     toy_taxonomy,
 )
 
 WARMUP_SIZE = 1000
 STREAM_CHUNK = 128  # counters an online stream scores at a time
+# bytes of kept shapes an offline run holds for its writer: 65536 survivors at
+# 64 px, 4096 at 256 px; a survivor past it is rasterized again to be written
+_KEPT_SHAPE_BYTES = 1 << 25
 # warmup counters live in their own range so the yielded stream always
 # starts at counter 0, with or without calibration
 _WARMUP_BASE = 1 << 56
@@ -132,6 +146,11 @@ class ToySource:
         self._parent = spawn_parent(int_words(spec.seed))
         self._rng = np.random.Generator(np.random.PCG64(0))  # state set before each draw
 
+    def _class_spec(self, counter: int) -> ToyClassSpec:
+        """The counter's class spec; a counter outside [0, 2**64) is rejected."""
+        _check_counter(counter)
+        return self.class_specs[counter % len(self.class_specs)]
+
     def _sample(self, counter: int, seed: int, disagreement: float,
                 confidence_state: tuple[int, int], **pixels) -> LabeledSample:
         """The counter's sample: id, class, provenance, latent seed, the
@@ -150,6 +169,9 @@ class ToySource:
         pixels: id, class, provenance, latent seed and confidence, equal to
         those of ``generate(counter)``. Their seeds and streams are derived in
         bulk; draws no latent, renders nothing and builds no ensemble."""
+        if lo < hi:
+            _check_counter(lo)
+            _check_counter(hi - 1)
         return [self._sample(counter, *streams) for counter, streams in zip(
             range(lo, hi), counter_streams(self._parent, lo, hi, CONFIDENCE_STREAM))]
 
@@ -157,22 +179,47 @@ class ToySource:
         """The counter's ensemble, equal to the one ``toy_generate`` builds for
         the sample ``generate(counter)`` renders, from the shape alone: no
         image is painted."""
+        return self.ensemble_and_shape(counter)[0]
+
+    def ensemble_and_shape(self, counter: int) -> tuple[EnsemblePrediction, np.ndarray]:
+        """The counter's ensemble, and its shape kept for ``render``: the
+        foreground bit-packed by ``np.packbits``, then the three bytes of its
+        colour. Rasterizes once and paints nothing."""
+        class_spec = self._class_spec(counter)
         _, disagreement, latent = counter_stream(self._parent, counter, LATENT_STREAM)
         z = truncated_normal(LATENT_DIM, self.spec.filters.truncation_psi,
                              set_stream(self._rng, latent))
-        return toy_ensemble(self.class_specs[counter % len(self.class_specs)], z,
-                            self.spec.resolution, disagreement=disagreement)
+        fg, colour = toy_shape(class_spec, z, self.spec.resolution, disagreement=disagreement)
+        return band_ensemble(fg, disagreement), np.append(np.packbits(fg), colour)
+
+    def render(self, counter: int, sample: LabeledSample, shape: np.ndarray) -> LabeledSample:
+        """``sample``, the counter's pixel-free sample, with the image and mask
+        of ``generate(counter)``, painted from the shape that
+        ``ensemble_and_shape(counter)`` kept and the seed ``sample`` holds:
+        the counter's streams are not derived again, its latent is not drawn
+        and its shape is not rasterized."""
+        class_spec = self._class_spec(counter)
+        res = self.spec.resolution
+        fg = np.unpackbits(shape[:-3], count=res * res).view(bool).reshape(res, res)
+        image, mask = toy_paint(class_spec, fg, shape[-3:], sample.latent_seed)
+        return replace(sample, image=image, mask=mask)
 
     def generate(self, counter: int) -> LabeledSample:
         """The counter's rendered sample: image, mask and confidence."""
+        class_spec = self._class_spec(counter)
         seed, disagreement, latent, confidence = counter_stream(
             self._parent, counter, LATENT_STREAM, CONFIDENCE_STREAM)
         z = truncated_normal(LATENT_DIM, self.spec.filters.truncation_psi,
                              set_stream(self._rng, latent))
-        out = toy_generate(self.class_specs[counter % len(self.class_specs)], z, seed,
-                           self.spec.resolution, disagreement=disagreement, with_ensemble=False)
+        out = toy_generate(class_spec, z, seed, self.spec.resolution,
+                           disagreement=disagreement, with_ensemble=False)
         return self._sample(counter, seed, disagreement, confidence,
                             image=out.image, mask=out.gt_mask)
+
+
+def _check_counter(counter: int) -> None:
+    if not 0 <= counter < 1 << 64:
+        raise ValueError(f"counter {counter} outside [0, 2**64)")
 
 
 def candidate_pool_size(n: int, rejection_rate: float, uncertainty_fraction: float) -> int:
@@ -203,23 +250,32 @@ def synth_offline(spec: PipelineSpec, n: int, out_dir) -> DatasetManifest:
     candidates = source.scored_range(0, pool)
     counter_of = {s.id: counter for counter, s in enumerate(candidates)}
     kept = candidates
+    shapes = {}  # rejection survivors' kept shapes by id, at most _KEPT_SHAPE_BYTES of them
     confidence_cut = uncertainty_cut = "-"
     if rate > 0:
         kept = confidence_rejection(kept, rate)
         confidence_cut = repr(min(s.confidence for s in kept))
     after_rejection = len(kept)
     if fraction > 0:
-        kept = [replace(s, uncertainty=sample_uncertainty(source.ensemble(counter_of[s.id])))
-                for s in kept]
-        kept = uncertainty_filter(kept, fraction)
+        scored, held = [], 0
+        for slim in kept:
+            ensemble, shape = source.ensemble_and_shape(counter_of[slim.id])
+            scored.append(replace(slim, uncertainty=sample_uncertainty(ensemble)))
+            if held + shape.nbytes <= _KEPT_SHAPE_BYTES:
+                shapes[slim.id] = shape
+                held += shape.nbytes
+        kept = uncertainty_filter(scored, fraction)
         uncertainty_cut = repr(max(s.uncertainty for s in kept))
     funnel = {"pool": pool, "after_rejection": after_rejection,
               "confidence_cut": confidence_cut, "after_uncertainty": len(kept),
               "uncertainty_cut": uncertainty_cut}
 
+    written = kept[:n]
+    shapes = {slim.id: shapes[slim.id] for slim in written if slim.id in shapes}
     full_survivors = (
-        replace(source.generate(counter_of[slim.id]), uncertainty=slim.uncertainty)
-        for slim in kept[:n]
+        source.render(counter_of[slim.id], slim, shapes.pop(slim.id)) if slim.id in shapes
+        else replace(source.generate(counter_of[slim.id]), uncertainty=slim.uncertainty)
+        for slim in written
     )
     return _write_dataset(spec, "offline", out_dir, full_survivors, source.taxonomy,
                           lambda: funnel)

@@ -24,21 +24,27 @@ image. Rasterization evaluates only the pixels in a box around the shape,
 and the band comes from shifted views of the mask, not from a morphology
 library.
 
-Rendering draws nothing but the background texture, keyed by the sample
-seed; the latent and the disagreement level are inputs. A source derives a
-counter's sample seed, disagreement level and latent and confidence streams
-from independent substreams keyed by (seed, role), so generation is
-order-independent and can run in parallel without changing results. It does
-so with numpy's ``SeedSequence`` hash and ``PCG64`` seeding, rewritten here
-bit-exact once over values that are Python ints (one counter,
-``counter_stream``) or uint64 arrays (a counter range, ``counter_streams``),
-so a whole candidate pool is seeded in bulk with the numbers ``substream``
-would give.
+``toy_generate`` composes one rasterizer and one painter: ``toy_shape``
+gives the foreground and its colour, and ``toy_paint`` paints them, so a
+caller that keeps a shape can paint it later without rasterizing it again.
+Painting draws nothing but the background texture's base colour, keyed by
+the sample seed, and paints in uint8: each distinct ``float(base) +
+offset`` of the texture is computed once, truncated, and gathered to the
+pixels, with no float canvas of the image. The latent and the disagreement
+level are inputs. A source derives a counter's sample seed, disagreement
+level and latent and confidence streams from independent substreams keyed
+by (seed, role), so generation is order-independent and can run in
+parallel without changing results. It does so with numpy's
+``SeedSequence`` hash and ``PCG64`` seeding, rewritten here bit-exact once
+over values that are Python ints (one counter, ``counter_stream``) or
+uint64 arrays (a counter range, ``counter_streams``), so a whole candidate
+pool is seeded in bulk with the numbers ``substream`` would give.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -322,9 +328,8 @@ def _rasterize(family: str, res: int, cx: float, cy: float, a: float, b: float,
     reach = math.hypot(a, b) + 2.0
     x0, x1 = max(int(cx - reach), 0), min(int(cx + reach) + 1, res)
     y0, y1 = max(int(cy - reach), 0), min(int(cy + reach) + 1, res)
-    ys, xs = np.mgrid[y0:y1, x0:x1]
-    px = xs + 0.5 - cx
-    py = ys + 0.5 - cy
+    px = np.arange(x0, x1)[None, :] + 0.5 - cx  # a row and a column,
+    py = np.arange(y0, y1)[:, None] + 0.5 - cy  # broadcast by the rotation
     cos_r, sin_r = math.cos(rot), math.sin(rot)
     xr = cos_r * px + sin_r * py
     yr = -sin_r * px + cos_r * py
@@ -348,29 +353,50 @@ def _rasterize(family: str, res: int, cx: float, cy: float, a: float, b: float,
     return out
 
 
-def _background(res: int, texture: int, rng: np.random.Generator) -> np.ndarray:
-    base = rng.integers(40, 120, size=3).astype(np.float64)
-    ramp = np.linspace(0.0, 80.0, res)
-    canvas = np.zeros((res, res, 3))
+@lru_cache(maxsize=16)
+def _texture(res: int, texture: int) -> tuple[np.ndarray, np.ndarray]:
+    """A background texture as its distinct offsets from the base colour and
+    each pixel's index into them (both read-only): none for a flat
+    background, a 0..80 ramp across the columns or down the rows, or a
+    checker of 8-pixel squares offset by 0 or 40. The flat and ramp indices
+    are broadcast views of one value, row or column, so only the checker's
+    is a full grid."""
+    steps = np.arange(res)
     if texture == 0:
-        canvas[:] = base
+        offsets, index = np.zeros(1), np.broadcast_to(np.intp(0), (res, res))
     elif texture == 1:
-        canvas[:] = base + ramp[None, :, None]
+        offsets, index = np.linspace(0.0, 80.0, res), np.broadcast_to(steps, (res, res))
     elif texture == 2:
-        canvas[:] = base + ramp[:, None, None]
+        offsets, index = np.linspace(0.0, 80.0, res), np.broadcast_to(steps[:, None], (res, res))
     else:
-        ys, xs = np.mgrid[0:res, 0:res]
-        checker = ((ys // 8 + xs // 8) % 2) * 40.0
-        canvas[:] = base + checker[:, :, None]
-    return np.clip(canvas, 0, 255)
+        cells = steps // 8
+        offsets, index = np.array([0.0, 40.0]), (cells[:, None] + cells) % 2
+    offsets.flags.writeable = index.flags.writeable = False
+    return offsets, index
 
 
-def _shape(spec: ToyClassSpec, z: np.ndarray, res: int,
-           disagreement: float) -> tuple[np.ndarray, np.ndarray]:
-    """Check the inputs and rasterize the shape.
+def _canvas(texture: int, base: np.ndarray, foreground: np.ndarray,
+            colour: np.ndarray) -> np.ndarray:
+    """The uint8 image: each background pixel is ``float(base) + offset``,
+    clipped and truncated, and each foreground pixel is ``colour``.
 
-    Returns the foreground mask and the latent cycled to its LATENT_DIM used
-    coordinates.
+    The sum is taken once per distinct offset, and the colour is one more
+    row of that table, so one gather paints every pixel and no float canvas
+    of the whole image is built.
+    """
+    offsets, index = _texture(foreground.shape[0], texture)
+    table = np.empty((len(offsets) + 1, 3), dtype=np.uint8)
+    table[:-1] = np.clip(offsets[:, None] + base, 0, 255).astype(np.uint8)
+    table[-1] = colour
+    return table.take(np.where(foreground, len(offsets), index), axis=0)
+
+
+def toy_shape(spec: ToyClassSpec, z: np.ndarray, res: int = 64, *,
+              disagreement: float) -> tuple[np.ndarray, np.ndarray]:
+    """Check the inputs and rasterize the shape: the foreground mask and the
+    colour it is painted with, clipped and truncated to uint8.
+
+    The first half of ``toy_generate``; ``toy_paint`` is the second.
     """
     if res not in VALID_RESOLUTIONS:
         raise ValueError(f"resolution {res} not in {VALID_RESOLUTIONS}")
@@ -394,7 +420,9 @@ def _shape(spec: ToyClassSpec, z: np.ndarray, res: int,
     cy = _param(zc[4], margin, 1.0 - margin) * res
     a = size * res / 2
     b = aspect * a
-    return _rasterize(spec.shape_family, res, cx, cy, a, b, rot), zc
+    colour = [_param(zc[5 + c], spec.color_low[c], spec.color_high[c]) for c in range(3)]
+    return (_rasterize(spec.shape_family, res, cx, cy, a, b, rot),
+            np.clip(colour, 0, 255).astype(np.uint8))
 
 
 def _band(fg: np.ndarray) -> np.ndarray:
@@ -414,8 +442,9 @@ def _band(fg: np.ndarray) -> np.ndarray:
     return dilated & ~eroded
 
 
-def _band_ensemble(fg: np.ndarray, disagreement: float) -> EnsemblePrediction:
-    """The band's heads for its two pixel kinds, background (0) and foreground (1)."""
+def band_ensemble(fg: np.ndarray, disagreement: float) -> EnsemblePrediction:
+    """The ensemble of the foreground ``fg``: the band's heads for its two
+    pixel kinds, background (0) and foreground (1)."""
     index = np.flatnonzero(_band(fg))
     targets = (2.0 * np.arange(NUM_HEADS) + 1.0) / (2.0 * NUM_HEADS)
     fg_prob = np.array([0.0, 1.0])
@@ -431,8 +460,19 @@ def toy_ensemble(spec: ToyClassSpec, z: np.ndarray, res: int = 64, *,
     Rasterizes the shape and builds the band heads; paints no image. Makes
     the same checks as ``toy_generate``.
     """
-    fg, _ = _shape(spec, z, res, disagreement)
-    return _band_ensemble(fg, disagreement)
+    fg, _ = toy_shape(spec, z, res, disagreement=disagreement)
+    return band_ensemble(fg, disagreement)
+
+
+def toy_paint(spec: ToyClassSpec, foreground: np.ndarray, colour: np.ndarray,
+              seed: int) -> tuple[Image, Mask]:
+    """The image and mask of a sample whose ``toy_shape`` is (foreground,
+    colour): the class's background texture over a base colour drawn from
+    ``seed``, the foreground filled with ``colour``, and the foreground
+    labelled with the class id."""
+    base = substream(seed, _TEXTURE_STREAM).integers(40, 120, size=3).astype(np.float64)
+    return (Image(_canvas(spec.background_texture, base, foreground, colour)),
+            Mask(np.where(foreground, np.uint8(spec.class_id), np.uint8(0))))
 
 
 def toy_generate(spec: ToyClassSpec, z: np.ndarray, seed: int, res: int = 64, *,
@@ -445,20 +485,10 @@ def toy_generate(spec: ToyClassSpec, z: np.ndarray, seed: int, res: int = 64, *,
     heads slide from the true label toward their fixed fan of probability
     targets inside the boundary band. The ensemble lists only the boundary
     band's pixels. ``with_ensemble=False`` skips the head construction
-    (image and mask are unaffected).
+    (image and mask are unaffected). The sample is ``toy_shape`` painted by
+    ``toy_paint``.
     """
-    fg, zc = _shape(spec, z, res, disagreement)
-    gt = np.where(fg, np.uint8(spec.class_id), np.uint8(0))
-
-    color = np.array(
-        [_param(zc[5 + c], spec.color_low[c], spec.color_high[c]) for c in range(3)]
-    )
-    canvas = _background(res, spec.background_texture, substream(seed, _TEXTURE_STREAM))
-    canvas[fg] = color
-    image = Image(np.clip(canvas, 0, 255).astype(np.uint8))
-
-    return ToyOutput(
-        image=image,
-        gt_mask=Mask(gt),
-        ensemble=_band_ensemble(fg, disagreement) if with_ensemble else None,
-    )
+    fg, colour = toy_shape(spec, z, res, disagreement=disagreement)
+    image, mask = toy_paint(spec, fg, colour, seed)
+    return ToyOutput(image=image, gt_mask=mask,
+                     ensemble=band_ensemble(fg, disagreement) if with_ensemble else None)

@@ -368,6 +368,32 @@ def full_grid_rasterize(family, res, cx, cy, a, b, rot):
     raise ValueError(family)
 
 
+def _float_background(res, texture, rng):
+    base = rng.integers(40, 120, size=3).astype(np.float64)
+    ramp = np.linspace(0.0, 80.0, res)
+    canvas = np.zeros((res, res, 3))
+    if texture == 0:
+        canvas[:] = base
+    elif texture == 1:
+        canvas[:] = base + ramp[None, :, None]
+    elif texture == 2:
+        canvas[:] = base + ramp[:, None, None]
+    else:
+        ys, xs = np.mgrid[0:res, 0:res]
+        checker = ((ys // 8 + xs // 8) % 2) * 40.0
+        canvas[:] = base + checker[:, :, None]
+    return np.clip(canvas, 0, 255)
+
+
+def float_canvas_paint(res, texture, rng, foreground, color):
+    """A toy image painted on a float64 canvas: the background texture over a
+    base colour drawn from ``rng``, the foreground set to the float ``color``,
+    then the whole canvas clipped and truncated to uint8."""
+    canvas = _float_background(res, texture, rng)
+    canvas[foreground] = color
+    return np.clip(canvas, 0, 255).astype(np.uint8)
+
+
 def scipy_band(foreground):
     """The 3-pixel band as scipy.ndimage morphology: 3x3 dilation minus two
     3x3 erosions, outside the frame counted as background."""

@@ -130,9 +130,37 @@ def test_rendered_sample_and_ensemble_use_numpy_streams(root, counter):
     assert (ensemble.index == expected.ensemble.index).all()
     assert (ensemble.kinds == expected.ensemble.kinds).all()
     assert (ensemble.probs == expected.ensemble.probs).all()
+    _, shape = source.ensemble_and_shape(counter)
+    rendered = source.render(counter, source.scored_range(counter, counter + 1)[0], shape)
+    assert (rendered.image.data == expected.image.data).all()
+    assert (rendered.mask.labels == expected.gt_mask.labels).all()
 
 
 @pytest.mark.parametrize("seed", [-1, -2**64])
 def test_negative_root_is_rejected(seed):
     with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}"):
         PipelineSpec(num_classes=16, seed=seed)
+
+
+# every entry point names the first counter outside [0, 2**64) it is given,
+# before any stream is derived from it
+@pytest.mark.parametrize("call, counter", [
+    (lambda source: source.generate(-1), -1),
+    (lambda source: source.generate(2**64 + 5), 2**64 + 5),
+    (lambda source: source.ensemble(2**64), 2**64),
+    (lambda source: source.ensemble_and_shape(-3), -3),
+    (lambda source: source.render(2**64, None, None), 2**64),
+    (lambda source: source.scored_range(-2, 1), -2),
+    (lambda source: source.scored_range(2**64 - 1, 2**64 + 1), 2**64),
+])
+def test_counter_outside_64_bits_is_rejected(call, counter):
+    with pytest.raises(ValueError) as caught:
+        call(ToySource(PipelineSpec(num_classes=16, seed=0)))
+    assert str(caught.value) == f"counter {counter} outside [0, 2**64)"
+
+
+def test_last_64_bit_counter_is_accepted():
+    source = ToySource(PipelineSpec(num_classes=16, seed=0))
+    last = 2**64 - 1
+    assert source.scored_range(last, last + 1) == [toy_scored(source, last)]
+    assert source.generate(last).id == f"toy-{last:012d}"

@@ -87,6 +87,31 @@ PINNED = {
             "masks": "a844e9a4209ec9b337fb04a9c03c1cba1559165d399f929ae55fb1f5f5c55730",
             "taxonomy": TAXONOMY_16_SEED_DEFAULT,
         }),
+    # the larger resolutions, recorded before painting moved from a float64
+    # canvas to uint8; the 128 px synth skips the uncertainty stage, so it
+    # renders every written sample from its counter alone
+    "synth-res-256": (
+        ["synth", "--n", "24", "--res", "256", "--seed", "9"], 24, {
+            "entries": "3d8ab2d746002f642e197fa6694c6bc7616ff4f5cd11227456211272e9196bf0",
+            "images": "36f93df149d8e80675c6955848d153f995a5757de74eaa14a5f4f63ae69f65ce",
+            "masks": "06bdf99525763ad1c825908f65de98d8cf528a028d46bbaf5a0bcf59051f6d96",
+            "taxonomy": TAXONOMY_16_SEED_DEFAULT,
+        }),
+    "synth-res-128-no-uncertainty": (
+        ["synth", "--n", "30", "--res", "128", "--classes", "4", "--uncertainty", "0",
+         "--seed", "4"], 30, {
+            "entries": "393271fc08293eb063c3e2e3c12239ee3630152828b3f90fd0ded640890c089a",
+            "images": "3fe6db752960a636eb292df0ebc81a4c238d4304112f8097d30e606d4bb29ffb",
+            "masks": "9682e88d8f4041adf520feb75838d49afd0ee316e73041ad925422b776cb8856",
+            "taxonomy": "18f520f3c6be00cf97447bf818aa2bb7a04f2f1ec5848dd22afbd89f4b0041b4",
+        }),
+    "stream-res-128": (
+        ["stream", "--count", "12", "--res", "128", "--seed", "6"], 12, {
+            "entries": "0cd2c0f2fd4f8c6cac97fae8bf870ec53ddde98b538d08cdd5b8ee98d3331f51",
+            "images": "bc5d5964842327240a2dffbd2540c8ca0709e5308e911cf8c978ba6fb2d21478",
+            "masks": "b1ab2a00c76d20de374d0a0ace960588659170d022e02eee7fbff40e3f30a110",
+            "taxonomy": TAXONOMY_16_SEED_DEFAULT,
+        }),
 }
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from labelgen import pipeline, toygen
 from labelgen.cli import _spec_from, build_parser, main
-from labelgen.formats import read_manifest, read_mask, read_image
+from labelgen.formats import ManifestEntry, read_image, read_manifest, read_mask
 from labelgen.pipeline import (
     OnlineStream,
     PipelineSpec,
@@ -20,6 +20,7 @@ from labelgen.pipeline import (
 from labelgen.sampling import (
     EnsemblePrediction,
     FilterConfig,
+    confidence_rejection,
     sample_uncertainty,
     truncated_normal,
 )
@@ -157,17 +158,70 @@ def _count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
+def _count_paints(monkeypatch) -> list:
+    """Record every painted sample: ``toy_generate`` paints through
+    ``toygen.toy_paint``, ``ToySource.render`` through ``pipeline.toy_paint``."""
+    calls = _count_calls(monkeypatch, toygen, "toy_paint")
+    real = pipeline.toy_paint
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, "toy_paint", counting)
+    return calls
+
+
 @pytest.mark.parametrize("fraction", [0.1, 0.0])
 def test_offline_builds_ensembles_only_for_rejection_survivors(tmp_path, monkeypatch, fraction):
+    # each sample is rasterized once: for its ensemble when the uncertainty
+    # stage runs, and the writer paints a survivor from that kept shape;
+    # otherwise only the written samples are rasterized, by their render
     renders = _count_renders(monkeypatch)
-    ensembles = _count_calls(monkeypatch, pipeline, "toy_ensemble")
-    backgrounds = _count_calls(monkeypatch, toygen, "_background")
+    rasterizations = _count_calls(monkeypatch, toygen, "_rasterize")
+    paints = _count_paints(monkeypatch)
     spec = PipelineSpec(filters=FilterConfig(uncertainty_fraction=fraction), seed=0)
     manifest = synth_offline(spec, 10, tmp_path)
-    pool = int(manifest.metadata["pool"])
-    assert len(ensembles) == (math.ceil(0.1 * pool) if fraction else 0)
-    assert len(renders) == 10 and not any(renders)  # the survivors, rendered for writing
-    assert len(backgrounds) == 10  # no image is painted for a candidate that is not written
+    after_rejection = int(manifest.metadata["after_rejection"])
+    assert after_rejection == math.ceil(0.1 * int(manifest.metadata["pool"]))
+    assert len(rasterizations) == (after_rejection if fraction else 10)
+    assert len(paints) == 10  # no image is painted for a candidate that is not written
+    assert len(renders) == (0 if fraction else 10) and not any(renders)
+
+
+# a bound of 0 bytes keeps no shape, and one of three shapes keeps the first
+# three rejection survivors' shapes, so the other written samples are
+# rendered from their counters
+@pytest.mark.parametrize("fraction, res, kept", [
+    (0.1, 64, None), (0.1, 128, None), (0.1, 64, 0), (0.1, 128, 3), (0.0, 64, None)])
+def test_offline_samples_equal_generated_samples(tmp_path, monkeypatch, fraction, res, kept):
+    if kept is not None:
+        monkeypatch.setattr(pipeline, "_KEPT_SHAPE_BYTES", kept * (res * res // 8 + 3))
+    rasterizations = _count_calls(monkeypatch, toygen, "_rasterize")
+    spec = PipelineSpec(filters=FilterConfig(uncertainty_fraction=fraction), seed=4,
+                        resolution=res, num_classes=5)
+    manifest = synth_offline(spec, 12, tmp_path)
+    rasterized = len(rasterizations)
+    source = ToySource(spec)
+    for entry in manifest.entries:
+        expected = source.generate(int(entry.id.removeprefix("toy-")))
+        assert read_image(tmp_path / entry.image_path).data.tobytes() == \
+            expected.image.data.tobytes()
+        assert read_mask(tmp_path / entry.mask_path).labels.tobytes() == \
+            expected.mask.labels.tobytes()
+        assert replace(entry, uncertainty=None) == ManifestEntry(
+            **expected.record_fields(), image_path=entry.image_path, mask_path=entry.mask_path)
+    after_rejection = int(manifest.metadata["after_rejection"])
+    if not fraction:
+        assert rasterized == 12
+    elif kept is None:
+        assert rasterized == after_rejection
+    else:
+        survivors = confidence_rejection(source.scored_range(0, int(manifest.metadata["pool"])),
+                                         spec.filters.rejection_rate)
+        first = {s.id for s in survivors[:kept]}
+        again = sum(entry.id not in first for entry in manifest.entries)
+        assert rasterized == after_rejection + again
 
 
 def test_synth_builds_numpy_streams_only_for_taxonomy_and_textures(tmp_path, monkeypatch, capsys):

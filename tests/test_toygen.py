@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,21 +13,28 @@ from labelgen.sampling import sample_uncertainty, truncated_normal
 from labelgen.toygen import (
     CONFIDENCE_STREAM,
     FAMILIES,
+    LATENT_DIM,
     NUM_HEADS,
     VALID_RESOLUTIONS,
     ToyClassSpec,
+    _TEXTURE_STREAM,
     _band,
+    _canvas,
+    _param,
     _rasterize,
     jittered_confidence,
     substream,
     toy_ensemble,
     toy_generate,
+    toy_paint,
+    toy_shape,
     toy_taxonomy,
 )
 
 from .oracles import (
     dense_js_uncertainty,
     expanded_probs,
+    float_canvas_paint,
     full_grid_rasterize,
     numpy_disagreement,
     scipy_band,
@@ -284,3 +292,41 @@ def test_class_spec_validation():
             aspect_range=(0.8, 1.0), rotation_range=(0.0, 1.0),
             color_low=(0, 0, 0), color_high=(10, 10, 10), background_texture=0,
         )
+
+
+class _DrawnBase:
+    """Stands in for a texture stream whose base colour is ``base``."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def integers(self, low, high, size):
+        return np.array(self.base)
+
+
+_SPECS_254 = toy_taxonomy(254, seed=0)[1]
+
+
+# z = -3 and 3 give a class's color_low and color_high; the bases 40 and 119
+# are the ends of the texture stream's draw
+@settings(max_examples=80, deadline=None)
+@given(texture=st.integers(0, 3), res=st.sampled_from(VALID_RESOLUTIONS),
+       base=st.lists(st.sampled_from([40, 119]) | st.integers(40, 119), min_size=3, max_size=3),
+       index=st.integers(0, 253), seed=st.integers(0, 2**64 - 1),
+       colour_z=st.lists(st.sampled_from([-3.0, 3.0]) | st.floats(-4.0, 4.0),
+                         min_size=3, max_size=3),
+       fill=st.sampled_from(["shape", "empty", "full"]))
+def test_uint8_painter_equals_the_float_canvas(texture, res, base, index, seed, colour_z, fill):
+    spec = replace(_SPECS_254[index], background_texture=texture)
+    z = np.zeros(LATENT_DIM)
+    z[5:] = colour_z
+    fg, colour = toy_shape(spec, z, res, disagreement=0.0)
+    if fill != "shape":
+        fg = np.full((res, res), fill == "full")
+    color = np.array([_param(z[5 + c], spec.color_low[c], spec.color_high[c]) for c in range(3)])
+    expected = float_canvas_paint(res, texture, _DrawnBase(base), fg, color)
+    assert (_canvas(texture, np.array(base, dtype=np.float64), fg, colour) == expected).all()
+    image, mask = toy_paint(spec, fg, colour, seed)
+    expected = float_canvas_paint(res, texture, substream(seed, _TEXTURE_STREAM), fg, color)
+    assert (image.data == expected).all()
+    assert (mask.labels == np.where(fg, spec.class_id, 0)).all()
