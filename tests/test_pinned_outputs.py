@@ -105,6 +105,16 @@ PINNED = {
             "masks": "9682e88d8f4041adf520feb75838d49afd0ee316e73041ad925422b776cb8856",
             "taxonomy": "18f520f3c6be00cf97447bf818aa2bb7a04f2f1ec5848dd22afbd89f4b0041b4",
         }),
+    # the uncertainty filter drops 40 of 80 survivors here, so any rounding
+    # change in a survivor's uncertainty changes which samples are written
+    "synth-res-128-uncertainty-half": (
+        ["synth", "--n", "40", "--rejection", "0.5", "--uncertainty", "0.5", "--res", "128",
+         "--classes", "8", "--seed", "12"], 40, {
+            "entries": "1d1e5e4605b43648690aa4c543b82f855f777f1308c1033d18f997211f043286",
+            "images": "6592d9893e3e1cf846a17acbd99135f4c52393de1c5a1f185284104f5ce61cad",
+            "masks": "c51128a75232cee4ab56bbae399a595c267caf407e3745e2c8d5e7f3b490406b",
+            "taxonomy": "9bbba69a279e126f5515eccc8726d3f26f52ce820c5181f2485be85d823aed95",
+        }),
     "stream-res-128": (
         ["stream", "--count", "12", "--res", "128", "--seed", "6"], 12, {
             "entries": "0cd2c0f2fd4f8c6cac97fae8bf870ec53ddde98b538d08cdd5b8ee98d3331f51",
