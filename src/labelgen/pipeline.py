@@ -7,18 +7,19 @@ what only it reads. ``synth_offline(spec, n, out_dir)`` scores the smallest
 candidate pool, at or above ``candidate_pool_size``, that the batch filters
 leave n samples of, applies confidence rejection then uncertainty
 filtering, and writes images, masks and a manifest to ``out_dir``.
-Confidence comes from a sample's seed alone, so
-rejected candidates are never rendered or ensemble-scored. Uncertainty
-needs only a sample's shape, so each rejection survivor gets an ensemble
-built from its rasterized shape (``ToySource.ensemble_and_shape``) and no
-image. That shape is kept, bit-packed with its colour, so each survivor is
-rasterized once: the writer paints the final survivors from their kept
-shapes (``ToySource.render``) and drops each shape once it is written or
-filtered out. The kept shapes are bounded by ``_KEPT_SHAPE_BYTES``; a
-survivor past the bound, and every sample of a run without the uncertainty
-stage, is rendered from its counter (``ToySource.generate``). Between
-stages only pixel-free records and kept shapes are held, never images,
-masks or ensembles.
+Confidence comes from a sample's seed alone, so rejected candidates are
+never rendered or ensemble-scored. Uncertainty needs only a sample's
+shape, so each rejection survivor is rasterized and scored from its
+shape's boundary band (``ToySource.uncertainties``), with no image and no
+``EnsemblePrediction``. That shape is kept, bit-packed with
+its colour and its background base colour, so each survivor is rasterized
+once: the writer paints the final survivors from their kept shapes
+(``ToySource.render``) and drops each shape once it is written or filtered
+out. The kept shapes are bounded by ``_KEPT_SHAPE_BYTES``; a survivor past
+the bound, and every sample of a run without the uncertainty stage, is
+rendered from its counter (``ToySource.generate``). Between stages only
+pixel-free records and kept shapes are held, never images, masks or
+ensembles.
 ``OnlineStream(spec)`` is a never-repeating stream that applies only cheap
 per-sample filters: the confidence threshold is calibrated once from a
 warmup batch, only accepted counters are rendered, and the expensive
@@ -32,17 +33,19 @@ A source is a deterministic function of a 64-bit seed counter, so any run
 is reproducible and candidate generation can be distributed over disjoint
 counter ranges without changing the result. The pipeline reads five members
 of its source: ``taxonomy``, ``scored_range(lo, hi)`` (the pixel-free samples
-of a counter range with their confidences), ``ensemble_and_shape(counter)``
-(an ``EnsemblePrediction`` and the kept shape), ``render(counter, sample,
+of a counter range with their confidences), ``uncertainties(counters)``
+(each counter's uncertainty and kept shape), ``render(counter, sample,
 shape)`` (a scored sample painted from its kept shape) and
 ``generate(counter)`` (the rendered ``LabeledSample``). Each rejects a
 counter outside [0, 2**64). Offline mode scores its whole pool with one
-``scored_range`` call, online mode its warmup batch with one and its pulls in
-chunks of ``STREAM_CHUNK`` counters. ``ToySource`` derives each counter's
-sample seed, disagreement level, confidence and latent, once per stage and
-in bulk for a range, bit-exact with numpy's ``SeedSequence`` and ``PCG64``
-(see ``toygen``), and hands them to the renderer. ``ToySource`` is the one
-source, and every manifest records ``#source=toy``.
+``scored_range`` call and its rejection survivors with one
+``uncertainties`` call, online mode its warmup batch with one
+``scored_range`` call and its pulls in chunks of ``STREAM_CHUNK`` counters.
+``ToySource`` derives each counter's sample seed, disagreement level,
+confidence, latent and texture streams, once per stage and in bulk for a
+range or a survivor list, bit-exact with numpy's ``SeedSequence`` and
+``PCG64`` (see ``toygen``), and hands them to the renderer. ``ToySource``
+is the one source, and every manifest records ``#source=toy``.
 """
 from __future__ import annotations
 
@@ -70,7 +73,7 @@ from .sampling import (
     FilterConfig,
     confidence_rejection,
     filtered_count,
-    sample_uncertainty,
+    sample_uncertainty,  # unused here: the benchmark's tracer wraps this name
     truncated_normal,
     uncertainty_filter,
 )
@@ -78,15 +81,18 @@ from .toygen import (
     CONFIDENCE_STREAM,
     LATENT_DIM,
     LATENT_STREAM,
+    TEXTURE_STREAM,
     VALID_RESOLUTIONS,
     ToyClassSpec,
     band_ensemble,
+    band_uncertainty,
     counter_stream,
     counter_streams,
     int_words,
     jittered_confidence,
     set_stream,
     spawn_parent,
+    texture_base,
     toy_generate,
     toy_paint,
     toy_shape,
@@ -95,8 +101,8 @@ from .toygen import (
 
 WARMUP_SIZE = 1000
 STREAM_CHUNK = 128  # counters an online stream scores at a time
-# bytes of kept shapes an offline run holds for its writer: 65536 survivors at
-# 64 px, 4096 at 256 px; a survivor past it is rasterized again to be written
+# bytes of kept shapes an offline run holds for its writer: 64777 survivors at
+# 64 px, 4093 at 256 px; a survivor past it is rasterized again to be written
 _KEPT_SHAPE_BYTES = 1 << 25
 # warmup counters live in their own range so the yielded stream always
 # starts at counter 0, with or without calibration
@@ -133,11 +139,12 @@ class ToySource:
     is uniform in [0, 1) per sample. A counter's sample seed is that of
     ``SeedSequence(spec.seed, spawn_key=(counter,))``. The source is the one
     place a sample's randomness is derived: it and the counter's
-    disagreement, confidence and latent streams come without building numpy
-    seed sequences, in bulk for a counter range, and the confidence jitter
-    and the latent are drawn from one reused generator put in the stream's
-    state. ``toygen`` renders from the latent, seed and disagreement it is
-    given, and draws only the background texture from the seed.
+    disagreement, confidence, latent and texture streams come without
+    building numpy seed sequences, in bulk for a counter range or a list of
+    survivors, and the confidence jitter, the latent and the texture base
+    are drawn from one reused generator put in the stream's state.
+    ``toygen`` renders from the latent, seed and disagreement it is given;
+    ``generate`` lets it draw the texture base from the seed.
     """
 
     def __init__(self, spec: PipelineSpec):
@@ -173,35 +180,59 @@ class ToySource:
             _check_counter(lo)
             _check_counter(hi - 1)
         return [self._sample(counter, *streams) for counter, streams in zip(
-            range(lo, hi), counter_streams(self._parent, lo, hi, CONFIDENCE_STREAM))]
+            range(lo, hi), counter_streams(self._parent, np.arange(lo, hi, dtype=np.uint64),
+                                           CONFIDENCE_STREAM))]
+
+    def _shape(self, class_spec: ToyClassSpec, disagreement: float,
+               latent: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """The ``toy_shape`` of a ``class_spec`` sample whose latent is drawn
+        from the latent-stream state ``latent``."""
+        z = truncated_normal(LATENT_DIM, self.spec.filters.truncation_psi,
+                             set_stream(self._rng, latent))
+        return toy_shape(class_spec, z, self.spec.resolution, disagreement=disagreement)
 
     def ensemble(self, counter: int) -> EnsemblePrediction:
         """The counter's ensemble, equal to the one ``toy_generate`` builds for
         the sample ``generate(counter)`` renders, from the shape alone: no
         image is painted."""
-        return self.ensemble_and_shape(counter)[0]
-
-    def ensemble_and_shape(self, counter: int) -> tuple[EnsemblePrediction, np.ndarray]:
-        """The counter's ensemble, and its shape kept for ``render``: the
-        foreground bit-packed by ``np.packbits``, then the three bytes of its
-        colour. Rasterizes once and paints nothing."""
         class_spec = self._class_spec(counter)
         _, disagreement, latent = counter_stream(self._parent, counter, LATENT_STREAM)
-        z = truncated_normal(LATENT_DIM, self.spec.filters.truncation_psi,
-                             set_stream(self._rng, latent))
-        fg, colour = toy_shape(class_spec, z, self.spec.resolution, disagreement=disagreement)
-        return band_ensemble(fg, disagreement), np.append(np.packbits(fg), colour)
+        fg, _ = self._shape(class_spec, disagreement, latent)
+        return band_ensemble(fg, disagreement)
+
+    def uncertainties(self, counters: list[int]):
+        """An iterator over each counter's uncertainty, equal to
+        ``sample_uncertainty(ensemble(counter))``, and its shape kept for
+        ``render``. ``counters`` must be increasing: their streams are derived
+        in one bulk call before this returns, and each counter is rasterized
+        once, when the iterator reaches it. Builds no ``EnsemblePrediction``
+        and paints nothing."""
+        for counter in counters:
+            _check_counter(counter)
+        streams = counter_streams(self._parent, np.array(counters, dtype=np.uint64),
+                                  LATENT_STREAM, TEXTURE_STREAM)
+        return (self._kept(counter, disagreement, latent, texture)
+                for counter, (_, disagreement, latent, texture) in zip(counters, streams))
+
+    def _kept(self, counter: int, disagreement: float, latent: tuple[int, int],
+              texture: tuple[int, int]) -> tuple[float, np.ndarray]:
+        """The counter's uncertainty and kept shape: the foreground bit-packed
+        by ``np.packbits``, then the three bytes of its colour and the three
+        of its texture base."""
+        fg, colour = self._shape(self._class_spec(counter), disagreement, latent)
+        base = texture_base(set_stream(self._rng, texture)).astype(np.uint8)
+        return band_uncertainty(fg, disagreement), np.concatenate((np.packbits(fg), colour, base))
 
     def render(self, counter: int, sample: LabeledSample, shape: np.ndarray) -> LabeledSample:
         """``sample``, the counter's pixel-free sample, with the image and mask
         of ``generate(counter)``, painted from the shape that
-        ``ensemble_and_shape(counter)`` kept and the seed ``sample`` holds:
-        the counter's streams are not derived again, its latent is not drawn
-        and its shape is not rasterized."""
+        ``uncertainties`` kept for the counter: the counter's streams are not
+        derived again, its latent is not drawn and its shape is not
+        rasterized."""
         class_spec = self._class_spec(counter)
         res = self.spec.resolution
-        fg = np.unpackbits(shape[:-3], count=res * res).view(bool).reshape(res, res)
-        image, mask = toy_paint(class_spec, fg, shape[-3:], sample.latent_seed)
+        fg = np.unpackbits(shape[:-6], count=res * res).view(bool).reshape(res, res)
+        image, mask = toy_paint(class_spec, fg, shape[-6:-3], shape[-3:])
         return replace(sample, image=image, mask=mask)
 
     def generate(self, counter: int) -> LabeledSample:
@@ -258,9 +289,9 @@ def synth_offline(spec: PipelineSpec, n: int, out_dir) -> DatasetManifest:
     after_rejection = len(kept)
     if fraction > 0:
         scored, held = [], 0
-        for slim in kept:
-            ensemble, shape = source.ensemble_and_shape(counter_of[slim.id])
-            scored.append(replace(slim, uncertainty=sample_uncertainty(ensemble)))
+        uncertainties = source.uncertainties([counter_of[slim.id] for slim in kept])
+        for slim, (uncertainty, shape) in zip(kept, uncertainties):
+            scored.append(replace(slim, uncertainty=uncertainty))
             if held + shape.nbytes <= _KEPT_SHAPE_BYTES:
                 shapes[slim.id] = shape
                 held += shape.nbytes

@@ -20,31 +20,37 @@ jitter drawn from the sample's confidence stream, so rejection filtering
 has a meaningful signal; it reads no pixel, so a sample can be scored
 before it is rendered. The ensemble depends on the shape alone, so
 ``toy_ensemble`` builds it from the rasterized shape without painting an
-image. Rasterization evaluates only the pixels in a box around the shape,
+image, and a band pixel's divergence across heads depends on its kind and
+the disagreement level alone, so ``band_js`` gives both kinds' divergence
+from the level and ``band_uncertainty`` scores a shape as
+``sample_uncertainty`` scores its ensemble, bit for bit, without building
+one. Rasterization evaluates only the pixels in a box around the shape,
 and the band comes from shifted views of the mask, not from a morphology
 library.
 
 ``toy_generate`` composes one rasterizer and one painter: ``toy_shape``
-gives the foreground and its colour, and ``toy_paint`` paints them, so a
-caller that keeps a shape can paint it later without rasterizing it again.
-Painting draws nothing but the background texture's base colour, keyed by
-the sample seed, and paints in uint8: each distinct ``float(base) +
-offset`` of the texture is computed once, truncated, and gathered to the
-pixels, with no float canvas of the image. The latent and the disagreement
-level are inputs. A source derives a counter's sample seed, disagreement
-level and latent and confidence streams from independent substreams keyed
-by (seed, role), so generation is order-independent and can run in
-parallel without changing results. It does so with numpy's
-``SeedSequence`` hash and ``PCG64`` seeding, rewritten here bit-exact once
-over values that are Python ints (one counter, ``counter_stream``) or
-uint64 arrays (a counter range, ``counter_streams``), so a whole candidate
-pool is seeded in bulk with the numbers ``substream`` would give.
+gives the foreground and its colour, and ``toy_paint`` paints them over a
+background base colour, so a caller that keeps a shape and its base can
+paint it later without rasterizing it again. ``toy_generate`` draws the
+base from the sample seed's texture stream (``texture_base``); painting is
+in uint8: each distinct ``float(base) + offset`` of the texture is computed
+once, truncated, and gathered to the pixels, with no float canvas of the
+image. The latent and the disagreement level are inputs. A source derives
+a counter's sample seed, disagreement level and latent, confidence and
+texture streams from independent substreams keyed by (seed, role), so
+generation is order-independent and can run in parallel without changing
+results. It does so with numpy's ``SeedSequence`` hash and ``PCG64``
+seeding, rewritten here bit-exact once over values that are Python ints
+(one counter, ``counter_stream``) or uint64 arrays (sorted counters,
+``counter_streams``), so a whole candidate pool, or every survivor of a
+filter, is seeded in bulk with the numbers ``substream`` would give.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -59,7 +65,7 @@ LATENT_DIM = 8  # latent coordinates read per sample; ToySource draws this many
 LATENT_STREAM = 1
 CONFIDENCE_STREAM = 50
 _DISAGREEMENT_STREAM = 60
-_TEXTURE_STREAM = 70
+TEXTURE_STREAM = 70
 
 # per-family size multipliers equalizing boundary-band length across families
 _SIZE_SCALE = {"ellipse": 1.0, "rectangle": 0.78, "star": 1.0, "crescent": 0.85}
@@ -166,14 +172,11 @@ def pcg64_random(state: int, inc: int) -> float:
     return (word >> 11) * (1.0 / 9007199254740992.0)
 
 
-def _streams(parent, key, roles):
-    """Sample seeds, then the disagreement-stream state words and those of
-    each stream in ``roles``, of the counters with spawn-key words ``key``
-    (ints or uint64 arrays)."""
+def _seed_parent(parent, key):
+    """Sample seeds of the counters with spawn-key words ``key`` (ints or
+    uint64 arrays), and the ``spawn_parent`` of each seed."""
     seeds = spawn_state(parent, key, 1)[0]
-    seed_parent = spawn_parent([seeds & _MASK32, seeds >> 32])
-    return (seeds, spawn_state(seed_parent, [_DISAGREEMENT_STREAM], 4),
-            [spawn_state(seed_parent, [role], 4) for role in roles])
+    return seeds, spawn_parent([seeds & _MASK32, seeds >> 32])
 
 
 def counter_stream(parent, counter: int, *roles: int) -> tuple:
@@ -181,27 +184,32 @@ def counter_stream(parent, counter: int, *roles: int) -> tuple:
     the PCG64 (state, increment) of ``substream(seed, role)``, where
     ``parent = spawn_parent(int_words(root))`` and the sample seed is that of
     ``SeedSequence(root, spawn_key=(counter,))``."""
-    seed, disagreement, words = _streams(parent, int_words(counter), roles)
-    return (seed, pcg64_random(*pcg64_seeded(disagreement)),
-            *(pcg64_seeded(w) for w in words))
+    seed, seed_parent = _seed_parent(parent, int_words(counter))
+    disagreement, *words = (spawn_state(seed_parent, [role], 4)
+                            for role in (_DISAGREEMENT_STREAM, *roles))
+    return (seed, pcg64_random(*pcg64_seeded(disagreement)), *map(pcg64_seeded, words))
 
 
-def counter_streams(parent, lo: int, hi: int,
-                    role: int) -> list[tuple[int, float, tuple[int, int]]]:
-    """``counter_stream(parent, c, role)`` of each counter c in [lo, hi)
-    (below 2**64), hashed as uint64 arrays: one group below 2**32, whose
-    spawn keys are one word, and one at or above it, whose keys are two."""
+def counter_streams(parent, counters: np.ndarray, *roles: int) -> list[tuple]:
+    """``counter_stream(parent, c, *roles)`` of each counter c of the sorted
+    uint64 array ``counters``, hashed as uint64 arrays: one group below
+    2**32, whose spawn keys are one word, and one at or above it, whose keys
+    are two. The disagreement stream and ``roles`` are hashed together, as
+    one column of role words against the row of seeds."""
+    if (counters[1:] < counters[:-1]).any():
+        raise ValueError("counters must be sorted")
+    low, high = np.split(counters, [np.searchsorted(counters, 1 << 32)])
+    column = np.array([_DISAGREEMENT_STREAM, *roles], dtype=np.uint64)[:, None]
     out = []
-    for a, b in ((lo, min(hi, 1 << 32)), (max(lo, 1 << 32), hi)):
-        if a >= b:
+    for key in ([low], [high & _MASK32, high >> 32]):
+        if not key[0].size:
             continue
-        counters = np.arange(a, b, dtype=np.uint64)
-        key = [counters] if b <= 1 << 32 else [counters & _MASK32, counters >> 32]
-        seeds, disagreement, (words,) = _streams(parent, key, (role,))
-        for seed, d_words, r_words in zip(seeds.tolist(),
-                                          zip(*(w.tolist() for w in disagreement)),
-                                          zip(*(w.tolist() for w in words))):
-            out.append((seed, pcg64_random(*pcg64_seeded(d_words)), pcg64_seeded(r_words)))
+        seeds, seed_parent = _seed_parent(parent, key)
+        # each role's state words, as a (counter, 4) list
+        disagreement, *role_words = np.stack(spawn_state(seed_parent, [column], 4),
+                                             axis=-1).tolist()
+        out.extend(zip(seeds.tolist(), [pcg64_random(*pcg64_seeded(w)) for w in disagreement],
+                       *(map(pcg64_seeded, words) for words in role_words)))
     return out
 
 
@@ -464,15 +472,51 @@ def toy_ensemble(spec: ToyClassSpec, z: np.ndarray, res: int = 64, *,
     return band_ensemble(fg, disagreement)
 
 
+def band_js(disagreement: float) -> tuple[float, float]:
+    """The Jensen-Shannon divergence across the heads of ``band_ensemble``
+    for its two pixel kinds, background and foreground, clamped at 0.
+
+    Equal to ``np.maximum(sampling._js(band_ensemble(fg, d).probs), 0.0)``:
+    each head is built by the same expression in Python floats, p*log(p) is
+    taken with ``math.log`` and is 0 at 0, and the heads are added in order
+    and divided by ``NUM_HEADS``, as numpy's mean over the head axis does.
+    """
+    log = math.log
+    targets = [(2.0 * k + 1.0) / (2.0 * NUM_HEADS) for k in range(NUM_HEADS)]
+    js = []
+    for truth in (0.0, 1.0):
+        anchor = (1.0 - disagreement) * truth
+        fg = [anchor + disagreement * target for target in targets]
+        bg = [1.0 - p for p in fg]
+        mixture = [reduce(operator.add, probs) / NUM_HEADS for probs in (bg, fg)]
+        mixture_entropy = -reduce(operator.add, [p * log(p) if p else 0.0 for p in mixture])
+        entropies = [-((b * log(b) if b else 0.0) + (f * log(f) if f else 0.0))
+                     for b, f in zip(bg, fg)]
+        js.append(max(0.0, mixture_entropy - reduce(operator.add, entropies) / NUM_HEADS))
+    return js[0], js[1]
+
+
+def band_uncertainty(fg: np.ndarray, disagreement: float) -> float:
+    """``sample_uncertainty(band_ensemble(fg, disagreement))`` without the
+    ensemble: the per-kind JS of ``band_js`` gathered over the band's pixels
+    in index order, summed by numpy and divided by the pixel count."""
+    kinds = fg[_band(fg)].view(np.uint8)
+    return float(np.array(band_js(disagreement)).take(kinds).sum() / fg.size)
+
+
+def texture_base(rng: np.random.Generator) -> np.ndarray:
+    """A sample's background base colour, drawn from its texture stream."""
+    return rng.integers(40, 120, size=3)
+
+
 def toy_paint(spec: ToyClassSpec, foreground: np.ndarray, colour: np.ndarray,
-              seed: int) -> tuple[Image, Mask]:
+              base: np.ndarray) -> tuple[Image, Mask]:
     """The image and mask of a sample whose ``toy_shape`` is (foreground,
-    colour): the class's background texture over a base colour drawn from
-    ``seed``, the foreground filled with ``colour``, and the foreground
-    labelled with the class id."""
-    base = substream(seed, _TEXTURE_STREAM).integers(40, 120, size=3).astype(np.float64)
+    colour) and whose ``texture_base`` is ``base``: the class's background
+    texture over ``base``, the foreground filled with ``colour``, and the
+    foreground labelled with the class id."""
     return (Image(_canvas(spec.background_texture, base, foreground, colour)),
-            Mask(np.where(foreground, np.uint8(spec.class_id), np.uint8(0))))
+            Mask(foreground.view(np.uint8) * np.uint8(spec.class_id)))
 
 
 def toy_generate(spec: ToyClassSpec, z: np.ndarray, seed: int, res: int = 64, *,
@@ -481,14 +525,14 @@ def toy_generate(spec: ToyClassSpec, z: np.ndarray, seed: int, res: int = 64, *,
     disagreement).
 
     The latent ``z`` sets the shape and its colour; ``seed`` keys only the
-    background texture. ``disagreement`` in [0, 1] sets how far the ensemble
-    heads slide from the true label toward their fixed fan of probability
-    targets inside the boundary band. The ensemble lists only the boundary
-    band's pixels. ``with_ensemble=False`` skips the head construction
-    (image and mask are unaffected). The sample is ``toy_shape`` painted by
-    ``toy_paint``.
+    background texture, through ``substream(seed, TEXTURE_STREAM)``.
+    ``disagreement`` in [0, 1] sets how far the ensemble heads slide from the
+    true label toward their fixed fan of probability targets inside the
+    boundary band. The ensemble lists only the boundary band's pixels.
+    ``with_ensemble=False`` skips the head construction (image and mask are
+    unaffected). The sample is ``toy_shape`` painted by ``toy_paint``.
     """
     fg, colour = toy_shape(spec, z, res, disagreement=disagreement)
-    image, mask = toy_paint(spec, fg, colour, seed)
+    image, mask = toy_paint(spec, fg, colour, texture_base(substream(seed, TEXTURE_STREAM)))
     return ToyOutput(image=image, gt_mask=mask,
                      ensemble=band_ensemble(fg, disagreement) if with_ensemble else None)

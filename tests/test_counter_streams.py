@@ -14,16 +14,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from labelgen.pipeline import PipelineSpec, ToySource
-from labelgen.sampling import truncated_normal
+from labelgen.sampling import sample_uncertainty, truncated_normal
 from labelgen.toygen import (
     CONFIDENCE_STREAM,
     LATENT_STREAM,
+    TEXTURE_STREAM,
     counter_stream,
     counter_streams,
     int_words,
     set_stream,
     spawn_parent,
     spawn_state,
+    substream,
     toy_generate,
 )
 
@@ -87,13 +89,30 @@ def test_edge_roots_and_counters_equal_numpy():
                 numpy_sample_seed(root, counter)
 
 
-@settings(max_examples=40, deadline=None)
-@given(root=ROOTS, lo=st.integers(2**32 - 12, 2**32 + 4), length=st.integers(0, 16))
-def test_bulk_streams_equal_one_counter_at_a_time(root, lo, length):
+# sorted counter sets that lie below 2**32, straddle it, or end at 2**64 - 1
+COUNTER_SETS = st.one_of(
+    st.sets(st.integers(0, 2**32 - 1), max_size=12),
+    st.sets(st.integers(2**32 - 8, 2**32 + 8), max_size=12),
+    st.sets(st.integers(2**64 - 20, 2**64 - 2), max_size=8).map(lambda s: s | {2**64 - 1}),
+).map(sorted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(root=ROOTS, counters=COUNTER_SETS)
+@example(root=0, counters=[])
+@example(root=5, counters=[2**32 - 1, 2**32])
+@example(root=2**130 + 5, counters=[0, 2**32, 2**64 - 1])
+def test_bulk_streams_equal_one_counter_at_a_time(root, counters):
     parent = spawn_parent(int_words(root))
-    for role in (LATENT_STREAM, CONFIDENCE_STREAM):
-        assert counter_streams(parent, lo, lo + length, role) == \
-            [counter_stream(parent, c, role) for c in range(lo, lo + length)]
+    array = np.array(counters, dtype=np.uint64)
+    for roles in ((LATENT_STREAM,), (CONFIDENCE_STREAM,), (LATENT_STREAM, TEXTURE_STREAM)):
+        assert counter_streams(parent, array, *roles) == \
+            [counter_stream(parent, c, *roles) for c in counters]
+
+
+def test_bulk_streams_need_sorted_counters():
+    with pytest.raises(ValueError, match="sorted"):
+        counter_streams(spawn_parent([0]), np.array([3, 2], dtype=np.uint64), LATENT_STREAM)
 
 
 @settings(max_examples=30, deadline=None)
@@ -130,7 +149,9 @@ def test_rendered_sample_and_ensemble_use_numpy_streams(root, counter):
     assert (ensemble.index == expected.ensemble.index).all()
     assert (ensemble.kinds == expected.ensemble.kinds).all()
     assert (ensemble.probs == expected.ensemble.probs).all()
-    _, shape = source.ensemble_and_shape(counter)
+    [(uncertainty, shape)] = source.uncertainties([counter])
+    assert repr(uncertainty) == repr(sample_uncertainty(expected.ensemble))
+    assert (shape[-3:] == substream(seed, TEXTURE_STREAM).integers(40, 120, 3)).all()
     rendered = source.render(counter, source.scored_range(counter, counter + 1)[0], shape)
     assert (rendered.image.data == expected.image.data).all()
     assert (rendered.mask.labels == expected.gt_mask.labels).all()
@@ -148,7 +169,8 @@ def test_negative_root_is_rejected(seed):
     (lambda source: source.generate(-1), -1),
     (lambda source: source.generate(2**64 + 5), 2**64 + 5),
     (lambda source: source.ensemble(2**64), 2**64),
-    (lambda source: source.ensemble_and_shape(-3), -3),
+    (lambda source: source.uncertainties([-3]), -3),
+    (lambda source: source.uncertainties([0, 7, 2**64 + 2]), 2**64 + 2),
     (lambda source: source.render(2**64, None, None), 2**64),
     (lambda source: source.scored_range(-2, 1), -2),
     (lambda source: source.scored_range(2**64 - 1, 2**64 + 1), 2**64),

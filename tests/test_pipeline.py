@@ -174,12 +174,14 @@ def _count_paints(monkeypatch) -> list:
 
 @pytest.mark.parametrize("fraction", [0.1, 0.0])
 def test_offline_builds_ensembles_only_for_rejection_survivors(tmp_path, monkeypatch, fraction):
-    # each sample is rasterized once: for its ensemble when the uncertainty
-    # stage runs, and the writer paints a survivor from that kept shape;
-    # otherwise only the written samples are rasterized, by their render
+    # each sample is rasterized once: for its uncertainty when the
+    # uncertainty stage runs, which builds no ensemble, and the writer paints
+    # a survivor from that kept shape; otherwise only the written samples are
+    # rasterized, by their render
     renders = _count_renders(monkeypatch)
     rasterizations = _count_calls(monkeypatch, toygen, "_rasterize")
     paints = _count_paints(monkeypatch)
+    ensembles = _count_calls(monkeypatch, EnsemblePrediction, "__post_init__")
     spec = PipelineSpec(filters=FilterConfig(uncertainty_fraction=fraction), seed=0)
     manifest = synth_offline(spec, 10, tmp_path)
     after_rejection = int(manifest.metadata["after_rejection"])
@@ -187,6 +189,7 @@ def test_offline_builds_ensembles_only_for_rejection_survivors(tmp_path, monkeyp
     assert len(rasterizations) == (after_rejection if fraction else 10)
     assert len(paints) == 10  # no image is painted for a candidate that is not written
     assert len(renders) == (0 if fraction else 10) and not any(renders)
+    assert not ensembles
 
 
 # a bound of 0 bytes keeps no shape, and one of three shapes keeps the first
@@ -196,7 +199,8 @@ def test_offline_builds_ensembles_only_for_rejection_survivors(tmp_path, monkeyp
     (0.1, 64, None), (0.1, 128, None), (0.1, 64, 0), (0.1, 128, 3), (0.0, 64, None)])
 def test_offline_samples_equal_generated_samples(tmp_path, monkeypatch, fraction, res, kept):
     if kept is not None:
-        monkeypatch.setattr(pipeline, "_KEPT_SHAPE_BYTES", kept * (res * res // 8 + 3))
+        # a kept shape is the bit-packed foreground, its colour and its base
+        monkeypatch.setattr(pipeline, "_KEPT_SHAPE_BYTES", kept * (res * res // 8 + 6))
     rasterizations = _count_calls(monkeypatch, toygen, "_rasterize")
     spec = PipelineSpec(filters=FilterConfig(uncertainty_fraction=fraction), seed=4,
                         resolution=res, num_classes=5)
@@ -211,6 +215,9 @@ def test_offline_samples_equal_generated_samples(tmp_path, monkeypatch, fraction
             expected.mask.labels.tobytes()
         assert replace(entry, uncertainty=None) == ManifestEntry(
             **expected.record_fields(), image_path=entry.image_path, mask_path=entry.mask_path)
+        if fraction:
+            counter = int(entry.id.removeprefix("toy-"))
+            assert entry.uncertainty == sample_uncertainty(source.ensemble(counter))
     after_rejection = int(manifest.metadata["after_rejection"])
     if not fraction:
         assert rasterized == 12
@@ -225,12 +232,15 @@ def test_offline_samples_equal_generated_samples(tmp_path, monkeypatch, fraction
 
 
 def test_synth_builds_numpy_streams_only_for_taxonomy_and_textures(tmp_path, monkeypatch, capsys):
-    # the source derives every per-sample stream itself; the renderer keys
-    # only the background texture by the seed
+    # the source derives every per-sample stream itself, the texture stream
+    # of a kept shape too; only a sample rendered from its counter, as every
+    # sample is without the uncertainty stage, keys its texture by the seed
     streams = _count_calls(monkeypatch, toygen, "substream")
-    assert main(["synth", "--n", "10", "--out", str(tmp_path)]) == 0
+    assert main(["synth", "--n", "10", "--out", str(tmp_path / "kept")]) == 0
+    assert len(streams) == 1
+    assert main(["synth", "--n", "10", "--uncertainty", "0", "--out", str(tmp_path / "plain")]) == 0
     capsys.readouterr()
-    assert len(streams) == 1 + 10
+    assert len(streams) == 1 + 1 + 10
 
 
 def test_online_renders_only_accepted_samples(monkeypatch):

@@ -9,21 +9,25 @@ from hypothesis.extra.numpy import arrays
 from scipy.stats import spearmanr
 
 from labelgen.geometry import mask_stats
-from labelgen.sampling import sample_uncertainty, truncated_normal
+from labelgen.sampling import _js, sample_uncertainty, truncated_normal
 from labelgen.toygen import (
     CONFIDENCE_STREAM,
     FAMILIES,
     LATENT_DIM,
     NUM_HEADS,
+    TEXTURE_STREAM,
     VALID_RESOLUTIONS,
     ToyClassSpec,
-    _TEXTURE_STREAM,
     _band,
     _canvas,
     _param,
     _rasterize,
+    band_ensemble,
+    band_js,
+    band_uncertainty,
     jittered_confidence,
     substream,
+    texture_base,
     toy_ensemble,
     toy_generate,
     toy_paint,
@@ -151,6 +155,34 @@ def test_uncertainty_equals_xlogy_sum_oracle():
         ensemble = toy_generate(specs[i % 16], z, seed=900 + i, res=64,
                                 disagreement=numpy_disagreement(900 + i)).ensemble
         assert sample_uncertainty(ensemble) == xlogy_uncertainty(ensemble)
+
+
+# the sign is compared too: a -0.0 would print as "-0.0" in a manifest
+@settings(max_examples=500, deadline=None)
+@given(level=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072014e-308,
+                                                     1.0 - 2**-53]))
+@example(level=0.0)
+@example(level=1.0)
+@example(level=5e-324)
+def test_band_js_equals_the_ensemble_js(level):
+    fg = np.zeros((8, 8), dtype=bool)
+    fg[2:6, 2:6] = True
+    expected = np.maximum(_js(band_ensemble(fg, level).probs), 0.0)
+    got = np.array(band_js(level))
+    assert (got == expected).all()
+    assert (np.signbit(got) == np.signbit(expected)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(index=st.integers(0, 15), seed=st.integers(0, 2**32), res=st.sampled_from(VALID_RESOLUTIONS),
+       level=st.one_of(st.none(), st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+def test_band_uncertainty_equals_the_ensemble_uncertainty(index, seed, res, level):
+    _, specs = toy_taxonomy(16, seed=0)
+    z = truncated_normal(8, 0.9, substream(seed, 1))
+    if level is None:
+        level = numpy_disagreement(seed)
+    fg, _ = toy_shape(specs[index], z, res, disagreement=level)
+    assert repr(band_uncertainty(fg, level)) == repr(sample_uncertainty(band_ensemble(fg, level)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -326,7 +358,7 @@ def test_uint8_painter_equals_the_float_canvas(texture, res, base, index, seed, 
     color = np.array([_param(z[5 + c], spec.color_low[c], spec.color_high[c]) for c in range(3)])
     expected = float_canvas_paint(res, texture, _DrawnBase(base), fg, color)
     assert (_canvas(texture, np.array(base, dtype=np.float64), fg, colour) == expected).all()
-    image, mask = toy_paint(spec, fg, colour, seed)
-    expected = float_canvas_paint(res, texture, substream(seed, _TEXTURE_STREAM), fg, color)
+    image, mask = toy_paint(spec, fg, colour, texture_base(substream(seed, TEXTURE_STREAM)))
+    expected = float_canvas_paint(res, texture, substream(seed, TEXTURE_STREAM), fg, color)
     assert (image.data == expected).all()
     assert (mask.labels == np.where(fg, spec.class_id, 0)).all()
