@@ -8,18 +8,16 @@ candidate pool, at or above ``candidate_pool_size``, that the batch filters
 leave n samples of, applies confidence rejection then uncertainty
 filtering, and writes images, masks and a manifest to ``out_dir``.
 Confidence comes from a sample's seed alone, so rejected candidates are
-never rendered or ensemble-scored. Uncertainty needs only a sample's
-shape, so each rejection survivor is rasterized and scored from its
-shape's boundary band (``ToySource.uncertainties``), with no image and no
-``EnsemblePrediction``. That shape is kept, bit-packed with
-its colour and its background base colour, so each survivor is rasterized
-once: the writer paints the final survivors from their kept shapes
-(``ToySource.render``) and drops each shape once it is written or filtered
-out. The kept shapes are bounded by ``_KEPT_SHAPE_BYTES``; a survivor past
-the bound, and every sample of a run without the uncertainty stage, is
-rendered from its counter (``ToySource.generate``). Between stages only
-pixel-free records and kept shapes are held, never images, masks or
-ensembles.
+never rasterized. ``ToySource.shapes`` is the one way a run turns counters
+into pixels: it rasterizes each counter once and keeps its shape, bit-packed
+with its colour and its background base colour, and ``ToySource.render``
+paints a written sample from that kept shape. Each rejection survivor's
+uncertainty is scored from its shape's boundary band (``band_uncertainty``),
+with no image and no ``EnsemblePrediction``. The kept shapes are bounded by
+``_KEPT_SHAPE_BYTES``; the written samples that have none, because they are
+past the bound or the run has no uncertainty stage, get theirs from one more
+``shapes`` call. Between stages only pixel-free records and kept shapes are
+held, never images, masks or ensembles.
 ``OnlineStream(spec)`` is a never-repeating stream that applies only cheap
 per-sample filters: the confidence threshold is calibrated once from a
 warmup batch, only accepted counters are rendered, and the expensive
@@ -29,30 +27,28 @@ records ``uncertainty_fraction`` 0.0 whatever the spec's filters say, since
 that stage never runs. The manifest's ``#mode`` names the writer:
 ``offline`` for ``synth_offline``, ``online`` for ``write_stream``.
 
-A source is a deterministic function of a 64-bit seed counter, so any run
-is reproducible and candidate generation can be distributed over disjoint
-counter ranges without changing the result. The pipeline reads five members
-of its source: ``taxonomy``, ``scored_range(lo, hi)`` (the pixel-free samples
-of a counter range with their confidences), ``uncertainties(counters)``
-(each counter's uncertainty and kept shape), ``render(counter, sample,
-shape)`` (a scored sample painted from its kept shape) and
-``generate(counter)`` (the rendered ``LabeledSample``). Each rejects a
-counter outside [0, 2**64). Offline mode scores its whole pool with one
-``scored_range`` call and its rejection survivors with one
-``uncertainties`` call, online mode its warmup batch with one
-``scored_range`` call and its pulls in chunks of ``STREAM_CHUNK`` counters.
-``ToySource`` derives each counter's sample seed, disagreement level,
-confidence, latent and texture streams, once per stage and in bulk for a
-range or a survivor list, bit-exact with numpy's ``SeedSequence`` and
-``PCG64`` (see ``toygen``), and hands them to the renderer. ``ToySource``
-is the one source, and every manifest records ``#source=toy``.
+A source is a deterministic function of a 64-bit seed counter, so any run is
+reproducible and candidate generation can be distributed over disjoint counter
+ranges without changing the result. The pipeline reads four members of its
+source: ``taxonomy``, ``scored_range(lo, hi)`` (the pixel-free samples of a
+counter range with their confidences), ``shapes(counters)`` and
+``render(counter, sample, shape)``; each rejects a counter outside [0, 2**64).
+Offline mode scores its whole pool with one ``scored_range`` call, online mode
+its warmup batch with one and its pulls in chunks of ``STREAM_CHUNK``
+counters, whose accepted counters it hands to one ``shapes`` call.
+``ToySource`` derives each counter's sample seed, disagreement level and
+confidence stream in bulk for a range, and its latent and texture streams in
+bulk for a counter list, ``_STREAM_BATCH`` counters at a time, bit-exact with
+numpy's ``SeedSequence`` and ``PCG64`` (see ``toygen``). Its ``generate`` and
+``ensemble`` derive one counter alone, as references that no run calls.
+``ToySource`` is the one source, and every manifest records ``#source=toy``.
 """
 from __future__ import annotations
 
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
 
 import numpy as np
@@ -101,9 +97,12 @@ from .toygen import (
 
 WARMUP_SIZE = 1000
 STREAM_CHUNK = 128  # counters an online stream scores at a time
-# bytes of kept shapes an offline run holds for its writer: 64777 survivors at
-# 64 px, 4093 at 256 px; a survivor past it is rasterized again to be written
+# bytes of kept shapes an offline run holds for its writer: a shape at 64 px is
+# 518 B (512 of packed bits, 3 of colour, 3 of base), so 64776 survivors, or
+# 4093 at 256 px; a survivor past it is rasterized again through shapes
 _KEPT_SHAPE_BYTES = 1 << 25
+# counters whose latent and texture streams one counter_streams call derives
+_STREAM_BATCH = 4096
 # warmup counters live in their own range so the yielded stream always
 # starts at counter 0, with or without calibration
 _WARMUP_BASE = 1 << 56
@@ -141,10 +140,10 @@ class ToySource:
     place a sample's randomness is derived: it and the counter's
     disagreement, confidence, latent and texture streams come without
     building numpy seed sequences, in bulk for a counter range or a list of
-    survivors, and the confidence jitter, the latent and the texture base
+    counters, and the confidence jitter, the latent and the texture base
     are drawn from one reused generator put in the stream's state.
-    ``toygen`` renders from the latent, seed and disagreement it is given;
-    ``generate`` lets it draw the texture base from the seed.
+    ``toygen`` renders from the latent, disagreement and texture base it is
+    given; only ``generate`` lets it draw the texture base from the seed.
     """
 
     def __init__(self, spec: PipelineSpec):
@@ -200,35 +199,32 @@ class ToySource:
         fg, _ = self._shape(class_spec, disagreement, latent)
         return band_ensemble(fg, disagreement)
 
-    def uncertainties(self, counters: list[int]):
-        """An iterator over each counter's uncertainty, equal to
-        ``sample_uncertainty(ensemble(counter))``, and its shape kept for
-        ``render``. ``counters`` must be increasing: their streams are derived
-        in one bulk call before this returns, and each counter is rasterized
-        once, when the iterator reaches it. Builds no ``EnsemblePrediction``
-        and paints nothing."""
+    def shapes(self, counters: list[int]):
+        """An iterator over each counter's disagreement, foreground and kept
+        shape: the foreground bit-packed by ``np.packbits``, then the three
+        bytes of its colour and the three of its texture base. ``counters``
+        must be increasing and are all checked before this returns; their
+        streams are derived ``_STREAM_BATCH`` at a time, and each counter is
+        rasterized once, when the iterator reaches it. Paints nothing."""
         for counter in counters:
             _check_counter(counter)
-        streams = counter_streams(self._parent, np.array(counters, dtype=np.uint64),
-                                  LATENT_STREAM, TEXTURE_STREAM)
-        return (self._kept(counter, disagreement, latent, texture)
-                for counter, (_, disagreement, latent, texture) in zip(counters, streams))
+        return self._kept(counters)
 
-    def _kept(self, counter: int, disagreement: float, latent: tuple[int, int],
-              texture: tuple[int, int]) -> tuple[float, np.ndarray]:
-        """The counter's uncertainty and kept shape: the foreground bit-packed
-        by ``np.packbits``, then the three bytes of its colour and the three
-        of its texture base."""
-        fg, colour = self._shape(self._class_spec(counter), disagreement, latent)
-        base = texture_base(set_stream(self._rng, texture)).astype(np.uint8)
-        return band_uncertainty(fg, disagreement), np.concatenate((np.packbits(fg), colour, base))
+    def _kept(self, counters: list[int]):
+        for lo in range(0, len(counters), _STREAM_BATCH):
+            batch = counters[lo:lo + _STREAM_BATCH]
+            streams = counter_streams(self._parent, np.array(batch, dtype=np.uint64),
+                                      LATENT_STREAM, TEXTURE_STREAM)
+            for counter, (_, disagreement, latent, texture) in zip(batch, streams):
+                fg, colour = self._shape(self._class_spec(counter), disagreement, latent)
+                base = texture_base(set_stream(self._rng, texture)).astype(np.uint8)
+                yield disagreement, fg, np.concatenate((np.packbits(fg), colour, base))
 
     def render(self, counter: int, sample: LabeledSample, shape: np.ndarray) -> LabeledSample:
         """``sample``, the counter's pixel-free sample, with the image and mask
-        of ``generate(counter)``, painted from the shape that
-        ``uncertainties`` kept for the counter: the counter's streams are not
-        derived again, its latent is not drawn and its shape is not
-        rasterized."""
+        of ``generate(counter)``, painted from the shape that ``shapes`` kept
+        for the counter: its streams are not derived again, its latent is not
+        drawn and its shape is not rasterized."""
         class_spec = self._class_spec(counter)
         res = self.spec.resolution
         fg = np.unpackbits(shape[:-6], count=res * res).view(bool).reshape(res, res)
@@ -236,7 +232,9 @@ class ToySource:
         return replace(sample, image=image, mask=mask)
 
     def generate(self, counter: int) -> LabeledSample:
-        """The counter's rendered sample: image, mask and confidence."""
+        """The counter's rendered sample: image, mask and confidence, derived
+        for this counter alone through ``toy_generate``. The per-counter
+        reference that ``render`` of a kept shape equals; no run calls it."""
         class_spec = self._class_spec(counter)
         seed, disagreement, latent, confidence = counter_stream(
             self._parent, counter, LATENT_STREAM, CONFIDENCE_STREAM)
@@ -289,9 +287,9 @@ def synth_offline(spec: PipelineSpec, n: int, out_dir) -> DatasetManifest:
     after_rejection = len(kept)
     if fraction > 0:
         scored, held = [], 0
-        uncertainties = source.uncertainties([counter_of[slim.id] for slim in kept])
-        for slim, (uncertainty, shape) in zip(kept, uncertainties):
-            scored.append(replace(slim, uncertainty=uncertainty))
+        for slim, (disagreement, fg, shape) in zip(
+                kept, source.shapes([counter_of[slim.id] for slim in kept])):
+            scored.append(replace(slim, uncertainty=band_uncertainty(fg, disagreement)))
             if held + shape.nbytes <= _KEPT_SHAPE_BYTES:
                 shapes[slim.id] = shape
                 held += shape.nbytes
@@ -303,9 +301,12 @@ def synth_offline(spec: PipelineSpec, n: int, out_dir) -> DatasetManifest:
 
     written = kept[:n]
     shapes = {slim.id: shapes[slim.id] for slim in written if slim.id in shapes}
+    # the filters keep input order, so the counters without a shape increase
+    rasterized = source.shapes([counter_of[slim.id] for slim in written
+                                if slim.id not in shapes])
     full_survivors = (
-        source.render(counter_of[slim.id], slim, shapes.pop(slim.id)) if slim.id in shapes
-        else replace(source.generate(counter_of[slim.id]), uncertainty=slim.uncertainty)
+        source.render(counter_of[slim.id], slim,
+                      shapes.pop(slim.id) if slim.id in shapes else next(rasterized)[2])
         for slim in written
     )
     return _write_dataset(spec, "offline", out_dir, full_survivors, source.taxonomy,
@@ -381,33 +382,31 @@ class OnlineStream:
         self.candidates = 0
         self.accepted = 0
         self.threshold: float | None = None
-        self._chunk_lo = 0
-        self._chunk: list[float] = []  # confidences of counters _chunk_lo onward
         rate = spec.filters.rejection_rate
         if rate > 0:
             warm = self.source.scored_range(_WARMUP_BASE, _WARMUP_BASE + WARMUP_SIZE)
             self.threshold = float(np.quantile([s.confidence for s in warm], rate))
+        self._pulls = self._accepted_samples()
 
     def __iter__(self):
         return self
 
     def __next__(self) -> LabeledSample:
-        """Test each counter's confidence first; render only an accepted one."""
-        while True:
-            counter = self.candidates
-            self.candidates += 1
-            if self.threshold is None or self._confidence(counter) > self.threshold:
-                self.accepted += 1
-                return self.source.generate(counter)
+        return next(self._pulls)
 
-    def _confidence(self, counter: int) -> float:
-        """The counter's confidence; past the scored chunk, the next
-        STREAM_CHUNK counters are scored."""
-        if counter - self._chunk_lo >= len(self._chunk):
-            self._chunk_lo = counter
-            self._chunk = [s.confidence for s in
-                           self.source.scored_range(counter, counter + STREAM_CHUNK)]
-        return self._chunk[counter - self._chunk_lo]
+    def _accepted_samples(self):
+        """Score STREAM_CHUNK counters at a time, then hand the chunk's
+        accepted counters to one ``shapes`` call: each is rasterized and
+        painted only when it is pulled."""
+        for lo in count(0, STREAM_CHUNK):
+            accepted = [(counter, slim) for counter, slim in enumerate(
+                self.source.scored_range(lo, lo + STREAM_CHUNK), lo)
+                if self.threshold is None or slim.confidence > self.threshold]
+            shapes = self.source.shapes([counter for counter, _ in accepted])
+            for (counter, slim), (_, _, shape) in zip(accepted, shapes):
+                self.candidates = counter + 1
+                self.accepted += 1
+                yield self.source.render(counter, slim, shape)
 
 
 def write_stream(spec: PipelineSpec, count: int, out_dir) -> DatasetManifest:

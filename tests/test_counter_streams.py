@@ -19,6 +19,7 @@ from labelgen.toygen import (
     CONFIDENCE_STREAM,
     LATENT_STREAM,
     TEXTURE_STREAM,
+    band_uncertainty,
     counter_stream,
     counter_streams,
     int_words,
@@ -149,8 +150,10 @@ def test_rendered_sample_and_ensemble_use_numpy_streams(root, counter):
     assert (ensemble.index == expected.ensemble.index).all()
     assert (ensemble.kinds == expected.ensemble.kinds).all()
     assert (ensemble.probs == expected.ensemble.probs).all()
-    [(uncertainty, shape)] = source.uncertainties([counter])
-    assert repr(uncertainty) == repr(sample_uncertainty(expected.ensemble))
+    [(disagreement, fg, shape)] = source.shapes([counter])
+    assert disagreement == numpy_disagreement(seed)
+    assert (fg == expected.gt_mask.foreground()).all()
+    assert repr(band_uncertainty(fg, disagreement)) == repr(sample_uncertainty(expected.ensemble))
     assert (shape[-3:] == substream(seed, TEXTURE_STREAM).integers(40, 120, 3)).all()
     rendered = source.render(counter, source.scored_range(counter, counter + 1)[0], shape)
     assert (rendered.image.data == expected.image.data).all()
@@ -169,8 +172,8 @@ def test_negative_root_is_rejected(seed):
     (lambda source: source.generate(-1), -1),
     (lambda source: source.generate(2**64 + 5), 2**64 + 5),
     (lambda source: source.ensemble(2**64), 2**64),
-    (lambda source: source.uncertainties([-3]), -3),
-    (lambda source: source.uncertainties([0, 7, 2**64 + 2]), 2**64 + 2),
+    (lambda source: source.shapes([-3]), -3),
+    (lambda source: source.shapes([0, 7, 2**64 + 2]), 2**64 + 2),
     (lambda source: source.render(2**64, None, None), 2**64),
     (lambda source: source.scored_range(-2, 1), -2),
     (lambda source: source.scored_range(2**64 - 1, 2**64 + 1), 2**64),

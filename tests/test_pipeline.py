@@ -38,6 +38,11 @@ from .oracles import (
 NO_FILTERS = FilterConfig(rejection_rate=0.0, uncertainty_fraction=0.0)
 
 
+def _dataset_bytes(out_dir):
+    """Each file's bytes by its path under out_dir."""
+    return {p.relative_to(out_dir): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+
+
 def _listing(out_dir):
     """Sorted file names under images/ and masks/."""
     return tuple(sorted(p.name for p in (out_dir / sub).iterdir()) for sub in ("images", "masks"))
@@ -177,7 +182,7 @@ def test_offline_builds_ensembles_only_for_rejection_survivors(tmp_path, monkeyp
     # each sample is rasterized once: for its uncertainty when the
     # uncertainty stage runs, which builds no ensemble, and the writer paints
     # a survivor from that kept shape; otherwise only the written samples are
-    # rasterized, by their render
+    # rasterized, by one shapes call. No run renders through toy_generate.
     renders = _count_renders(monkeypatch)
     rasterizations = _count_calls(monkeypatch, toygen, "_rasterize")
     paints = _count_paints(monkeypatch)
@@ -188,13 +193,13 @@ def test_offline_builds_ensembles_only_for_rejection_survivors(tmp_path, monkeyp
     assert after_rejection == math.ceil(0.1 * int(manifest.metadata["pool"]))
     assert len(rasterizations) == (after_rejection if fraction else 10)
     assert len(paints) == 10  # no image is painted for a candidate that is not written
-    assert len(renders) == (0 if fraction else 10) and not any(renders)
+    assert not renders
     assert not ensembles
 
 
 # a bound of 0 bytes keeps no shape, and one of three shapes keeps the first
 # three rejection survivors' shapes, so the other written samples are
-# rendered from their counters
+# rasterized again through shapes
 @pytest.mark.parametrize("fraction, res, kept", [
     (0.1, 64, None), (0.1, 128, None), (0.1, 64, 0), (0.1, 128, 3), (0.0, 64, None)])
 def test_offline_samples_equal_generated_samples(tmp_path, monkeypatch, fraction, res, kept):
@@ -233,24 +238,49 @@ def test_offline_samples_equal_generated_samples(tmp_path, monkeypatch, fraction
 
 def test_synth_builds_numpy_streams_only_for_taxonomy_and_textures(tmp_path, monkeypatch, capsys):
     # the source derives every per-sample stream itself, the texture stream
-    # of a kept shape too; only a sample rendered from its counter, as every
-    # sample is without the uncertainty stage, keys its texture by the seed
+    # too, with or without the uncertainty stage: only the taxonomy builds a
+    # numpy stream
     streams = _count_calls(monkeypatch, toygen, "substream")
     assert main(["synth", "--n", "10", "--out", str(tmp_path / "kept")]) == 0
     assert len(streams) == 1
     assert main(["synth", "--n", "10", "--uncertainty", "0", "--out", str(tmp_path / "plain")]) == 0
     capsys.readouterr()
-    assert len(streams) == 1 + 1 + 10
+    assert len(streams) == 1 + 1
 
 
 def test_online_renders_only_accepted_samples(monkeypatch):
-    calls = _count_renders(monkeypatch)
+    # a scored chunk's accepted counters are rasterized only as they are
+    # pulled, and painted from their kept shapes, not through toy_generate
+    renders = _count_renders(monkeypatch)
+    rasterizations = _count_calls(monkeypatch, toygen, "_rasterize")
     stream = OnlineStream(PipelineSpec(seed=0))
-    for _ in range(20):
+    for pulled in range(1, 21):
         next(stream)
+        assert len(rasterizations) == stream.accepted == pulled
     assert stream.candidates > 100
-    assert len(calls) == stream.accepted == 20
-    assert not any(calls)
+    assert not renders
+
+
+@pytest.mark.parametrize("argv, kept_bytes", [
+    pytest.param(["synth", "--n", "10"], None, id="synth"),
+    pytest.param(["synth", "--n", "10", "--uncertainty", "0"], None, id="synth-no-uncertainty"),
+    pytest.param(["synth", "--n", "10"], 0, id="synth-no-kept-shapes"),
+    pytest.param(["stream", "--count", "130", "--rejection", "0"], None, id="stream"),
+])
+def test_shapes_in_small_batches_write_the_same_bytes(tmp_path, monkeypatch, capsys, argv,
+                                                       kept_bytes):
+    # the stream's 130 pulls run past its first chunk of 128 accepted counters
+    assert main([*argv, "--out", str(tmp_path / "whole")]) == 0
+    monkeypatch.setattr(pipeline, "_STREAM_BATCH", 3)
+    if kept_bytes is not None:
+        monkeypatch.setattr(pipeline, "_KEPT_SHAPE_BYTES", kept_bytes)
+    derived = _count_calls(monkeypatch, pipeline, "counter_streams")
+    assert main([*argv, "--out", str(tmp_path / "batched")]) == 0
+    capsys.readouterr()
+    batches = [len(counters) for _, counters, *roles in derived
+               if roles == [toygen.LATENT_STREAM, toygen.TEXTURE_STREAM]]
+    assert len(batches) > 1 and max(batches) <= 3
+    assert _dataset_bytes(tmp_path / "batched") == _dataset_bytes(tmp_path / "whole")
 
 
 def test_unknown_source_rejected():
