@@ -115,6 +115,14 @@ PINNED = {
             "masks": "c51128a75232cee4ab56bbae399a595c267caf407e3745e2c8d5e7f3b490406b",
             "taxonomy": "9bbba69a279e126f5515eccc8726d3f26f52ce820c5181f2485be85d823aed95",
         }),
+    # a pool of 4445 candidates, scored in more than one chunk of 4096
+    "synth-pool-4445": (
+        ["synth", "--n", "400", "--seed", "13"], 400, {
+            "entries": "0089a2cdd691650f234d5c078bdb5ffeea87947210cae8757f1c12a9f3d7724d",
+            "images": "751da84d0b3eaf41df5247995c4b5fa74778a4794badb52aa58b7249a8d7ca5d",
+            "masks": "a82c53901206d6f524b5fd3ec7c4debd5a6bfea4491428d6dbd3caeb5e6e4c62",
+            "taxonomy": TAXONOMY_16_SEED_DEFAULT,
+        }),
     "stream-res-128": (
         ["stream", "--count", "12", "--res", "128", "--seed", "6"], 12, {
             "entries": "0cd2c0f2fd4f8c6cac97fae8bf870ec53ddde98b538d08cdd5b8ee98d3331f51",
