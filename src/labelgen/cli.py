@@ -6,7 +6,8 @@ the default seed 0; an explicit --seed flag wins over both.
 
 Exit codes: 0 success; 1 when the command line does not parse (an unknown
 flag, a missing required flag, a non-integer --n); 2 when a parsed value or
-an input file is rejected (--n 0, --res 100, a --truncation below 0.01,
+an input file is rejected (--n 0, an --n whose candidate pool is more than
+10**12, --res 100, a --truncation below 0.01,
 a negative --count, a negative or NaN --epsilon, --k 0, a non-integer
 LABELGEN_SEED, a negative --seed or LABELGEN_SEED, a malformed manifest).
 Errors print one line to stderr, never a traceback. A reader that closes
@@ -228,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth",
                        help="synthesize an offline labeled dataset")
     _add_source_args(p)
-    p.add_argument("--n", type=int, required=True, help="samples to keep")
+    p.add_argument("--n", type=int, required=True,
+                   help="samples to keep (their candidate pool at most 10**12)")
     p.add_argument("--uncertainty", type=float, default=None,
                    help="ensemble uncertainty drop fraction (default 0.10)")
     p.add_argument("--out", required=True, help="output directory")

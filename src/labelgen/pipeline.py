@@ -8,16 +8,20 @@ candidate pool, at or above ``candidate_pool_size``, that the batch filters
 leave n samples of, applies confidence rejection then uncertainty
 filtering, and writes images, masks and a manifest to ``out_dir``.
 Confidence comes from a sample's seed alone, so rejected candidates are
-never rasterized. ``ToySource.shapes`` is the one way a run turns counters
-into pixels: it rasterizes each counter once and keeps its shape, bit-packed
-with its colour and its background base colour, and ``ToySource.render``
-paints a written sample from that kept shape. Each rejection survivor's
-uncertainty is scored from its shape's boundary band (``band_uncertainty``),
-with no image and no ``EnsemblePrediction``. The kept shapes are bounded by
-``_KEPT_SHAPE_BYTES``; the written samples that have none, because they are
-past the bound or the run has no uncertainty stage, get theirs from one more
-``shapes`` call. Between stages only pixel-free records and kept shapes are
-held, never images, masks or ensembles.
+never rasterized. The funnel runs on arrays: the pool's confidences, the
+surviving counters, cut by ``sampling.ranked_cut``, and the survivors'
+uncertainties; a ``LabeledSample`` is built only for a written sample, at
+the writer. ``ToySource.shapes`` is the one way a run turns counters into
+pixels: it rasterizes each counter once and keeps its shape, bit-packed with
+its colour and its background base colour, and ``ToySource.render`` paints
+a written sample from that kept shape. Each rejection survivor's
+uncertainty is scored from its shape's boundary band
+(``band_uncertainties``, over stacks of at most ``_BAND_STACK_PIXELS``
+foreground pixels), with no image and no ``EnsemblePrediction``. The kept
+shapes are bounded by ``_KEPT_SHAPE_BYTES``; the written samples that have
+none, because they are past the bound or the run has no uncertainty stage,
+get theirs from one more ``shapes`` call. Between stages only arrays and
+kept shapes are held, never records, images, masks or ensembles.
 ``OnlineStream(spec)`` is a never-repeating stream that applies only cheap
 per-sample filters: the confidence threshold is calibrated once from a
 warmup batch, only accepted counters are rendered, and the expensive
@@ -30,15 +34,18 @@ that stage never runs. The manifest's ``#mode`` names the writer:
 A source is a deterministic function of a 64-bit seed counter, so any run is
 reproducible and candidate generation can be distributed over disjoint counter
 ranges without changing the result. The pipeline reads four members of its
-source: ``taxonomy``, ``scored_range(lo, hi)`` (the pixel-free samples of a
-counter range with their confidences), ``shapes(counters)`` and
-``render(counter, sample, shape)``; each rejects a counter outside [0, 2**64).
-Offline mode scores its whole pool with one ``scored_range`` call, online mode
-its warmup batch with one and its pulls in chunks of ``STREAM_CHUNK``
-counters, whose accepted counters it hands to one ``shapes`` call.
+source: ``taxonomy``, ``confidences(lo, hi)`` (a counter range's
+confidences, as one float64 array), ``shapes(counters)`` (each counter's
+sample seed, disagreement, foreground and kept shape) and ``render(counter,
+seed, confidence, shape, uncertainty)`` (the written sample's record and
+pixels); each rejects a counter outside [0, 2**64). Offline mode scores its
+whole pool with one ``confidences`` call, online mode its warmup batch with
+one and its pulls in chunks of ``STREAM_CHUNK`` counters, whose accepted
+counters it hands to one ``shapes`` call.
 ``ToySource`` derives each counter's sample seed, disagreement level and
 confidence stream in bulk for a range, and its latent and texture streams in
-bulk for a counter list, ``_STREAM_BATCH`` counters at a time, bit-exact with
+bulk for a counter list, ``_STREAM_BATCH`` counters at a time in both cases,
+so no per-counter object outlives its batch, bit-exact with
 numpy's ``SeedSequence`` and ``PCG64`` (see ``toygen``). Its ``generate`` and
 ``ensemble`` derive one counter alone, as references that no run calls.
 ``ToySource`` is the one source, and every manifest records ``#source=toy``.
@@ -48,7 +55,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
-from itertools import count, islice
+from itertools import count, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -67,12 +74,12 @@ from .formats import (
 from .sampling import (
     EnsemblePrediction,
     FilterConfig,
-    confidence_rejection,
     filtered_count,
-    sample_uncertainty,  # unused here: the benchmark's tracer wraps this name
+    ranked_cut,
     truncated_normal,
-    uncertainty_filter,
 )
+# unused here: the benchmark's tracer wraps these names
+from .sampling import confidence_rejection, sample_uncertainty, uncertainty_filter  # noqa: F401
 from .toygen import (
     CONFIDENCE_STREAM,
     LATENT_DIM,
@@ -81,7 +88,7 @@ from .toygen import (
     VALID_RESOLUTIONS,
     ToyClassSpec,
     band_ensemble,
-    band_uncertainty,
+    band_uncertainties,
     counter_stream,
     counter_streams,
     int_words,
@@ -101,8 +108,13 @@ STREAM_CHUNK = 128  # counters an online stream scores at a time
 # 518 B (512 of packed bits, 3 of colour, 3 of base), so 64776 survivors, or
 # 4093 at 256 px; a survivor past it is rasterized again through shapes
 _KEPT_SHAPE_BYTES = 1 << 25
-# counters whose latent and texture streams one counter_streams call derives
+# counters whose streams one counter_streams call derives
 _STREAM_BATCH = 4096
+# foreground pixels that one _band pass of the uncertainty stage covers
+_BAND_STACK_PIXELS = 1 << 18
+# the largest offline pool: ids toy-%012d sort in counter order only below
+# 10**12, so past it a tie broken by counter is not one broken by id
+MAX_POOL = 10**12
 # warmup counters live in their own range so the yielded stream always
 # starts at counter 0, with or without calibration
 _WARMUP_BASE = 1 << 56
@@ -157,30 +169,35 @@ class ToySource:
         _check_counter(counter)
         return self.class_specs[counter % len(self.class_specs)]
 
-    def _sample(self, counter: int, seed: int, disagreement: float,
-                confidence_state: tuple[int, int], **pixels) -> LabeledSample:
-        """The counter's sample: id, class, provenance, latent seed, the
-        confidence drawn from its confidence-stream state, and ``pixels``."""
+    def _sample(self, counter: int, seed: int, confidence: float, **fields) -> LabeledSample:
+        """The counter's record: id, class, provenance, latent seed,
+        confidence and ``fields``."""
         return LabeledSample(
             id=f"toy-{counter:012d}",
             class_id=self.class_specs[counter % len(self.class_specs)].class_id,
             provenance="toy",
             latent_seed=seed,
-            confidence=jittered_confidence(disagreement, set_stream(self._rng, confidence_state)),
-            **pixels,
+            confidence=confidence,
+            **fields,
         )
 
-    def scored_range(self, lo: int, hi: int) -> list[LabeledSample]:
-        """The samples of counters lo..hi-1 (0 <= lo, hi <= 2**64) without
-        pixels: id, class, provenance, latent seed and confidence, equal to
-        those of ``generate(counter)``. Their seeds and streams are derived in
-        bulk; draws no latent, renders nothing and builds no ensemble."""
+    def confidences(self, lo: int, hi: int) -> np.ndarray:
+        """The confidences of counters lo..hi-1 (0 <= lo, hi <= 2**64) as one
+        float64 array, equal to those of ``generate(counter)``. Their seeds
+        and streams are derived ``_STREAM_BATCH`` counters at a time, so no
+        per-counter object outlives its batch; draws no latent, renders
+        nothing and builds no record."""
         if lo < hi:
             _check_counter(lo)
             _check_counter(hi - 1)
-        return [self._sample(counter, *streams) for counter, streams in zip(
-            range(lo, hi), counter_streams(self._parent, np.arange(lo, hi, dtype=np.uint64),
-                                           CONFIDENCE_STREAM))]
+        out = np.empty(max(hi - lo, 0))
+        for start in range(lo, hi, _STREAM_BATCH):
+            stop = min(start + _STREAM_BATCH, hi)
+            out[start - lo:stop - lo] = [
+                jittered_confidence(disagreement, set_stream(self._rng, state))
+                for _, disagreement, state in counter_streams(
+                    self._parent, np.arange(start, stop, dtype=np.uint64), CONFIDENCE_STREAM)]
+        return out
 
     def _shape(self, class_spec: ToyClassSpec, disagreement: float,
                latent: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -200,12 +217,13 @@ class ToySource:
         return band_ensemble(fg, disagreement)
 
     def shapes(self, counters: list[int]):
-        """An iterator over each counter's disagreement, foreground and kept
-        shape: the foreground bit-packed by ``np.packbits``, then the three
-        bytes of its colour and the three of its texture base. ``counters``
-        must be increasing and are all checked before this returns; their
-        streams are derived ``_STREAM_BATCH`` at a time, and each counter is
-        rasterized once, when the iterator reaches it. Paints nothing."""
+        """An iterator over each counter's sample seed, disagreement,
+        foreground and kept shape: the foreground bit-packed by
+        ``np.packbits``, then the three bytes of its colour and the three of
+        its texture base. ``counters`` must be increasing and are all checked
+        before this returns; their streams are derived ``_STREAM_BATCH`` at a
+        time, and each counter is rasterized once, when the iterator reaches
+        it. Paints nothing."""
         for counter in counters:
             _check_counter(counter)
         return self._kept(counters)
@@ -215,21 +233,24 @@ class ToySource:
             batch = counters[lo:lo + _STREAM_BATCH]
             streams = counter_streams(self._parent, np.array(batch, dtype=np.uint64),
                                       LATENT_STREAM, TEXTURE_STREAM)
-            for counter, (_, disagreement, latent, texture) in zip(batch, streams):
+            for counter, (seed, disagreement, latent, texture) in zip(batch, streams):
                 fg, colour = self._shape(self._class_spec(counter), disagreement, latent)
                 base = texture_base(set_stream(self._rng, texture)).astype(np.uint8)
-                yield disagreement, fg, np.concatenate((np.packbits(fg), colour, base))
+                yield seed, disagreement, fg, np.concatenate((np.packbits(fg), colour, base))
 
-    def render(self, counter: int, sample: LabeledSample, shape: np.ndarray) -> LabeledSample:
-        """``sample``, the counter's pixel-free sample, with the image and mask
-        of ``generate(counter)``, painted from the shape that ``shapes`` kept
-        for the counter: its streams are not derived again, its latent is not
-        drawn and its shape is not rasterized."""
+    def render(self, counter: int, seed: int, confidence: float, shape: np.ndarray,
+               uncertainty: float | None = None) -> LabeledSample:
+        """The counter's written sample: its record, from the sample seed that
+        ``shapes`` gave with ``shape``, ``confidence`` and ``uncertainty``,
+        with the image and mask of ``generate(counter)`` painted from
+        ``shape``: its streams are not derived again, its latent is not drawn
+        and its shape is not rasterized."""
         class_spec = self._class_spec(counter)
         res = self.spec.resolution
         fg = np.unpackbits(shape[:-6], count=res * res).view(bool).reshape(res, res)
         image, mask = toy_paint(class_spec, fg, shape[-6:-3], shape[-3:])
-        return replace(sample, image=image, mask=mask)
+        return self._sample(counter, seed, confidence, uncertainty=uncertainty,
+                            image=image, mask=mask)
 
     def generate(self, counter: int) -> LabeledSample:
         """The counter's rendered sample: image, mask and confidence, derived
@@ -242,7 +263,8 @@ class ToySource:
                              set_stream(self._rng, latent))
         out = toy_generate(class_spec, z, seed, self.spec.resolution,
                            disagreement=disagreement, with_ensemble=False)
-        return self._sample(counter, seed, disagreement, confidence,
+        return self._sample(counter, seed,
+                            jittered_confidence(disagreement, set_stream(self._rng, confidence)),
                             image=out.image, mask=out.gt_mask)
 
 
@@ -263,11 +285,11 @@ def synth_offline(spec: PipelineSpec, n: int, out_dir) -> DatasetManifest:
     ``after_rejection`` and ``after_uncertainty`` kept after each stage, the
     lowest confidence rejection kept (``confidence_cut``) and the highest
     uncertainty the uncertainty filter kept (``uncertainty_cut``); a stage
-    that is off has cut ``-``.
+    that is off has cut ``-``. A pool of more than ``MAX_POOL`` candidates is
+    rejected before any file is touched.
     """
     if n < 1:
         raise ValueError("offline mode needs n >= 1")
-    source = ToySource(spec)
     rate = spec.filters.rejection_rate
     fraction = spec.filters.uncertainty_fraction
 
@@ -275,41 +297,60 @@ def synth_offline(spec: PipelineSpec, n: int, out_dir) -> DatasetManifest:
     pool = candidate_pool_size(n, rate, fraction)
     while filtered_count(pool, rate, fraction) < n:
         pool += 1
+    if pool > MAX_POOL:
+        raise ValueError(f"{n} samples need a pool of {pool} candidates; "
+                         f"at most {MAX_POOL} are scored")
 
-    candidates = source.scored_range(0, pool)
-    counter_of = {s.id: counter for counter, s in enumerate(candidates)}
-    kept = candidates
-    shapes = {}  # rejection survivors' kept shapes by id, at most _KEPT_SHAPE_BYTES of them
+    source = ToySource(spec)
+    confidences = source.confidences(0, pool)
+    # the funnel runs on arrays: the surviving counters, increasing, which are
+    # also their positions in the pool, and the survivors' uncertainties; the
+    # filtered_count of one stage, the other off, is what that stage keeps
+    kept = np.arange(pool)
+    uncertainties = repeat(None)
+    kept_shapes = {}  # (seed, kept shape) by counter, at most _KEPT_SHAPE_BYTES of shapes
     confidence_cut = uncertainty_cut = "-"
     if rate > 0:
-        kept = confidence_rejection(kept, rate)
-        confidence_cut = repr(min(s.confidence for s in kept))
+        kept = kept[ranked_cut(confidences, kept, filtered_count(pool, rate, 0.0), -1)]
+        confidence_cut = repr(min(confidences[kept].tolist()))
     after_rejection = len(kept)
     if fraction > 0:
-        scored, held = [], 0
-        for slim, (disagreement, fg, shape) in zip(
-                kept, source.shapes([counter_of[slim.id] for slim in kept])):
-            scored.append(replace(slim, uncertainty=band_uncertainty(fg, disagreement)))
-            if held + shape.nbytes <= _KEPT_SHAPE_BYTES:
-                shapes[slim.id] = shape
-                held += shape.nbytes
-        kept = uncertainty_filter(scored, fraction)
-        uncertainty_cut = repr(max(s.uncertainty for s in kept))
+        counters = kept.tolist()
+        shapes = source.shapes(counters)
+        scores, held = [], 0
+        per_stack = max(_BAND_STACK_PIXELS // spec.resolution**2, 1)
+        for lo in range(0, len(counters), per_stack):
+            seeds, levels, fgs, packed = zip(*islice(shapes, per_stack))
+            scores += band_uncertainties(np.stack(fgs), levels)
+            for counter, seed, shape in zip(counters[lo:lo + per_stack], seeds, packed):
+                if held + shape.nbytes <= _KEPT_SHAPE_BYTES:
+                    kept_shapes[counter] = seed, shape
+                    held += shape.nbytes
+        cut = ranked_cut(scores, kept, filtered_count(len(kept), 0.0, fraction), 1)
+        kept, uncertainties = kept[cut], np.array(scores)[cut].tolist()
+        uncertainty_cut = repr(max(uncertainties))
     funnel = {"pool": pool, "after_rejection": after_rejection,
               "confidence_cut": confidence_cut, "after_uncertainty": len(kept),
               "uncertainty_cut": uncertainty_cut}
 
     written = kept[:n]
-    shapes = {slim.id: shapes[slim.id] for slim in written if slim.id in shapes}
-    # the filters keep input order, so the counters without a shape increase
-    rasterized = source.shapes([counter_of[slim.id] for slim in written
-                                if slim.id not in shapes])
-    full_survivors = (
-        source.render(counter_of[slim.id], slim,
-                      shapes.pop(slim.id) if slim.id in shapes else next(rasterized)[2])
-        for slim in written
-    )
-    return _write_dataset(spec, "offline", out_dir, full_survivors, source.taxonomy,
+    confidences = confidences[written].tolist()  # the pool's are no longer held
+    written = written.tolist()
+    kept_shapes = {counter: kept_shapes[counter] for counter in written
+                   if counter in kept_shapes}
+    # the filters keep counter order, so the counters without a shape increase
+    rasterized = source.shapes([counter for counter in written if counter not in kept_shapes])
+
+    def samples():
+        """Each written sample's one record, built as it is written."""
+        for counter, confidence, uncertainty in zip(written, confidences, uncertainties):
+            if counter in kept_shapes:
+                seed, shape = kept_shapes.pop(counter)
+            else:
+                seed, _, _, shape = next(rasterized)
+            yield source.render(counter, seed, confidence, shape, uncertainty)
+
+    return _write_dataset(spec, "offline", out_dir, samples(), source.taxonomy,
                           lambda: funnel)
 
 
@@ -384,8 +425,8 @@ class OnlineStream:
         self.threshold: float | None = None
         rate = spec.filters.rejection_rate
         if rate > 0:
-            warm = self.source.scored_range(_WARMUP_BASE, _WARMUP_BASE + WARMUP_SIZE)
-            self.threshold = float(np.quantile([s.confidence for s in warm], rate))
+            warm = self.source.confidences(_WARMUP_BASE, _WARMUP_BASE + WARMUP_SIZE)
+            self.threshold = float(np.quantile(warm, rate))
         self._pulls = self._accepted_samples()
 
     def __iter__(self):
@@ -396,17 +437,16 @@ class OnlineStream:
 
     def _accepted_samples(self):
         """Score STREAM_CHUNK counters at a time, then hand the chunk's
-        accepted counters to one ``shapes`` call: each is rasterized and
-        painted only when it is pulled."""
+        accepted counters to one ``shapes`` call: each is rasterized,
+        painted and given its record only when it is pulled."""
         for lo in count(0, STREAM_CHUNK):
-            accepted = [(counter, slim) for counter, slim in enumerate(
-                self.source.scored_range(lo, lo + STREAM_CHUNK), lo)
-                if self.threshold is None or slim.confidence > self.threshold]
-            shapes = self.source.shapes([counter for counter, _ in accepted])
-            for (counter, slim), (_, _, shape) in zip(accepted, shapes):
+            confidences = self.source.confidences(lo, lo + STREAM_CHUNK).tolist()
+            accepted = [counter for counter, confidence in enumerate(confidences, lo)
+                        if self.threshold is None or confidence > self.threshold]
+            for counter, (seed, _, _, shape) in zip(accepted, self.source.shapes(accepted)):
                 self.candidates = counter + 1
                 self.accepted += 1
-                yield self.source.render(counter, slim, shape)
+                yield self.source.render(counter, seed, confidences[counter - lo], shape)
 
 
 def write_stream(spec: PipelineSpec, count: int, out_dir) -> DatasetManifest:

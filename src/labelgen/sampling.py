@@ -100,17 +100,23 @@ class CategoricalDist:
 
 def truncated_normal(dim: int, psi: float, rng: np.random.Generator) -> np.ndarray:
     """Standard-normal coordinates resampled independently until |z| <= psi,
-    for psi >= ``MIN_TRUNCATION_PSI``."""
+    for psi >= ``MIN_TRUNCATION_PSI``.
+
+    Each round draws one normal for every coordinate still out of range, in
+    coordinate order, as one ``standard_normal`` call. The coordinates are
+    Python floats between rounds: at a latent's few coordinates that is
+    cheaper than array masks."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if not psi >= MIN_TRUNCATION_PSI:
         raise ValueError(f"psi must be >= {MIN_TRUNCATION_PSI}, got {psi!r}")
-    z = rng.standard_normal(dim)
-    out_of_range = np.abs(z) > psi
-    while out_of_range.any():
-        z[out_of_range] = rng.standard_normal(int(out_of_range.sum()))
-        out_of_range = np.abs(z) > psi
-    return z
+    z = rng.standard_normal(dim).tolist()
+    out_of_range = [i for i, v in enumerate(z) if abs(v) > psi]
+    while out_of_range:
+        for i, v in zip(out_of_range, rng.standard_normal(len(out_of_range)).tolist()):
+            z[i] = v
+        out_of_range = [i for i in out_of_range if abs(z[i]) > psi]
+    return np.array(z)
 
 
 def nucleus_topk_support(probs, p: float, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -268,16 +274,24 @@ def filtered_count(n: int, rate: float, fraction: float) -> int:
     return kept - _uncertainty_drop(kept, fraction)
 
 
+def ranked_cut(scores, ties, keep: int, sign: int) -> np.ndarray:
+    """Positions, increasing, of the ``keep`` entries that rank first by
+    ``sign * scores``: ``sign`` -1 keeps the highest scores, 1 the lowest.
+    Tied scores keep the smaller ``ties`` key, and of entries tied in both,
+    the earlier. A 0.0 score ties a -0.0 one."""
+    order = np.lexsort((ties, sign * np.asarray(scores, dtype=np.float64)))
+    return np.sort(order[:keep])
+
+
 def _ranked_cut(samples: list, attr: str, keep: int, sign: int) -> list:
-    """The ``keep`` samples that rank first by ``sign * score``, in input order:
-    ``sign`` -1 keeps the highest ``attr`` scores, 1 the lowest. Tied scores
-    keep the smaller id; of samples tied in id too, the earlier is kept when
-    the highest scores are, the later when the lowest are."""
+    """``ranked_cut`` of the samples' ``attr`` scores, in input order. Tied
+    scores keep the smaller id; of samples tied in id too, the earlier is
+    kept when the highest scores are, the later when the lowest are."""
     scores = _require_scores(samples, attr)
-    order = sorted(range(len(samples)),
-                   key=lambda i: (sign * scores[i], samples[i].id, -sign * i))
-    kept = set(order[:keep])
-    return [s for i, s in enumerate(samples) if i in kept]
+    rank = {sid: r for r, sid in enumerate(sorted({s.id for s in samples}))}
+    n = len(samples)
+    ties = [rank[s.id] * n + (i if sign < 0 else n - 1 - i) for i, s in enumerate(samples)]
+    return [samples[i] for i in ranked_cut(scores, ties, keep, sign)]
 
 
 def uncertainty_filter(samples, fraction: float = 0.10):

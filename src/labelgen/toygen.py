@@ -48,9 +48,8 @@ filter, is seeded in bulk with the numbers ``substream`` would give.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,6 +59,8 @@ from .sampling import EnsemblePrediction
 FAMILIES = ("ellipse", "rectangle", "star", "crescent")
 VALID_RESOLUTIONS = (64, 128, 256)
 NUM_HEADS = 16
+# each ensemble head's probability target inside the band, spread evenly over (0, 1)
+_HEAD_TARGETS = tuple((2.0 * k + 1.0) / (2.0 * NUM_HEADS) for k in range(NUM_HEADS))
 LATENT_DIM = 8  # latent coordinates read per sample; ToySource draws this many
 
 LATENT_STREAM = 1
@@ -438,15 +439,17 @@ def _band(fg: np.ndarray) -> np.ndarray:
 
     The 3x3 dilation minus the 5x5 erosion (two 3x3 erosions) of ``fg``, with
     everything outside the frame counted as background; each window is two
-    passes of shifted views over a zero-padded copy.
+    passes of shifted views over a zero-padded copy. ``fg`` is one (H, W)
+    foreground or a stack of them, each with its own band.
     """
-    h, w = fg.shape
-    pad = np.zeros((h + 4, w + 4), dtype=bool)
-    pad[2:-2, 2:-2] = fg
-    rows = pad[:, 1:-3] | pad[:, 2:-2] | pad[:, 3:-1]
-    dilated = rows[1:-3] | rows[2:-2] | rows[3:-1]
-    rows = pad[:, :-4] & pad[:, 1:-3] & pad[:, 2:-2] & pad[:, 3:-1] & pad[:, 4:]
-    eroded = rows[:-4] & rows[1:-3] & rows[2:-2] & rows[3:-1] & rows[4:]
+    *stack, h, w = fg.shape
+    pad = np.zeros((*stack, h + 4, w + 4), dtype=bool)
+    pad[..., 2:-2, 2:-2] = fg
+    rows = pad[..., 1:-3] | pad[..., 2:-2] | pad[..., 3:-1]
+    dilated = rows[..., 1:-3, :] | rows[..., 2:-2, :] | rows[..., 3:-1, :]
+    rows = pad[..., :-4] & pad[..., 1:-3] & pad[..., 2:-2] & pad[..., 3:-1] & pad[..., 4:]
+    eroded = (rows[..., :-4, :] & rows[..., 1:-3, :] & rows[..., 2:-2, :]
+              & rows[..., 3:-1, :] & rows[..., 4:, :])
     return dilated & ~eroded
 
 
@@ -480,19 +483,24 @@ def band_js(disagreement: float) -> tuple[float, float]:
     each head is built by the same expression in Python floats, p*log(p) is
     taken with ``math.log`` and is 0 at 0, and the heads are added in order
     and divided by ``NUM_HEADS``, as numpy's mean over the head axis does.
+    A running sum starts at 0.0, not at its first term: that can change only
+    the sign of a zero entropy total, and the clamp gives +0.0 either way.
     """
     log = math.log
-    targets = [(2.0 * k + 1.0) / (2.0 * NUM_HEADS) for k in range(NUM_HEADS)]
     js = []
     for truth in (0.0, 1.0):
         anchor = (1.0 - disagreement) * truth
-        fg = [anchor + disagreement * target for target in targets]
-        bg = [1.0 - p for p in fg]
-        mixture = [reduce(operator.add, probs) / NUM_HEADS for probs in (bg, fg)]
-        mixture_entropy = -reduce(operator.add, [p * log(p) if p else 0.0 for p in mixture])
-        entropies = [-((b * log(b) if b else 0.0) + (f * log(f) if f else 0.0))
-                     for b, f in zip(bg, fg)]
-        js.append(max(0.0, mixture_entropy - reduce(operator.add, entropies) / NUM_HEADS))
+        fg_total = bg_total = entropies = 0.0
+        for target in _HEAD_TARGETS:
+            fg = anchor + disagreement * target
+            bg = 1.0 - fg
+            fg_total += fg
+            bg_total += bg
+            entropies += -((bg * log(bg) if bg else 0.0) + (fg * log(fg) if fg else 0.0))
+        bg_mix, fg_mix = bg_total / NUM_HEADS, fg_total / NUM_HEADS
+        mixture_entropy = -((bg_mix * log(bg_mix) if bg_mix else 0.0)
+                            + (fg_mix * log(fg_mix) if fg_mix else 0.0))
+        js.append(max(0.0, mixture_entropy - entropies / NUM_HEADS))
     return js[0], js[1]
 
 
@@ -500,8 +508,16 @@ def band_uncertainty(fg: np.ndarray, disagreement: float) -> float:
     """``sample_uncertainty(band_ensemble(fg, disagreement))`` without the
     ensemble: the per-kind JS of ``band_js`` gathered over the band's pixels
     in index order, summed by numpy and divided by the pixel count."""
-    kinds = fg[_band(fg)].view(np.uint8)
-    return float(np.array(band_js(disagreement)).take(kinds).sum() / fg.size)
+    return band_uncertainties(fg[None], [disagreement])[0]
+
+
+def band_uncertainties(fgs: np.ndarray, disagreements) -> list[float]:
+    """``band_uncertainty`` of each foreground of the (k, H, W) stack ``fgs``
+    at its disagreement level, bit for bit: one ``_band`` pass finds every
+    band, and each foreground's pixel kinds are gathered from its own row."""
+    size = fgs.shape[-2] * fgs.shape[-1]
+    return [float(np.array(band_js(d)).take(fg[band].view(np.uint8)).sum() / size)
+            for fg, band, d in zip(fgs, _band(fgs), disagreements)]
 
 
 def texture_base(rng: np.random.Generator) -> np.ndarray:

@@ -267,6 +267,18 @@ def kid_dense(x, y):
     return float(term_x + term_y - 2.0 * kxy.mean())
 
 
+def masked_truncated_normal(dim, psi, rng):
+    """``truncated_normal`` as first written, on array masks: each round
+    redraws every coordinate still out of range with one ``standard_normal``
+    call."""
+    z = rng.standard_normal(dim)
+    out_of_range = np.abs(z) > psi
+    while out_of_range.any():
+        z[out_of_range] = rng.standard_normal(int(out_of_range.sum()))
+        out_of_range = np.abs(z) > psi
+    return z
+
+
 def truncated_normal_variance(psi):
     """Second moment of the truncated standard normal via quadrature."""
     from scipy import integrate

@@ -238,6 +238,9 @@ REASONS = {
     ("stream", "--count", "1"): "seed must be >= 0, got -3",  # LABELGEN_SEED=-3
     ("meanshapes", "--seed", "-1"): "seed must be >= 0, got -1",
     ("synth", "--truncation", "1e-300"): "truncation_psi must be >= 0.01, got 1e-300",
+    ("synth", "--n", "100000000000"):
+        "100000000000 samples need a pool of 1111111111112 candidates; "
+        "at most 1000000000000 are scored",
     # MANIFEST stands for the manifest's path here
     ("analyze", "--manifest", "<confidence 5.0>"): f"{MANIFEST}:2: confidence 5.0 outside [0, 1]",
     ("analyze", "--manifest", "<uncertainty -1.0>"):
@@ -295,6 +298,8 @@ REASONS = {
     (["stream", "--count", "1"], "-3", 2),                  # LABELGEN_SEED
     (["meanshapes", "--manifest", MANIFEST, "--seed", "-1"], None, 2),
     (["synth", "--n", "2", "--truncation", "1e-300"], None, 2),  # would not finish
+    # a pool of 1111111111112 counters: ids sort in counter order only below 10**12
+    (["synth", "--n", "100000000000"], None, 2),
     (["analyze", "--manifest", "<confidence 5.0>"], None, 2),
     (["analyze", "--manifest", "<uncertainty -1.0>"], None, 2),
     (["analyze", "--manifest", "<uncertainty nan>"], None, 2),

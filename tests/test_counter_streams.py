@@ -116,22 +116,32 @@ def test_bulk_streams_need_sorted_counters():
         counter_streams(spawn_parent([0]), np.array([3, 2], dtype=np.uint64), LATENT_STREAM)
 
 
+def _scored(source, lo, hi):
+    """(confidence, sample seed) of counters lo..hi-1: the confidences from
+    one ``confidences`` call, the seeds from one ``shapes`` call."""
+    seeds = [seed for seed, *_ in source.shapes(list(range(lo, hi)))]
+    return list(zip(source.confidences(lo, hi).tolist(), seeds))
+
+
+def _scored_oracle(source, lo, hi):
+    return [(s.confidence, s.latent_seed) for s in (toy_scored(source, c) for c in range(lo, hi))]
+
+
 @settings(max_examples=30, deadline=None)
 @given(root=ROOTS, lo=st.integers(2**32 - 12, 2**32 + 4), length=st.integers(0, 16),
        classes=st.integers(4, 254))
 @example(root=0, lo=2**32 - 8, length=0, classes=16)
 @example(root=5, lo=2**32 - 8, length=16, classes=16)
-def test_scored_range_equals_the_per_counter_oracle(root, lo, length, classes):
+def test_confidences_and_seeds_equal_the_per_counter_oracle(root, lo, length, classes):
     source = ToySource(PipelineSpec(num_classes=classes, seed=root))
-    assert source.scored_range(lo, lo + length) == \
-        [toy_scored(source, c) for c in range(lo, lo + length)]
+    assert _scored(source, lo, lo + length) == _scored_oracle(source, lo, lo + length)
 
 
 @pytest.mark.parametrize("root", EDGE_ROOTS)
 def test_a_pool_scored_at_once_equals_the_per_counter_oracle(root):
     source = ToySource(PipelineSpec(num_classes=16, seed=root))
-    assert source.scored_range(0, 223) == [toy_scored(source, c) for c in range(223)]
-    assert source.scored_range(40, 40) == []
+    assert _scored(source, 0, 223) == _scored_oracle(source, 0, 223)
+    assert source.confidences(40, 40).shape == (0,)
 
 
 @settings(max_examples=20, deadline=None)
@@ -150,12 +160,15 @@ def test_rendered_sample_and_ensemble_use_numpy_streams(root, counter):
     assert (ensemble.index == expected.ensemble.index).all()
     assert (ensemble.kinds == expected.ensemble.kinds).all()
     assert (ensemble.probs == expected.ensemble.probs).all()
-    [(disagreement, fg, shape)] = source.shapes([counter])
+    [(shape_seed, disagreement, fg, shape)] = source.shapes([counter])
+    assert shape_seed == seed
     assert disagreement == numpy_disagreement(seed)
     assert (fg == expected.gt_mask.foreground()).all()
     assert repr(band_uncertainty(fg, disagreement)) == repr(sample_uncertainty(expected.ensemble))
     assert (shape[-3:] == substream(seed, TEXTURE_STREAM).integers(40, 120, 3)).all()
-    rendered = source.render(counter, source.scored_range(counter, counter + 1)[0], shape)
+    [confidence] = source.confidences(counter, counter + 1).tolist()
+    rendered = source.render(counter, seed, confidence, shape)
+    assert replace(rendered, image=None, mask=None) == toy_scored(source, counter)
     assert (rendered.image.data == expected.image.data).all()
     assert (rendered.mask.labels == expected.gt_mask.labels).all()
 
@@ -174,9 +187,9 @@ def test_negative_root_is_rejected(seed):
     (lambda source: source.ensemble(2**64), 2**64),
     (lambda source: source.shapes([-3]), -3),
     (lambda source: source.shapes([0, 7, 2**64 + 2]), 2**64 + 2),
-    (lambda source: source.render(2**64, None, None), 2**64),
-    (lambda source: source.scored_range(-2, 1), -2),
-    (lambda source: source.scored_range(2**64 - 1, 2**64 + 1), 2**64),
+    (lambda source: source.render(2**64, 0, 1.0, None), 2**64),
+    (lambda source: source.confidences(-2, 1), -2),
+    (lambda source: source.confidences(2**64 - 1, 2**64 + 1), 2**64),
 ])
 def test_counter_outside_64_bits_is_rejected(call, counter):
     with pytest.raises(ValueError) as caught:
@@ -187,5 +200,5 @@ def test_counter_outside_64_bits_is_rejected(call, counter):
 def test_last_64_bit_counter_is_accepted():
     source = ToySource(PipelineSpec(num_classes=16, seed=0))
     last = 2**64 - 1
-    assert source.scored_range(last, last + 1) == [toy_scored(source, last)]
+    assert _scored(source, last, last + 1) == _scored_oracle(source, last, last + 1)
     assert source.generate(last).id == f"toy-{last:012d}"

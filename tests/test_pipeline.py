@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from labelgen import pipeline, toygen
 from labelgen.cli import _spec_from, build_parser, main
-from labelgen.formats import ManifestEntry, read_image, read_manifest, read_mask
+from labelgen.formats import LabeledSample, ManifestEntry, read_image, read_manifest, read_mask
 from labelgen.pipeline import (
     OnlineStream,
     PipelineSpec,
@@ -70,7 +71,11 @@ def test_source_deterministic_per_counter():
 def test_scored_equals_generated_sample_without_pixels(counter, seed, classes):
     source = ToySource(PipelineSpec(num_classes=classes, seed=seed))
     full = source.generate(counter)
-    assert source.scored_range(counter, counter + 1) == [replace(full, image=None, mask=None)]
+    [confidence] = source.confidences(counter, counter + 1).tolist()
+    [(seed, _, _, shape)] = source.shapes([counter])
+    assert (confidence, seed) == (full.confidence, full.latent_seed)
+    rendered = source.render(counter, seed, confidence, shape)
+    assert replace(rendered, image=None, mask=None) == replace(full, image=None, mask=None)
 
 
 @settings(max_examples=30, deadline=None)
@@ -78,7 +83,7 @@ def test_scored_equals_generated_sample_without_pixels(counter, seed, classes):
        res=st.sampled_from([64, 128, 256]))
 def test_shape_only_ensemble_equals_generated_ensemble(counter, seed, res):
     source = ToySource(PipelineSpec(num_classes=16, seed=seed, resolution=res))
-    sample_seed = source.scored_range(counter, counter + 1)[0].latent_seed
+    [(sample_seed, *_)] = source.shapes([counter])
     z = truncated_normal(toygen.LATENT_DIM, 0.9, toygen.substream(sample_seed, 1))
     generated = toygen.toy_generate(source.class_specs[counter % 16], z, sample_seed, res,
                                     disagreement=numpy_disagreement(sample_seed)).ensemble
@@ -95,7 +100,7 @@ def test_shape_only_ensemble_equals_generated_ensemble(counter, seed, res):
 def test_kind_ensemble_equals_per_pixel_oracle(counter, seed, res):
     source = ToySource(PipelineSpec(num_classes=16, seed=seed, resolution=res))
     ensemble = source.ensemble(counter)
-    sample_seed = source.scored_range(counter, counter + 1)[0].latent_seed
+    [(sample_seed, *_)] = source.shapes([counter])
     fg = source.generate(counter).mask.foreground()
     heads, index = per_pixel_band_heads(fg, numpy_disagreement(sample_seed))
     assert ensemble.probs.shape == (16, 2, 2)
@@ -229,7 +234,8 @@ def test_offline_samples_equal_generated_samples(tmp_path, monkeypatch, fraction
     elif kept is None:
         assert rasterized == after_rejection
     else:
-        survivors = confidence_rejection(source.scored_range(0, int(manifest.metadata["pool"])),
+        pool = int(manifest.metadata["pool"])
+        survivors = confidence_rejection([toy_scored(source, c) for c in range(pool)],
                                          spec.filters.rejection_rate)
         first = {s.id for s in survivors[:kept]}
         again = sum(entry.id not in first for entry in manifest.entries)
@@ -259,6 +265,30 @@ def test_online_renders_only_accepted_samples(monkeypatch):
         assert len(rasterizations) == stream.accepted == pulled
     assert stream.candidates > 100
     assert not renders
+
+
+def test_records_are_built_only_for_written_samples(tmp_path, monkeypatch, capsys):
+    # synth scores a pool of 223 candidates and the stream some 100 counters,
+    # as arrays: each builds one record per sample it writes
+    records = _count_calls(monkeypatch, LabeledSample, "__post_init__")
+    assert main(["synth", "--n", "20", "--out", str(tmp_path / "synth")]) == 0
+    assert len(records) == 20
+    assert main(["stream", "--count", "10", "--out", str(tmp_path / "stream")]) == 0
+    capsys.readouterr()
+    assert len(records) == 20 + 10
+
+
+def test_scoring_a_pool_holds_no_per_candidate_object():
+    source = ToySource(PipelineSpec(seed=0))
+    source.confidences(0, 10)  # caches and lazy imports are not the pool's
+    tracemalloc.start()
+    try:
+        confidences = source.confidences(0, 50_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert confidences.shape == (50_000,)
+    assert peak <= 4 * 2**20
 
 
 @pytest.mark.parametrize("argv, kept_bytes", [

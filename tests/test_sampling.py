@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import xlogy
@@ -19,6 +19,7 @@ from labelgen.sampling import (
     js_divergence,
     nucleus_topk_sample,
     nucleus_topk_support,
+    ranked_cut,
     sample_uncertainty,
     truncated_normal,
     uncertainty_filter,
@@ -26,6 +27,7 @@ from labelgen.sampling import (
 
 from .oracles import (
     expanded_probs,
+    masked_truncated_normal,
     truncated_normal_variance,
     two_sort_confidence_rejection,
     two_sort_uncertainty_filter,
@@ -100,6 +102,20 @@ def test_truncated_normal_rejects_a_psi_that_would_not_finish():
             truncated_normal(8, psi, np.random.default_rng(0))
     z = truncated_normal(8, MIN_TRUNCATION_PSI, np.random.default_rng(0))
     assert np.abs(z).max() <= MIN_TRUNCATION_PSI
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), dim=st.one_of(st.integers(1, 64), st.just(10_000)),
+       psi=st.one_of(st.just(MIN_TRUNCATION_PSI), st.floats(MIN_TRUNCATION_PSI, 4.0)))
+@example(seed=0, dim=10_000, psi=MIN_TRUNCATION_PSI)
+@example(seed=3, dim=8, psi=0.9)
+def test_truncated_normal_draws_what_the_masked_loop_draws(seed, dim, psi):
+    # the same values from the same draws, so the generator ends in the same state
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    z = truncated_normal(dim, psi, rng)
+    expected = masked_truncated_normal(dim, psi, oracle_rng)
+    assert z.dtype == expected.dtype and z.tolist() == expected.tolist()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_truncated_normal_reproducible():
@@ -486,3 +502,23 @@ def test_filters_equal_the_two_sort_rule_on_tied_scores_and_repeated_ids(pairs, 
                    for sid, score in pairs]
         kept, expected = keep(samples, rate), oracle(samples, rate)
         assert [id(s) for s in kept] == [id(s) for s in expected]
+
+
+@settings(max_examples=300, deadline=None)
+@given(scores=st.one_of(st.lists(st.sampled_from([0.0, -0.0, 0.25]), max_size=40),
+                        st.integers(0, 40).map(lambda n: [0.5] * n)),
+       rate=_RATES)
+def test_ranked_cut_of_a_pool_keeps_what_the_filters_keep(scores, rate):
+    # a pool's counters are its positions, and its ids sort in counter order,
+    # so the cut on arrays with the counters as tie key keeps the filters' samples
+    n = len(scores)
+    for attr, sign, keep, filter_, oracle in (
+            ("confidence", -1, filtered_count(n, rate, 0.0), confidence_rejection,
+             two_sort_confidence_rejection),
+            ("uncertainty", 1, filtered_count(n, 0.0, rate), uncertainty_filter,
+             two_sort_uncertainty_filter)):
+        samples = [LabeledSample(id=f"toy-{c:012d}", class_id=1, provenance="toy",
+                                 **{attr: score}) for c, score in enumerate(scores)]
+        positions = ranked_cut(scores, np.arange(n), keep, sign).tolist()
+        assert [samples[i] for i in positions] == filter_(samples, rate) == \
+            oracle(samples, rate)
