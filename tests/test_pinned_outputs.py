@@ -115,7 +115,8 @@ PINNED = {
             "masks": "c51128a75232cee4ab56bbae399a595c267caf407e3745e2c8d5e7f3b490406b",
             "taxonomy": "9bbba69a279e126f5515eccc8726d3f26f52ce820c5181f2485be85d823aed95",
         }),
-    # a pool of 4445 candidates, scored in more than one chunk of 4096
+    # a pool of 4445 candidates, scored in more than one chunk of 4096;
+    # recorded before the pool was scored as arrays
     "synth-pool-4445": (
         ["synth", "--n", "400", "--seed", "13"], 400, {
             "entries": "0089a2cdd691650f234d5c078bdb5ffeea87947210cae8757f1c12a9f3d7724d",

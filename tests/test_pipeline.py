@@ -72,9 +72,9 @@ def test_scored_equals_generated_sample_without_pixels(counter, seed, classes):
     source = ToySource(PipelineSpec(num_classes=classes, seed=seed))
     full = source.generate(counter)
     [confidence] = source.confidences(counter, counter + 1).tolist()
-    [(seed, _, _, shape)] = source.shapes([counter])
-    assert (confidence, seed) == (full.confidence, full.latent_seed)
-    rendered = source.render(counter, seed, confidence, shape)
+    [(sample_seed, _, _, shape)] = source.shapes([counter])
+    assert (confidence, sample_seed) == (full.confidence, full.latent_seed)
+    rendered = source.render(counter, sample_seed, confidence, shape)
     assert replace(rendered, image=None, mask=None) == replace(full, image=None, mask=None)
 
 
@@ -268,8 +268,9 @@ def test_online_renders_only_accepted_samples(monkeypatch):
 
 
 def test_records_are_built_only_for_written_samples(tmp_path, monkeypatch, capsys):
-    # synth scores a pool of 223 candidates and the stream some 100 counters,
-    # as arrays: each builds one record per sample it writes
+    # synth scores a pool of 223 candidates and the stream a warmup batch and
+    # a chunk of 128 counters, as arrays: each builds one record per sample
+    # it writes
     records = _count_calls(monkeypatch, LabeledSample, "__post_init__")
     assert main(["synth", "--n", "20", "--out", str(tmp_path / "synth")]) == 0
     assert len(records) == 20
