@@ -2,7 +2,8 @@
 
 Covers the latent truncation trick, nucleus/top-k sampling over categorical
 distributions, Jensen-Shannon ensemble disagreement, and the two batch
-filters (classifier-confidence rejection and uncertainty filtering). All
+filters (classifier-confidence rejection and uncertainty filtering), which
+share one ranked cut (``ranked_cut``) that also runs on score arrays. All
 randomness comes from caller-owned ``numpy.random.Generator`` instances, so
 identical seeds give identical outputs.
 """

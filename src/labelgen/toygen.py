@@ -24,9 +24,9 @@ image, and a band pixel's divergence across heads depends on its kind and
 the disagreement level alone, so ``band_js`` gives both kinds' divergence
 from the level and ``band_uncertainty`` scores a shape as
 ``sample_uncertainty`` scores its ensemble, bit for bit, without building
-one. Rasterization evaluates only the pixels in a box around the shape,
-and the band comes from shifted views of the mask, not from a morphology
-library.
+one (``band_uncertainties`` scores a stack of shapes with one band pass).
+Rasterization evaluates only the pixels in a box around the shape, and the
+band comes from shifted views of the mask, not from a morphology library.
 
 ``toy_generate`` composes one rasterizer and one painter: ``toy_shape``
 gives the foreground and its colour, and ``toy_paint`` paints them over a
