@@ -5,7 +5,10 @@ distributions, Jensen-Shannon ensemble disagreement, and the two batch
 filters (classifier-confidence rejection and uncertainty filtering), which
 share one ranked cut (``ranked_cut``) that also runs on score arrays. All
 randomness comes from caller-owned ``numpy.random.Generator`` instances, so
-identical seeds give identical outputs.
+identical seeds give identical outputs. ``toygen.band_uncertainties`` scores
+the offline survivors with ``_js`` too, so a change to its summation order
+changes the uncertainties that ``synth`` writes, which the ``PINNED`` rows of
+``tests/test_pinned_outputs.py`` would catch.
 """
 from __future__ import annotations
 

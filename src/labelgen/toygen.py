@@ -18,13 +18,10 @@ foreground, and each band pixel's kind. Classifier confidence
 (``jittered_confidence``) decreases with the disagreement plus a small
 jitter drawn from the sample's confidence stream, so rejection filtering
 has a meaningful signal; it reads no pixel, so a sample can be scored
-before it is rendered. The ensemble depends on the shape alone, so
-``toy_ensemble`` builds it from the rasterized shape without painting an
-image, and a band pixel's divergence across heads depends on its kind and
-the disagreement level alone, so ``band_js`` gives both kinds' divergence
-from the level and ``band_uncertainty`` scores a shape as
-``sample_uncertainty`` scores its ensemble, bit for bit, without building
-one (``band_uncertainties`` scores a stack of shapes with one band pass).
+before it is rendered. Band scoring uses ``sampling._js`` over the stack's
+head tables: ``band_uncertainties`` scores a stack of shapes with one
+``_js`` call and one band pass, bit for bit as ``sample_uncertainty``
+scores each shape's ensemble, without building one.
 Rasterization evaluates only the pixels in a box around the shape, and the
 band comes from shifted views of the mask, not from a morphology library.
 
@@ -54,13 +51,11 @@ from functools import lru_cache
 import numpy as np
 
 from .formats import ClassTaxonomy, Image, Mask
-from .sampling import EnsemblePrediction
+from .sampling import EnsemblePrediction, _js
 
 FAMILIES = ("ellipse", "rectangle", "star", "crescent")
 VALID_RESOLUTIONS = (64, 128, 256)
 NUM_HEADS = 16
-# each ensemble head's probability target inside the band, spread evenly over (0, 1)
-_HEAD_TARGETS = tuple((2.0 * k + 1.0) / (2.0 * NUM_HEADS) for k in range(NUM_HEADS))
 LATENT_DIM = 8  # latent coordinates read per sample; ToySource draws this many
 
 LATENT_STREAM = 1
@@ -453,71 +448,36 @@ def _band(fg: np.ndarray) -> np.ndarray:
     return dilated & ~eroded
 
 
+def _band_heads(levels) -> np.ndarray:
+    """The (NUM_HEADS, 2k, 2) head probabilities of k disagreement levels:
+    columns 2i and 2i + 1 hold level i's band heads for the two pixel kinds,
+    background and foreground, each head slid from the one-hot truth toward
+    its target by the level."""
+    level = np.repeat(np.asarray(levels, dtype=np.float64), 2)
+    truth = np.tile([0.0, 1.0], level.size // 2)
+    targets = (2.0 * np.arange(NUM_HEADS) + 1.0) / (2.0 * NUM_HEADS)
+    head_fg = (1.0 - level) * truth + level * targets[:, None]
+    return np.stack([1.0 - head_fg, head_fg], axis=-1)
+
+
 def band_ensemble(fg: np.ndarray, disagreement: float) -> EnsemblePrediction:
     """The ensemble of the foreground ``fg``: the band's heads for its two
     pixel kinds, background (0) and foreground (1)."""
     index = np.flatnonzero(_band(fg))
-    targets = (2.0 * np.arange(NUM_HEADS) + 1.0) / (2.0 * NUM_HEADS)
-    fg_prob = np.array([0.0, 1.0])
-    head_fg = (1.0 - disagreement) * fg_prob[None, :] + disagreement * targets[:, None]
-    heads = np.stack([1.0 - head_fg, head_fg], axis=-1)
-    return EnsemblePrediction(heads, index, fg.shape, fg.ravel()[index].view(np.uint8))
-
-
-def toy_ensemble(spec: ToyClassSpec, z: np.ndarray, res: int = 64, *,
-                 disagreement: float) -> EnsemblePrediction:
-    """The ensemble ``toy_generate`` would return, from the shape alone.
-
-    Rasterizes the shape and builds the band heads; paints no image. Makes
-    the same checks as ``toy_generate``.
-    """
-    fg, _ = toy_shape(spec, z, res, disagreement=disagreement)
-    return band_ensemble(fg, disagreement)
-
-
-def band_js(disagreement: float) -> tuple[float, float]:
-    """The Jensen-Shannon divergence across the heads of ``band_ensemble``
-    for its two pixel kinds, background and foreground, clamped at 0.
-
-    Equal to ``np.maximum(sampling._js(band_ensemble(fg, d).probs), 0.0)``:
-    each head is built by the same expression in Python floats, p*log(p) is
-    taken with ``math.log`` and is 0 at 0, and the heads are added in order
-    and divided by ``NUM_HEADS``, as numpy's mean over the head axis does.
-    A running sum starts at 0.0, not at its first term: that can change only
-    the sign of a zero entropy total, and the clamp gives +0.0 either way.
-    """
-    log = math.log
-    js = []
-    for truth in (0.0, 1.0):
-        anchor = (1.0 - disagreement) * truth
-        fg_total = bg_total = entropies = 0.0
-        for target in _HEAD_TARGETS:
-            fg = anchor + disagreement * target
-            bg = 1.0 - fg
-            fg_total += fg
-            bg_total += bg
-            entropies += -((bg * log(bg) if bg else 0.0) + (fg * log(fg) if fg else 0.0))
-        bg_mix, fg_mix = bg_total / NUM_HEADS, fg_total / NUM_HEADS
-        mixture_entropy = -((bg_mix * log(bg_mix) if bg_mix else 0.0)
-                            + (fg_mix * log(fg_mix) if fg_mix else 0.0))
-        js.append(max(0.0, mixture_entropy - entropies / NUM_HEADS))
-    return js[0], js[1]
-
-
-def band_uncertainty(fg: np.ndarray, disagreement: float) -> float:
-    """``sample_uncertainty(band_ensemble(fg, disagreement))`` without the
-    ensemble: the per-kind JS of ``band_js`` gathered over the band's pixels
-    in index order, summed by numpy and divided by the pixel count."""
-    return band_uncertainties(fg[None], [disagreement])[0]
+    return EnsemblePrediction(_band_heads([disagreement]), index, fg.shape,
+                              fg.ravel()[index].view(np.uint8))
 
 
 def band_uncertainties(fgs: np.ndarray, disagreements) -> list[float]:
-    """``band_uncertainty`` of each foreground of the (k, H, W) stack ``fgs``
-    at its disagreement level, bit for bit: one ``_band`` pass finds every
-    band, and each foreground's pixel kinds are gathered from its own row."""
+    """``sample_uncertainty(band_ensemble(fg, d))`` of each foreground fg of
+    the (k, H, W) stack ``fgs`` at its disagreement level d, bit for bit,
+    with no ensemble built: one ``_js`` call scores the pixel kinds of the
+    whole stack, one ``_band`` pass finds every band, and each foreground's
+    pixel kinds are gathered from its own row."""
+    kind_js = np.maximum(_js(_band_heads(disagreements)), 0.0).reshape(-1, 2)
     size = fgs.shape[-2] * fgs.shape[-1]
-    return [float(np.array(band_js(d)).take(fg[band].view(np.uint8)).sum() / size)
-            for fg, band, d in zip(fgs, _band(fgs), disagreements)]
+    return [float(js.take(fg[band].view(np.uint8)).sum() / size)
+            for js, fg, band in zip(kind_js, fgs, _band(fgs))]
 
 
 def texture_base(rng: np.random.Generator) -> np.ndarray:

@@ -19,7 +19,7 @@ from labelgen.toygen import (
     CONFIDENCE_STREAM,
     LATENT_STREAM,
     TEXTURE_STREAM,
-    band_uncertainty,
+    band_uncertainties,
     counter_stream,
     counter_streams,
     int_words,
@@ -164,7 +164,8 @@ def test_rendered_sample_and_ensemble_use_numpy_streams(root, counter):
     assert shape_seed == seed
     assert disagreement == numpy_disagreement(seed)
     assert (fg == expected.gt_mask.foreground()).all()
-    assert repr(band_uncertainty(fg, disagreement)) == repr(sample_uncertainty(expected.ensemble))
+    assert (repr(band_uncertainties(fg[None], [disagreement])[0])
+            == repr(sample_uncertainty(expected.ensemble)))
     assert (shape[-3:] == substream(seed, TEXTURE_STREAM).integers(40, 120, 3)).all()
     [confidence] = source.confidences(counter, counter + 1).tolist()
     rendered = source.render(counter, seed, confidence, shape)

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.stats import spearmanr
 
 from labelgen.geometry import mask_stats
-from labelgen.sampling import _js, sample_uncertainty, truncated_normal
+from labelgen.sampling import sample_uncertainty, truncated_normal
 from labelgen.toygen import (
     CONFIDENCE_STREAM,
     FAMILIES,
@@ -23,12 +24,10 @@ from labelgen.toygen import (
     _param,
     _rasterize,
     band_ensemble,
-    band_js,
-    band_uncertainty,
+    band_uncertainties,
     jittered_confidence,
     substream,
     texture_base,
-    toy_ensemble,
     toy_generate,
     toy_paint,
     toy_shape,
@@ -157,32 +156,33 @@ def test_uncertainty_equals_xlogy_sum_oracle():
         assert sample_uncertainty(ensemble) == xlogy_uncertainty(ensemble)
 
 
-# the sign is compared too: a -0.0 would print as "-0.0" in a manifest
-@settings(max_examples=500, deadline=None)
-@given(level=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072014e-308,
-                                                     1.0 - 2**-53]))
-@example(level=0.0)
-@example(level=1.0)
-@example(level=5e-324)
-def test_band_js_equals_the_ensemble_js(level):
-    fg = np.zeros((8, 8), dtype=bool)
-    fg[2:6, 2:6] = True
-    expected = np.maximum(_js(band_ensemble(fg, level).probs), 0.0)
-    got = np.array(band_js(level))
-    assert (got == expected).all()
-    assert (np.signbit(got) == np.signbit(expected)).all()
+# the ends of [0, 1], the smallest subnormal and the largest double below 1:
+# every stack of four or more holds all four, at drawn positions
+EDGE_LEVELS = (0.0, 1.0, 5e-324, 1.0 - 2**-53)
 
 
+# repr compares the sign too: a -0.0 would print as "-0.0" in a manifest
 @settings(max_examples=60, deadline=None)
-@given(index=st.integers(0, 15), seed=st.integers(0, 2**32), res=st.sampled_from(VALID_RESOLUTIONS),
-       level=st.one_of(st.none(), st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
-def test_band_uncertainty_equals_the_ensemble_uncertainty(index, seed, res, level):
+@given(res=st.sampled_from(VALID_RESOLUTIONS),
+       shapes=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 2**32),
+                                 st.none() | st.floats(0.0, 1.0)
+                                 | st.sampled_from((*EDGE_LEVELS, 2.2250738585072014e-308))),
+                       min_size=1, max_size=70),
+       order=st.randoms(use_true_random=False))
+@example(res=256, shapes=[(i % 16, i, None) for i in range(70)], order=random.Random(0))
+@example(res=64, shapes=[(3, 7, 0.5)], order=random.Random(0))
+def test_band_uncertainty_equals_the_ensemble_uncertainty(res, shapes, order):
     _, specs = toy_taxonomy(16, seed=0)
-    z = truncated_normal(8, 0.9, substream(seed, 1))
-    if level is None:
-        level = numpy_disagreement(seed)
-    fg, _ = toy_shape(specs[index], z, res, disagreement=level)
-    assert repr(band_uncertainty(fg, level)) == repr(sample_uncertainty(band_ensemble(fg, level)))
+    levels = [numpy_disagreement(seed) if level is None else level for _, seed, level in shapes]
+    for position, level in zip(order.sample(range(len(levels)), min(len(levels), 4)),
+                               EDGE_LEVELS):
+        levels[position] = level
+    fgs = np.stack([toy_shape(specs[index], truncated_normal(8, 0.9, substream(seed, 1)), res,
+                              disagreement=level)[0]
+                    for (index, seed, _), level in zip(shapes, levels)])
+    expected = [repr(sample_uncertainty(band_ensemble(fg, level)))
+                for fg, level in zip(fgs, levels)]
+    assert [repr(value) for value in band_uncertainties(fgs, levels)] == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -208,22 +208,6 @@ def test_shift_band_equals_scipy_band(grid):
     assert (_band(grid) == scipy_band(grid)).all()
 
 
-@settings(max_examples=60, deadline=None)
-@given(index=st.integers(0, 15), seed=st.integers(0, 2**32), res=st.sampled_from(VALID_RESOLUTIONS),
-       level=st.one_of(st.none(), st.floats(0.0, 1.0)))
-def test_toy_ensemble_equals_generated_ensemble(index, seed, res, level):
-    _, specs = toy_taxonomy(16, seed=0)
-    z = truncated_normal(8, 0.9, substream(seed, 1))
-    if level is None:
-        level = numpy_disagreement(seed)
-    shape_only = toy_ensemble(specs[index], z, res, disagreement=level)
-    generated = toy_generate(specs[index], z, seed, res, disagreement=level).ensemble
-    assert shape_only.shape == generated.shape
-    assert (shape_only.index == generated.index).all()
-    assert (shape_only.kinds == generated.kinds).all()
-    assert (shape_only.probs == generated.probs).all()
-
-
 @pytest.mark.parametrize("kwargs, message", [
     ({"res": 100}, "resolution"),
     ({"z": np.array([])}, "latent"),
@@ -232,10 +216,9 @@ def test_toy_ensemble_equals_generated_ensemble(index, seed, res, level):
 ])
 def test_toy_ensemble_checks_inputs_like_generate(kwargs, message):
     spec, z = _spec_and_z(index=1)
-    call = {"spec": spec, "z": z, "disagreement": numpy_disagreement(3), **kwargs}
-    for build, extra in ((toy_ensemble, {}), (toy_generate, {"seed": 3})):
-        with pytest.raises(ValueError, match=message):
-            build(**call, **extra)
+    call = {"spec": spec, "z": z, "seed": 3, "disagreement": numpy_disagreement(3), **kwargs}
+    with pytest.raises(ValueError, match=message):
+        toy_generate(**call)
 
 
 def test_uncertainty_strictly_increasing_in_disagreement():
